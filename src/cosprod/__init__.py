@@ -14,9 +14,7 @@ oracles, and the formal power-series fixed point.
 from .arith import (
     BoundedReal,
     DomainError,
-    ExactRational,
     pi_constant,
-    rational_arith,
     real_from_rational,
 )
 from .recurrence import (
@@ -44,7 +42,6 @@ from .analytic import (
     cos_approx,
     exp_approx,
     lambda_direct,
-    log_approx,
     neg_log_product_series,
     partial_product,
     product_trace,
@@ -58,7 +55,6 @@ __all__ = [
     "CoefficientTable",
     "DomainError",
     "EvenSeries",
-    "ExactRational",
     "IdentityReport",
     "LambdaEstimate",
     "OddSeries",
@@ -71,14 +67,12 @@ __all__ = [
     "lambda_closed_form",
     "lambda_coefficients",
     "lambda_direct",
-    "log_approx",
     "neg_log_product_series",
     "ode_residual",
     "partial_product",
     "pi_constant",
     "picard_fixed_point",
     "product_trace",
-    "rational_arith",
     "real_from_rational",
     "rearrangement_check",
     "reference_series",

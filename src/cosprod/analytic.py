@@ -11,12 +11,14 @@ Everything here evaluates one of the three routes to the same number,
                     alternating-series remainder,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
-elementary functions exp/log needed to move between routes).  All heavy
+elementary functions cos/exp needed to evaluate the routes).  All heavy
 summations run in scaled-integer arithmetic with floor divisions, so every
 intermediate is exact and the accumulated rounding is counted in ulps;
 every tail is bounded by an integral or geometric comparison that is stated
-at the point of use.  Results are :class:`~cosprod.arith.BoundedReal`
-values whose intervals are sound by construction.
+at the point of use.  Each result is rounded to the requested precision
+by :func:`~cosprod.arith.real_from_rational`, which adds the carried error
+to the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals
+are sound by construction.
 
 Tail-bound inventory (N terms kept, all terms positive and decreasing):
 
@@ -33,16 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Union
 
 from .arith import (
     BoundedReal,
     DomainError,
-    _err_up,
-    _floor_log2,
-    _pow2,
-    _round_sig,
+    check_precision,
     pi_constant,
     real_from_rational,
 )
@@ -175,8 +173,7 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
         raise ValueError("m must be at least 1")
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
     shift = precision_bits + _GUARD_BITS
     one = 1 << shift
     power = 2 * m
@@ -186,13 +183,11 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
         if not term:
             break  # terms are decreasing; the rest floor to zero as well
         total += term
-    partial = Fraction(total, one)
-    value, qcap = _round_sig(partial, precision_bits, mode="floor")
-    rounding = Fraction(num_terms, one) + qcap
     return LambdaEstimate(
         m=m,
         num_terms=num_terms,
-        value=BoundedReal(value, _err_up(rounding), precision_bits),
+        value=real_from_rational(Fraction(total, one), precision_bits,
+                                 Fraction(num_terms, one), floor=True),
         tail_bound=_odd_tail_bound(num_terms, power),
     )
 
@@ -216,13 +211,11 @@ def _product_log_tail(n: Fraction, num_factors: int) -> Fraction:
 
 def _package_product(n: Fraction, num_factors: int, acc: int, shift: int,
                      precision_bits: int) -> PartialProductResult:
-    partial = Fraction(acc, 1 << shift)
-    value, qcap = _round_sig(partial, precision_bits, mode="floor")
-    rounding = Fraction(num_factors, 1 << shift) + qcap
     return PartialProductResult(
         n=n,
         num_factors=num_factors,
-        value=BoundedReal(value, _err_up(rounding), precision_bits),
+        value=real_from_rational(Fraction(acc, 1 << shift), precision_bits,
+                                 Fraction(num_factors, 1 << shift), floor=True),
         log_tail_bound=_product_log_tail(n, num_factors),
     )
 
@@ -242,8 +235,7 @@ def product_trace(n: _RationalLike, num_factors: int, precision_bits: int,
         raise DomainError("the product requires n >= 1")
     if num_factors < 1:
         raise ValueError("num_factors must be at least 1")
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
     if checkpoints is None:
         checkpoints = []
         c = 1
@@ -298,8 +290,7 @@ def neg_log_product_series(x: BoundedReal, order: int,
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
     work = precision_bits + 16
     pi_low = pi_constant(work).lower()
     x_up = abs(x.value) + x.abs_error
@@ -322,13 +313,12 @@ def neg_log_product_series(x: BoundedReal, order: int,
         lipschitz = 10 * x_up / (pi_low * pi_low * (1 - r_up))
         input_err = lipschitz * x.abs_error
 
-    value, qcap = _round_sig(total.value, precision_bits)
-    err = total.abs_error + tail + input_err + qcap
-    return BoundedReal(value, _err_up(err), precision_bits)
+    return real_from_rational(total.value, precision_bits,
+                              total.abs_error + tail + input_err)
 
 
 # ----------------------------------------------------------------------
-# elementary functions (cos, exp, log) with explicit remainders
+# elementary functions (cos, exp) with explicit remainders
 # ----------------------------------------------------------------------
 
 def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
@@ -339,13 +329,12 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     point the first omitted term bounds the rest.  Input uncertainty is
     folded in via the Lipschitz bound |cos'| <= 1.
     """
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
     work = precision_bits + 16
     x0 = BoundedReal(x.value, Fraction(0), work)
     x2 = x0 * x0
     x2_up = x2.upper()
-    cutoff = _pow2(-(precision_bits + 8))
+    cutoff = Fraction(1, 1 << (precision_bits + 8))
     total = BoundedReal.exact(1, work)
     term = BoundedReal.exact(1, work)
     k = 0
@@ -359,9 +348,8 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
         if x2_up < ratio_den and term.magnitude_upper() <= cutoff:
             break
     remainder = term.magnitude_upper() * x2_up / ratio_den
-    value, qcap = _round_sig(total.value, precision_bits)
-    err = total.abs_error + remainder + x.abs_error + qcap
-    return BoundedReal(value, _err_up(err), precision_bits)
+    return real_from_rational(total.value, precision_bits,
+                              total.abs_error + remainder + x.abs_error)
 
 
 def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
@@ -372,19 +360,19 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
     squared back up.  Input uncertainty e contributes a relative factor
     exp(e) - 1 <= e / (1 - e), applied to the upper value.
     """
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
     work = precision_bits + 16
     halvings = 0
     v = y.value
-    while abs(v) * 2 > _pow2(halvings):
+    while abs(v) * 2 > (1 << halvings):
         halvings += 1
-    z = BoundedReal(v / _pow2(halvings), Fraction(0), work + 2 * halvings)
+    z = BoundedReal(Fraction(v, 1 << halvings), Fraction(0),
+                    work + 2 * halvings)
     z_up = abs(z.value)
 
     total = BoundedReal.exact(1, work + 2 * halvings)
     term = BoundedReal.exact(1, work + 2 * halvings)
-    cutoff = _pow2(-(work + 2 * halvings + 8))
+    cutoff = Fraction(1, 1 << (work + 2 * halvings + 8))
     k = 0
     while term.magnitude_upper() > cutoff:
         k += 1
@@ -404,65 +392,8 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
         if y.abs_error >= 1:
             raise DomainError("exp input uncertainty must be below 1")
         input_err = total.magnitude_upper() * y.abs_error / (1 - y.abs_error)
-    value, qcap = _round_sig(total.value, precision_bits)
-    err = total.abs_error + input_err + qcap
-    return BoundedReal(value, _err_up(err), precision_bits)
-
-
-def _atanh_series(u: Fraction, bits: int) -> BoundedReal:
-    """atanh(u) for |u| <= 1/3, geometric tail over odd powers."""
-    if abs(u) > Fraction(1, 3):
-        raise ValueError("atanh reduction expects |u| <= 1/3")
-    ub = real_from_rational(u, bits) if u else BoundedReal.exact(0, bits)
-    u2 = ub * ub
-    u2_up = u2.upper()
-    total = ub
-    power = ub
-    cutoff = _pow2(-(bits + 8))
-    k = 0
-    while True:
-        k += 1
-        if k > _MAX_SERIES_TERMS:
-            raise AssertionError("atanh series failed to converge")
-        power = power * u2
-        total = total + power / (2 * k + 1)
-        nxt = power.magnitude_upper() * u2_up / (2 * k + 3)
-        if nxt <= cutoff:
-            break
-    tail = nxt / (1 - u2_up) if u2_up < 1 else nxt * 2
-    return BoundedReal(total.value, _err_up(total.abs_error + tail), bits)
-
-
-@lru_cache(maxsize=None)
-def _ln2_constant(bits: int) -> BoundedReal:
-    """log 2 = 2 atanh(1/3)."""
-    return _atanh_series(Fraction(1, 3), bits) * 2
-
-
-def log_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
-    """Natural log via dyadic reduction and the atanh series.
-
-    y is reduced to a in [2/3, 4/3) by an exact power of two, then
-    log a = 2 atanh((a-1)/(a+1)) with |(a-1)/(a+1)| <= 1/5.  Requires the
-    whole input interval to be positive; input uncertainty e contributes
-    e / lower(y) via the mean value theorem.
-    """
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
-    if y.lower() <= 0:
-        raise DomainError("log requires a strictly positive interval")
-    work = precision_bits + 16
-    v = y.value
-    exponent = _floor_log2(3 * v / 2)
-    a = v / _pow2(exponent)
-    u = (a - 1) / (a + 1)
-    total = _atanh_series(u, work) * 2
-    if exponent:
-        total = total + _ln2_constant(work) * exponent
-    input_err = y.abs_error / y.lower() if y.abs_error else Fraction(0)
-    value, qcap = _round_sig(total.value, precision_bits)
-    return BoundedReal(value, _err_up(total.abs_error + input_err + qcap),
-                       precision_bits)
+    return real_from_rational(total.value, precision_bits,
+                              total.abs_error + input_err)
 
 
 # ----------------------------------------------------------------------
@@ -484,8 +415,7 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         raise DomainError("rearrangement requires n > 1")
     if num_rows < 1 or series_order < 1:
         raise ValueError("num_rows and series_order must be at least 1")
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
 
     shift = precision_bits + _GUARD_BITS
     one = 1 << shift
@@ -509,10 +439,9 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         # at exit x_k^-j < drift ulps; geometric rest of the row
         row_tails += Fraction(drift * den, j * (den - qn2) * one)
     rows_tail = _product_log_tail(n, num_rows)
-    row_partial = Fraction(total, one)
-    row_value, row_qcap = _round_sig(row_partial, precision_bits)
-    row_err = Fraction(err_ulps, one) + row_tails + rows_tail + row_qcap
-    row_sum = BoundedReal(row_value, _err_up(row_err), precision_bits)
+    row_sum = real_from_rational(
+        Fraction(total, one), precision_bits,
+        Fraction(err_ulps, one) + row_tails + rows_tail)
 
     # --- column order: m-th column is lambda(2m) / (m n^2m) -------------
     work = precision_bits + 16
@@ -527,10 +456,8 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         col = col + widened * Fraction(1, m) / n_pow
     s = 1 / n_sq
     col_tail = _LAMBDA_CAP * s ** (series_order + 1) / ((series_order + 1) * (1 - s))
-    col_value, col_qcap = _round_sig(col.value, precision_bits)
-    col_sum = BoundedReal(col_value,
-                          _err_up(col.abs_error + col_tail + col_qcap),
-                          precision_bits)
+    col_sum = real_from_rational(col.value, precision_bits,
+                                 col.abs_error + col_tail)
 
     return RearrangementReport(
         n=n,
@@ -562,8 +489,9 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
             "identity verification requires n > 1; at n = 1 the product is "
             "exactly 0 = cos(pi/2) but the log-based route is undefined")
     detail = partial_product(n, num_factors, precision_bits)
-    product = BoundedReal(detail.value.value, _err_up(detail.total_bound()),
-                          precision_bits)
+    # the value is already dyadic at this precision, so only the bound moves
+    product = real_from_rational(detail.value.value, precision_bits,
+                                 detail.total_bound())
     x = pi_constant(precision_bits + 16) * Fraction(n.denominator,
                                                     2 * n.numerator)
     neg_log = neg_log_product_series(x, order, precision_bits + 8)

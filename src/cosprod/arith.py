@@ -4,8 +4,7 @@ Two value types back everything else in this package:
 
 * exact rationals, for coefficient tables and anything that can stay exact.
   These are stdlib ``fractions.Fraction`` values (arbitrary precision,
-  always in lowest terms, positive denominator); ``ExactRational`` is an
-  alias for it.
+  always in lowest terms, positive denominator).
 
 * ``BoundedReal``, a dyadic-rational approximation paired with a rigorous
   absolute error bound.  Every arithmetic operation propagates input bounds
@@ -15,8 +14,10 @@ Two value types back everything else in this package:
 
 No floating point is used anywhere: values, bounds and all intermediate
 quantities are exact rationals, with explicit quantization to a requested
-number of significant bits.  Precision is caller-specified per operation;
-there is no global precision state.
+number of significant bits.  That quantization happens in one place,
+:func:`real_from_rational`, which every rounded result in the package goes
+through.  Precision is caller-specified per operation; there is no global
+precision state.
 """
 
 from __future__ import annotations
@@ -27,32 +28,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
-ExactRational = Fraction
-
 _RationalLike = Union[Fraction, int]
+
+# the coarsest working precision any entry point accepts
+MIN_PRECISION_BITS = 8
 
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
-def rational_arith(a: Fraction, b: Fraction, kind: str) -> Fraction:
-    """Combine two exact rationals; ``kind`` is one of add/sub/mul/div.
-
-    Division by zero raises :class:`ZeroDivisionError` with an explicit
-    message rather than propagating a bare interpreter error.
-    """
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if b == 0:
-            raise ZeroDivisionError(f"rational division {a} / 0 is undefined")
-        return a / b
-    raise ValueError(f"unknown rational operation {kind!r}")
+def check_precision(precision_bits: int) -> None:
+    """Reject a precision below MIN_PRECISION_BITS with ValueError."""
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(
+            f"precision_bits must be at least {MIN_PRECISION_BITS}")
 
 
 # ----------------------------------------------------------------------
@@ -80,28 +70,21 @@ def _floor_log2(x: Fraction) -> int:
     return e if ok else e - 1
 
 
-def _round_sig(x: Fraction, bits: int, mode: str = "nearest") -> tuple[Fraction, Fraction]:
+def _round_sig(x: Fraction, bits: int, floor: bool = False) -> tuple[Fraction, Fraction]:
     """Quantize x to `bits` significant dyadic bits.
 
     Returns (quantized value, error cap).  The cap is a dyadic upper bound
-    on |x - quantized|: half a quantum for nearest, a full quantum for the
-    directed modes.  mode "floor"/"ceil" never overshoots/undershoots x.
+    on |x - quantized|: half a quantum to nearest, a full quantum with
+    `floor`, which never overshoots x.
     """
     if x == 0:
         return x, Fraction(0)
     q = _floor_log2(abs(x)) - bits + 1
     scaled = x / _pow2(q)
-    if mode == "nearest":
-        n = round(scaled)
-        cap = _pow2(q - 1)
-    elif mode == "floor":
-        n = math.floor(scaled)
-        cap = _pow2(q)
-    elif mode == "ceil":
-        n = math.ceil(scaled)
-        cap = _pow2(q)
+    if floor:
+        n, cap = math.floor(scaled), _pow2(q)
     else:
-        raise ValueError(f"unknown rounding mode {mode!r}")
+        n, cap = round(scaled), _pow2(q - 1)
     value = n * _pow2(q)
     if value == x:
         return value, Fraction(0)
@@ -175,8 +158,7 @@ class BoundedReal:
     # -- arithmetic ----------------------------------------------------
 
     def _finish(self, value: Fraction, err: Fraction, bits: int) -> "BoundedReal":
-        qvalue, qerr = _round_sig(value, bits)
-        return BoundedReal(qvalue, _err_up(err + qerr), bits)
+        return real_from_rational(value, bits, err)
 
     def __add__(self, other: object) -> "BoundedReal":
         if isinstance(other, BoundedReal):
@@ -237,19 +219,22 @@ class BoundedReal:
             return f"{self.value} ± {self.abs_error}"
 
 
-def real_from_rational(r: _RationalLike, precision_bits: int) -> BoundedReal:
-    """Round an exact rational to `precision_bits` significant bits.
+def real_from_rational(r: _RationalLike, precision_bits: int,
+                       err: _RationalLike = 0, floor: bool = False) -> BoundedReal:
+    """Round r to `precision_bits` significant bits, carrying error `err`.
 
-    The result satisfies |value - r| <= abs_error <= 2**(1-precision_bits) * |r|,
-    with abs_error = 0 whenever r is representable at that precision.
+    This is the only place where an exact rational becomes a BoundedReal
+    value.  `err` bounds the distance from r to the true quantity the
+    result stands for; the rounding cap is added to it and the sum is
+    rounded up to 8 significant bits, so |value - truth| <= abs_error.
+    Rounding is to nearest, or downward (value <= r) with `floor`.  With
+    err = 0 and nearest rounding, |value - r| <= abs_error <=
+    2**(1-precision_bits) * |r|, and abs_error = 0 whenever r is
+    representable at that precision.
     """
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
-    r = Fraction(r)
-    value, cap = _round_sig(r, precision_bits)
-    if value == r:
-        return BoundedReal(r, Fraction(0), precision_bits)
-    return BoundedReal(value, cap, precision_bits)
+    check_precision(precision_bits)
+    value, cap = _round_sig(Fraction(r), precision_bits, floor)
+    return BoundedReal(value, _err_up(err + cap), precision_bits)
 
 
 # ----------------------------------------------------------------------
@@ -287,12 +272,11 @@ def pi_constant(precision_bits: int) -> BoundedReal:
     Uses the Machin identity pi = 16*arctan(1/5) - 4*arctan(1/239) with 32
     guard bits; deterministic for a given precision.
     """
-    if precision_bits < 8:
-        raise ValueError("precision_bits must be at least 8")
+    check_precision(precision_bits)
     shift = precision_bits + 32
     a5, e5 = _atan_recip_scaled(5, shift)
     a239, e239 = _atan_recip_scaled(239, shift)
     scaled = 16 * a5 - 4 * a239
     series_err = Fraction(16 * e5 + 4 * e239, 1 << shift)
-    value, qerr = _round_sig(Fraction(scaled, 1 << shift), precision_bits)
-    return BoundedReal(value, _err_up(series_err + qerr), precision_bits)
+    return real_from_rational(Fraction(scaled, 1 << shift), precision_bits,
+                              series_err)

@@ -23,7 +23,7 @@ from .analytic import (
     rearrangement_check,
     verify_identity,
 )
-from .arith import BoundedReal, pi_constant
+from .arith import MIN_PRECISION_BITS, BoundedReal, pi_constant
 from .output import (
     OutputRecord,
     format_bound,
@@ -31,7 +31,7 @@ from .output import (
     format_rational,
     render,
 )
-from .recurrence import lambda_closed_form, lambda_coefficients
+from .recurrence import CoefficientTable, lambda_closed_form, lambda_coefficients
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -46,8 +46,11 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an exact rational; write an integer or p/q "
             "(decimal input is rejected)")
-    value = Fraction(text)
-    return value
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} has a zero denominator") from None
 
 
 def _positive(text: str) -> int:
@@ -65,8 +68,9 @@ def _precision(text: str) -> int:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 8:
-        raise argparse.ArgumentTypeError("precision must be at least 8 bits")
+    if value < MIN_PRECISION_BITS:
+        raise argparse.ArgumentTypeError(
+            f"precision must be at least {MIN_PRECISION_BITS} bits")
     return value
 
 
@@ -128,22 +132,25 @@ def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
     }
 
 
-def _half_pi_powers(precision_bits: int, m_max: int) -> list[BoundedReal]:
-    """(pi/2)^2, (pi/2)^4, ..., (pi/2)^2m as BoundedReals."""
+def _closed_forms(table: CoefficientTable,
+                  precision_bits: int) -> list[BoundedReal]:
+    """lambda(2m) = c_m (pi/2)^2m = q_m pi^2m for m = 1..table.m_max.
+
+    The two products agree bit for bit: q_m = c_m / 4^m, and scaling by a
+    power of two commutes with the dyadic rounding of every step.
+    """
     half_pi = pi_constant(precision_bits + 16) * Fraction(1, 2)
     step = half_pi * half_pi
     powers = [step]
-    for _ in range(m_max - 1):
+    while len(powers) < table.m_max:
         powers.append(powers[-1] * step)
-    return powers
+    return [power * c for power, c in zip(powers, table.coeffs)]
 
 
 def cmd_coeffs(args: argparse.Namespace) -> tuple[OutputRecord, int]:
     table = lambda_coefficients(args.m_max)
-    powers = _half_pi_powers(args.precision, args.m_max)
     rows = []
-    for m in range(1, args.m_max + 1):
-        lam = powers[m - 1] * table.c(m)
+    for m, lam in enumerate(_closed_forms(table, args.precision), start=1):
         rows.append({
             "m": str(m),
             "c_m": format_rational(table.c(m)),
@@ -160,15 +167,11 @@ def cmd_coeffs(args: argparse.Namespace) -> tuple[OutputRecord, int]:
 
 
 def cmd_lambda(args: argparse.Namespace) -> tuple[OutputRecord, int]:
-    pi_pow = pi_constant(args.precision + 16)
-    pi_sq = pi_pow * pi_pow
+    closed_forms = _closed_forms(lambda_coefficients(args.m_max), args.precision)
     rows = []
     all_pass = True
-    closed_pow = pi_sq
-    for m in range(1, args.m_max + 1):
+    for m, closed in enumerate(closed_forms, start=1):
         est = lambda_direct(m, args.num_terms, args.precision)
-        q_m = lambda_closed_form(m)
-        closed = closed_pow * q_m
         lo, hi = est.bracket()
         ok = lo <= closed.upper() and closed.lower() <= hi
         all_pass = all_pass and ok
@@ -177,12 +180,11 @@ def cmd_lambda(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             "direct": format_decimal(est.value.value,
                                      est.value.abs_error + est.tail_bound),
             "direct_bound": format_bound(est.value.abs_error + est.tail_bound),
-            "q_m": format_rational(q_m),
+            "q_m": format_rational(lambda_closed_form(m)),
             "closed_form": format_decimal(closed.value, closed.abs_error),
             "closed_bound": format_bound(closed.abs_error),
             "overlap": "PASS" if ok else "FAIL",
         })
-        closed_pow = closed_pow * pi_sq
     record = OutputRecord(
         command="lambda",
         parameters={"m_max": str(args.m_max), "num_terms": str(args.num_terms),
@@ -281,8 +283,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_DOMAIN
     text = render(record, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"cannot write --out: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
     return code

@@ -40,7 +40,9 @@ def _cmp_pow10(n: int, d: int, e: int) -> int:
 def _floor_log10(x: Fraction) -> int:
     """Largest e with 10**e <= x, for x > 0."""
     n, d = x.numerator, x.denominator
-    e = len(str(n)) - len(str(d))
+    # estimate from bit lengths (log10 2 ~ 0.30103), corrected below;
+    # str() of an int past sys.get_int_max_str_digits() digits raises
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
     while _cmp_pow10(n, d, e) < 0:
         e -= 1
     while _cmp_pow10(n, d, e + 1) >= 0:

@@ -6,40 +6,12 @@ import pytest
 from cosprod.arith import (
     BoundedReal,
     pi_constant,
-    rational_arith,
     real_from_rational,
 )
 from conftest import decimal_digits, pi_bracket
 
 # 50 digits of pi, a standard reference constant
 PI_50 = F("3.14159265358979323846264338327950288419716939937510")
-
-
-class TestRationalArith:
-    def test_small_products(self):
-        assert rational_arith(F(1, 2), F(1, 2), "mul") == F(1, 4)
-        # the second recurrence instance evaluated by hand: (2/3) * (1/2)^2
-        assert rational_arith(F(2, 3), F(1, 4), "mul") == F(1, 6)
-
-    def test_additive_inverse(self):
-        assert rational_arith(F(1, 3), F(-1, 3), "add") == 0
-
-    def test_division_by_zero_is_diagnosed(self):
-        with pytest.raises(ZeroDivisionError, match="undefined"):
-            rational_arith(F(1, 2), F(0), "div")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            rational_arith(F(1), F(1), "pow")
-
-    def test_div_mul_round_trip(self):
-        rng = random.Random(20260811)
-        for _ in range(200):
-            a = F(rng.randint(-50, 50), rng.randint(1, 50))
-            b = F(rng.randint(1, 50), rng.randint(1, 50))
-            if rng.random() < 0.5:
-                b = -b
-            assert rational_arith(rational_arith(a, b, "div"), b, "mul") == a
 
 
 class TestRealFromRational:

@@ -49,6 +49,17 @@ class TestFormatting:
         assert rendered == "2.5e-06"
         assert format_bound(F(0)) == "0"
 
+    def test_numbers_past_the_int_to_str_digit_limit(self):
+        # numerators and denominators of 5000 digits, as at ~15000 bits
+        value = F(10**5000 + 7, 3 * 10**4999)
+        assert value.numerator > 10**4300  # past sys.get_int_max_str_digits()
+        assert format_decimal(value, F(1, 10**20)) == "3." + "3" * 21
+        assert format_decimal(value, F(1, 3**9000)).startswith("3." + "3" * 30)
+        bound = F(1, 3**9000)
+        mantissa, exponent = format_bound(bound).split("e")
+        printed = F(mantissa) * F(10) ** int(exponent)
+        assert bound <= printed <= bound * F(11, 10)
+
 
 class TestCoeffs:
     def test_m_max_one(self, capsys):
@@ -122,6 +133,12 @@ class TestVerify:
             cli.main(["verify", "--n", "2.5"])
         assert exc.value.code == cli.EXIT_USAGE
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--n", "3/0"])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "zero denominator" in capsys.readouterr().err
+
 
 class TestRearrange:
     def test_passes(self, capsys):
@@ -166,6 +183,13 @@ class TestOutputContracts:
         assert out == ""
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert payload["command"] == "coeffs"
+
+    def test_unwritable_out_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "coeffs", "--m-max", "2", "--out", str(path))
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "x.txt" in err
 
     def test_exit_code_constants_are_distinct(self):
         codes = {cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE, cli.EXIT_DOMAIN}

@@ -1,0 +1,49 @@
+"""Module boundaries of the package, checked on its syntax trees.
+
+Modules share only public names, and the dyadic rounding of a result
+(``_round_sig`` and the error tidy-up ``_err_up``) is done in ``arith``
+alone, behind ``real_from_rational``.
+"""
+
+import ast
+from pathlib import Path
+
+import cosprod
+
+SOURCES = sorted(Path(cosprod.__file__).parent.glob("*.py"))
+ROUNDING = {"_round_sig", "_err_up"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_no_private_name_imported_across_modules():
+    offenders = [
+        f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert offenders == []
+
+
+def test_rounding_helpers_referenced_only_in_arith():
+    assert "arith.py" in {path.name for path in SOURCES}
+    offenders = []
+    for path in SOURCES:
+        if path.name == "arith.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            names = set()
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.ImportFrom, ast.Import)):
+                names.update(alias.name for alias in node.names)
+            offenders += [f"{path.name}:{node.lineno} {n}"
+                          for n in names & ROUNDING]
+    assert offenders == []
