@@ -14,6 +14,7 @@ oracles, and the formal power-series fixed point.
 from .arith import (
     BoundedReal,
     DomainError,
+    PrecisionError,
     pi_constant,
     real_from_rational,
 )
@@ -31,7 +32,6 @@ from .series import (
     integrate_twice_scaled,
     ode_residual,
     picard_fixed_point,
-    reference_series,
     square_odd,
 )
 from .analytic import (
@@ -59,6 +59,7 @@ __all__ = [
     "LambdaEstimate",
     "OddSeries",
     "PartialProductResult",
+    "PrecisionError",
     "RearrangementReport",
     "bernoulli_numbers",
     "cos_approx",
@@ -75,7 +76,6 @@ __all__ = [
     "product_trace",
     "real_from_rational",
     "rearrangement_check",
-    "reference_series",
     "square_odd",
     "tangent_coefficients",
     "verify_identity",

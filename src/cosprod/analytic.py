@@ -40,6 +40,7 @@ from typing import Optional, Union
 from .arith import (
     BoundedReal,
     DomainError,
+    PrecisionError,
     check_precision,
     pi_constant,
     real_from_rational,
@@ -209,17 +210,6 @@ def _product_log_tail(n: Fraction, num_factors: int) -> Fraction:
     return sum_a / (1 - a_first)
 
 
-def _package_product(n: Fraction, num_factors: int, acc: int, shift: int,
-                     precision_bits: int) -> PartialProductResult:
-    return PartialProductResult(
-        n=n,
-        num_factors=num_factors,
-        value=real_from_rational(Fraction(acc, 1 << shift), precision_bits,
-                                 Fraction(num_factors, 1 << shift), floor=True),
-        log_tail_bound=_product_log_tail(n, num_factors),
-    )
-
-
 def product_trace(n: _RationalLike, num_factors: int, precision_bits: int,
                   checkpoints: Optional[list[int]] = None) -> list[PartialProductResult]:
     """One left-to-right product pass, snapshotted at each checkpoint.
@@ -263,7 +253,10 @@ def product_trace(n: _RationalLike, num_factors: int, precision_bits: int,
             k += 1
             den = ((2 * k - 1) * pn) ** 2
             acc = acc * (den - qn2) // den
-        results.append(_package_product(n, mark, acc, shift, precision_bits))
+        value = real_from_rational(Fraction(acc, 1 << shift), precision_bits,
+                                   Fraction(mark, 1 << shift), floor=True)
+        results.append(PartialProductResult(n, mark, value,
+                                            _product_log_tail(n, mark)))
     return results
 
 
@@ -358,7 +351,8 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
     The argument value is halved until |z| <= 1/2, the series is summed
     with remainder bound 2 * (first omitted term), and the result is
     squared back up.  Input uncertainty e contributes a relative factor
-    exp(e) - 1 <= e / (1 - e), applied to the upper value.
+    exp(e) - 1 <= e / (1 - e), applied to the upper value; e >= 1 gives no
+    bound, so it raises PrecisionError.
     """
     check_precision(precision_bits)
     work = precision_bits + 16
@@ -390,7 +384,7 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
     input_err = Fraction(0)
     if y.abs_error:
         if y.abs_error >= 1:
-            raise DomainError("exp input uncertainty must be below 1")
+            raise PrecisionError("exp input uncertainty must be below 1")
         input_err = total.magnitude_upper() * y.abs_error / (1 - y.abs_error)
     return real_from_rational(total.value, precision_bits,
                               total.abs_error + input_err)

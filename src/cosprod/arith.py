@@ -38,6 +38,10 @@ class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class PrecisionError(ValueError):
+    """Argument in the domain, but its error bound too wide to bound a result."""
+
+
 def check_precision(precision_bits: int) -> None:
     """Reject a precision below MIN_PRECISION_BITS with ValueError."""
     if precision_bits < MIN_PRECISION_BITS:
@@ -133,7 +137,7 @@ class BoundedReal:
             raise ValueError("precision_bits must be positive")
 
     @classmethod
-    def exact(cls, r: _RationalLike, precision_bits: int = 64) -> "BoundedReal":
+    def exact(cls, r: _RationalLike, precision_bits: int) -> "BoundedReal":
         """Wrap an exactly-known rational (abs_error = 0, no quantization)."""
         return cls(Fraction(r), Fraction(0), precision_bits)
 
@@ -157,17 +161,14 @@ class BoundedReal:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _finish(self, value: Fraction, err: Fraction, bits: int) -> "BoundedReal":
-        return real_from_rational(value, bits, err)
-
     def __add__(self, other: object) -> "BoundedReal":
         if isinstance(other, BoundedReal):
             bits = min(self.precision_bits, other.precision_bits)
-            return self._finish(self.value + other.value,
-                                self.abs_error + other.abs_error, bits)
+            return real_from_rational(self.value + other.value, bits,
+                                      self.abs_error + other.abs_error)
         if isinstance(other, (int, Fraction)):
-            return self._finish(self.value + other, self.abs_error,
-                                self.precision_bits)
+            return real_from_rational(self.value + other, self.precision_bits,
+                                      self.abs_error)
         return NotImplemented
 
     __radd__ = __add__
@@ -192,11 +193,11 @@ class BoundedReal:
             err = (abs(self.value) * other.abs_error
                    + abs(other.value) * self.abs_error
                    + self.abs_error * other.abs_error)
-            return self._finish(self.value * other.value, err, bits)
+            return real_from_rational(self.value * other.value, bits, err)
         if isinstance(other, (int, Fraction)):
             r = Fraction(other)
-            return self._finish(self.value * r, self.abs_error * abs(r),
-                                self.precision_bits)
+            return real_from_rational(self.value * r, self.precision_bits,
+                                      self.abs_error * abs(r))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -208,8 +209,8 @@ class BoundedReal:
             r = Fraction(other)
             if r == 0:
                 raise ZeroDivisionError("division of a BoundedReal by zero")
-            return self._finish(self.value / r, self.abs_error / abs(r),
-                                self.precision_bits)
+            return real_from_rational(self.value / r, self.precision_bits,
+                                      self.abs_error / abs(r))
         return NotImplemented
 
     def __str__(self) -> str:

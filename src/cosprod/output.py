@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+# significant digits printed for a value: exact ones that need more are rounded
+MAX_DIGITS = 36
+
 
 @dataclass(frozen=True)
 class OutputRecord:
@@ -66,23 +69,24 @@ def _sig_digits_string(x: Fraction, digits: int) -> tuple[str, int]:
     return str(n), e10
 
 
-def _terminating_decimal(x: Fraction, max_digits: int) -> Optional[str]:
-    """Exact decimal string when the expansion terminates soon enough."""
+def _terminating_decimal(x: Fraction) -> Optional[str]:
+    """Exact decimal string when it has at most MAX_DIGITS digits."""
     d = x.denominator
-    twos = fives = 0
-    while d % 2 == 0:
-        d //= 2
-        twos += 1
+    twos = (d & -d).bit_length() - 1
+    d >>= twos
+    fives = 0
     while d % 5 == 0:
         d //= 5
         fives += 1
     if d != 1:
         return None
     frac_digits = max(twos, fives)
-    scaled = abs(x) * 10**frac_digits
-    whole = str(int(scaled))
-    if len(whole) > max_digits + frac_digits:
+    # the digits of x without leading zeros, counted before any str(),
+    # which raises past sys.get_int_max_str_digits() digits
+    scaled = abs(x.numerator) * 10**frac_digits // x.denominator
+    if scaled >= 10**MAX_DIGITS:
         return None
+    whole = str(scaled)
     sign = "-" if x < 0 else ""
     if frac_digits == 0:
         return sign + whole
@@ -91,20 +95,20 @@ def _terminating_decimal(x: Fraction, max_digits: int) -> Optional[str]:
     return sign + text
 
 
-def format_decimal(value: Fraction, bound: Fraction, max_digits: int = 36) -> str:
+def format_decimal(value: Fraction, bound: Fraction) -> str:
     """Render `value` to the certainty implied by `bound`, plus two guards."""
     if value == 0:
         return "0"
     if bound == 0:
-        exact = _terminating_decimal(value, max_digits)
+        exact = _terminating_decimal(value)
         if exact is not None:
             return exact
-        digits = max_digits
+        digits = MAX_DIGITS
     elif bound >= abs(value):
         digits = 1
     else:
         certain = _floor_log10(abs(value) / bound)
-        digits = min(certain + 2, max_digits)
+        digits = min(certain + 2, MAX_DIGITS)
     s, e10 = _sig_digits_string(abs(value), digits)
     sign = "-" if value < 0 else ""
     if 0 <= e10 < digits and e10 <= 15:

@@ -12,6 +12,9 @@ powers of pi/2:
     lambda(2m) := 1 + 3**-2m + 5**-2m + 7**-2m + ... = c_m * (pi/2)**(2m)
 
 and, equivalently, 2*c_m is the Maclaurin coefficient of x**(2m-1) in tan x.
+The table comes from the integer tangent numbers T_m = 2 (2m-1)! c_m (1, 2,
+16, 272, ...): scaled by 2 (2m-1)!, the recurrence becomes T_1 = 1,
+T_m = sum_{i=1}^{m-1} C(2m-2, 2i-1) T_i T_{m-i}, with no gcd per step.
 Both identities are verified elsewhere in this package; this module also
 provides the independent oracles (Bernoulli numbers, the Bernoulli formula
 for tangent coefficients) used for that cross-check.
@@ -22,7 +25,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 
 @dataclass(frozen=True)
@@ -82,28 +85,35 @@ class BernoulliTable:
         return self.bernoulli[k]
 
 
-# the sequence is a fixed mathematical constant, so computed prefixes are
-# shared between calls; the lock covers the extend-then-slice window
+# the sequence is a fixed mathematical constant, so computed prefixes of
+# (T_m, c_m) are shared between calls; the prefix only grows, so entries
+# read after an extension never change, and the lock serialises extensions
 _coeff_lock = threading.Lock()
-_coeff_prefix: list[Fraction] = [Fraction(1, 2)]
+_coeff_prefix: list[tuple[int, Fraction]] = [(1, Fraction(1, 2))]
+
+
+def _extend(m_max: int) -> list[tuple[int, Fraction]]:
+    """The shared prefix, extended to at least m_max entries (T_m, c_m)."""
+    with _coeff_lock:
+        prefix = _coeff_prefix
+        for m in range(len(prefix) + 1, m_max + 1):
+            t = sum(comb(2 * m - 2, 2 * i - 1) * prefix[i - 1][0] * prefix[m - i - 1][0]
+                    for i in range(1, m))
+            prefix.append((t, Fraction(t, 2 * factorial(2 * m - 1))))
+    return _coeff_prefix
 
 
 def lambda_coefficients(m_max: int) -> CoefficientTable:
     """First m_max terms of the recurrence c_1 = 1/2, c_m = 2/(2m-1) * conv.
 
     The convolution sum_{i+j=m} c_i c_j is over ordered pairs, matching the
-    instance pattern c_4 = 2/7 * (2 c_1 c_3 + c_2 c_2).  Cost is O(m_max^2)
-    exact rational operations the first time a prefix is needed; previously
-    computed terms are reused.
+    instance pattern c_4 = 2/7 * (2 c_1 c_3 + c_2 c_2).  It runs as the
+    tangent-number recurrence of the module docstring: O(m_max^2) integer
+    operations the first time a prefix is needed; later calls reuse them.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    with _coeff_lock:
-        coeffs = _coeff_prefix
-        for m in range(len(coeffs) + 1, m_max + 1):
-            conv = sum(coeffs[i - 1] * coeffs[m - i - 1] for i in range(1, m))
-            coeffs.append(Fraction(2, 2 * m - 1) * conv)
-        return CoefficientTable(tuple(coeffs[:m_max]))
+    return CoefficientTable(tuple(c for _, c in _extend(m_max)[:m_max]))
 
 
 def bernoulli_numbers(k_max: int) -> BernoulliTable:
@@ -150,4 +160,4 @@ def lambda_closed_form(m: int) -> Fraction:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    return lambda_coefficients(m).c(m) / (1 << (2 * m))
+    return _extend(m)[m - 1][1] / (1 << (2 * m))

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .recurrence import lambda_coefficients
-
 
 @dataclass(frozen=True)
 class OddSeries:
@@ -120,8 +118,3 @@ def ode_residual(t: OddSeries) -> list[Fraction]:
         out.append(deriv - 4 * squared.coeffs[i - 1])
     out.append(-4 * squared.coeffs[m_order - 1])
     return out
-
-
-def reference_series(order: int) -> OddSeries:
-    """The coefficient table from the quadratic recurrence, as an OddSeries."""
-    return OddSeries(lambda_coefficients(order).coeffs)

@@ -64,6 +64,23 @@ def sqrt_bracket(r: Fraction, bits: int = 200) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+def tangent_numbers(m_max: int) -> list[int]:
+    """T_1..T_m_max (1, 2, 16, 272, ...) by the Knuth-Buckholtz scheme.
+
+    A linear, in-place recursion over integers (Math. Comp. 21, 1967; see
+    Brent & Harvey, arXiv:1108.0286), independent of the quadratic
+    recurrence under test.  [x^(2m-1)] tan x = T_m / (2m-1)!.
+    """
+    t = [0] * (m_max + 1)
+    t[1] = 1
+    for k in range(2, m_max + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, m_max + 1):
+        for j in range(k, m_max + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
 def decimal_digits(num: int, den: int, places: int) -> str:
     """Decimal expansion of num/den (0 < num < den) by long division."""
     digits = []

@@ -22,7 +22,7 @@ from cosprod.recurrence import (
     lambda_coefficients,
     tangent_coefficients,
 )
-from cosprod.series import ode_residual, picard_fixed_point, reference_series
+from cosprod.series import ode_residual, picard_fixed_point
 from conftest import ln_bracket, sqrt_bracket
 
 

@@ -14,7 +14,7 @@ from cosprod.analytic import (
     rearrangement_check,
     verify_identity,
 )
-from cosprod.arith import BoundedReal, pi_constant
+from cosprod.arith import BoundedReal, PrecisionError, pi_constant
 from cosprod.recurrence import lambda_closed_form
 from conftest import ln_bracket, sqrt_bracket
 
@@ -206,6 +206,13 @@ class TestExpLog:
     def test_exp_one_against_digits(self):
         res = exp_approx(BoundedReal.exact(1, 192), 192)
         assert abs(res.value - E_40) <= res.abs_error + F(1, 10**39)
+
+    def test_input_too_uncertain_is_a_precision_error(self):
+        # every real is in exp's domain; an error bound of 1 is a precision
+        # problem, which the CLI reports apart from domain errors
+        with pytest.raises(PrecisionError):
+            exp_approx(BoundedReal(F(-5), F(1), 64), 64)
+        assert not issubclass(PrecisionError, DomainError)
 
     def test_exp_of_inexact_log_contains_y(self):
         rng = random.Random(99)

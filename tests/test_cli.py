@@ -60,6 +60,17 @@ class TestFormatting:
         printed = F(mantissa) * F(10) ** int(exponent)
         assert bound <= printed <= bound * F(11, 10)
 
+    def test_exact_value_past_the_digit_limit_is_rounded(self):
+        # 2^-15000 = 10^-4515.45...; its exact expansion has 10485 significant digits
+        text = format_decimal(F(1, 2**15000), F(0))
+        assert text.startswith("3.5486") and text.endswith("e-4516")
+
+    def test_exact_value_prints_at_most_36_significant_digits(self):
+        text = format_decimal(F(1, 2**200), F(0))
+        mantissa = text.split("e")[0].replace(".", "").lstrip("0")
+        assert 0 < len(mantissa) <= 36
+        assert text.startswith("6.223015277861141707")
+
 
 class TestCoeffs:
     def test_m_max_one(self, capsys):
@@ -138,6 +149,23 @@ class TestVerify:
             cli.main(["verify", "--n", "3/0"])
         assert exc.value.code == cli.EXIT_USAGE
         assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("--n", "101/100"),
+        ("--n", "1001/1000", "--num-factors", "10", "--order", "5",
+         "--precision", "8"),
+    ])
+    def test_too_little_order_or_precision_is_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == cli.EXIT_USAGE
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "--order" in err and "--precision" in err
+
+    def test_enough_order_near_one_passes(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "101/100", "--order", "300")
+        assert code == 0
+        assert "verdict: PASS" in out
 
 
 class TestRearrange:

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -10,6 +10,7 @@ from cosprod.recurrence import (
     lambda_coefficients,
     tangent_coefficients,
 )
+from conftest import tangent_numbers
 
 
 def zeta_over_pi_power(m: int, b4m) -> F:
@@ -58,6 +59,19 @@ class TestCoefficientTable:
     def test_rejects_bad_m_max(self):
         with pytest.raises(ValueError):
             lambda_coefficients(0)
+
+    def test_matches_knuth_buckholtz_tangent_numbers_to_400(self):
+        # criterion 7 reads coefficients up to m = 400
+        table = lambda_coefficients(400)
+        for m, t in enumerate(tangent_numbers(400), start=1):
+            c = F(t, 2 * factorial(2 * m - 1))
+            assert table.c(m) == c
+            assert lambda_closed_form(m) == c / 4**m
+
+    def test_tables_in_any_request_order_are_prefixes(self):
+        small, large, middle = (lambda_coefficients(m) for m in (7, 400, 50))
+        assert small.coeffs == large.coeffs[:7]
+        assert middle.coeffs == large.coeffs[:50]
 
 
 class TestBernoulli:

@@ -10,7 +10,6 @@ from cosprod.series import (
     integrate_twice_scaled,
     ode_residual,
     picard_fixed_point,
-    reference_series,
     square_odd,
 )
 
@@ -34,7 +33,7 @@ class TestSquareOdd:
         assert sq.coeffs == (F(1, 4), F(1, 6))  # (1/2)^2, 2*(1/2)(1/6)
 
     def test_third_coefficient_of_reference_square(self):
-        sq = square_odd(reference_series(4))
+        sq = square_odd(OddSeries(lambda_coefficients(4).coeffs))
         # 2*(1/2)(1/15) + (1/6)^2 = 17/180, by direct multiplication
         assert sq.coeffs[2] == F(17, 180)
 
@@ -53,7 +52,7 @@ class TestIntegrateTwiceScaled:
         assert out.coeffs == (F(0), F(1, 6))  # 2/3 * 1/4 lands on x^3
 
     def test_reference_square_reproduces_next_coefficients(self):
-        sq = square_odd(reference_series(4))
+        sq = square_odd(OddSeries(lambda_coefficients(4).coeffs))
         out = integrate_twice_scaled(sq)
         table = lambda_coefficients(5)
         assert out.coeffs == (F(0), table.c(2), table.c(3), table.c(4), table.c(5))
@@ -107,12 +106,12 @@ class TestOdeResidual:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8, 12])
     def test_reference_series_vanishes(self, order):
-        res = ode_residual(reference_series(order))
+        res = ode_residual(OddSeries(lambda_coefficients(order).coeffs))
         assert res[:order] == [F(0)] * order  # degrees 0..2(order-1)
         assert res[order] != 0                # truncation artifact at 2*order
 
     def test_perturbation_is_detected(self):
-        coeffs = list(reference_series(4).coeffs)
+        coeffs = list(lambda_coefficients(4).coeffs)
         coeffs[1] += 1
         res = ode_residual(OddSeries(tuple(coeffs)))
         assert res[1] != 0

@@ -1,8 +1,9 @@
 """Module boundaries of the package, checked on its syntax trees.
 
-Modules share only public names, and the dyadic rounding of a result
+Modules share only public names, the dyadic rounding of a result
 (``_round_sig`` and the error tidy-up ``_err_up``) is done in ``arith``
-alone, behind ``real_from_rational``.
+alone, behind ``real_from_rational``, and every exported name is used by
+the package itself or by the benchmark.
 """
 
 import ast
@@ -11,6 +12,7 @@ from pathlib import Path
 import cosprod
 
 SOURCES = sorted(Path(cosprod.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
 ROUNDING = {"_round_sig", "_err_up"}
 
 
@@ -47,3 +49,16 @@ def test_rounding_helpers_referenced_only_in_arith():
             offenders += [f"{path.name}:{node.lineno} {n}"
                           for n in names & ROUNDING]
     assert offenders == []
+
+
+def test_every_exported_name_is_used():
+    used = set()
+    for path in SOURCES + BENCH:
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(cosprod.__all__) - used) == []
