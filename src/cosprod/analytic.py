@@ -327,7 +327,6 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     x0 = BoundedReal(x.value, Fraction(0), work)
     x2 = x0 * x0
     x2_up = x2.upper()
-    cutoff = Fraction(1, 1 << (precision_bits + 8))
     total = BoundedReal.exact(1, work)
     term = BoundedReal.exact(1, work)
     k = 0
@@ -338,7 +337,8 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
         term = term * x2 / ((2 * k - 1) * (2 * k))
         total = total - term if k % 2 else total + term
         ratio_den = (2 * k + 1) * (2 * k + 2)
-        if x2_up < ratio_den and term.magnitude_upper() <= cutoff:
+        if (x2_up < ratio_den
+                and term.magnitude_at_most_pow2(-(precision_bits + 8))):
             break
     remainder = term.magnitude_upper() * x2_up / ratio_den
     return real_from_rational(total.value, precision_bits,
@@ -366,9 +366,8 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
 
     total = BoundedReal.exact(1, work + 2 * halvings)
     term = BoundedReal.exact(1, work + 2 * halvings)
-    cutoff = Fraction(1, 1 << (work + 2 * halvings + 8))
     k = 0
-    while term.magnitude_upper() > cutoff:
+    while not term.magnitude_at_most_pow2(-(work + 2 * halvings + 8)):
         k += 1
         if k > _MAX_SERIES_TERMS:
             raise AssertionError("exponential series failed to converge")

@@ -1,28 +1,27 @@
-"""Exact rational and error-bounded real arithmetic.
+"""Exact rationals and error-bounded real arithmetic on integers.
 
-Two value types back everything else in this package:
+Two value types back everything else in this package: stdlib
+``fractions.Fraction`` for anything that can stay exact (coefficient
+tables, tail bounds), and ``BoundedReal``, a dyadic ball: a value with a
+rigorous absolute error bound.  Every operation propagates input bounds
+conservatively and accounts for its own rounding, so for any ``b`` produced
+here ``|b.value - truth| <= b.abs_error`` holds as a theorem.
 
-* exact rationals, for coefficient tables and anything that can stay exact.
-  These are stdlib ``fractions.Fraction`` values (arbitrary precision,
-  always in lowest terms, positive denominator).
-
-* ``BoundedReal``, a dyadic-rational approximation paired with a rigorous
-  absolute error bound.  Every arithmetic operation propagates input bounds
-  conservatively and accounts for its own rounding, so for any value ``b``
-  produced by this module, ``|b.value - truth| <= b.abs_error`` holds as a
-  theorem, not as a heuristic.
-
-No floating point is used anywhere: values, bounds and all intermediate
-quantities are exact rationals, with explicit quantization to a requested
-number of significant bits.  That quantization happens in one place,
-:func:`real_from_rational`, which every rounded result in the package goes
-through.  Precision is caller-specified per operation; there is no global
-precision state.
+A ball holds its value and its error each as a canonical integer triple
+(n, x, d) for n * 2**x / d: d odd and positive, n odd or the triple
+(0, 0, 1).  Every rounded result (each operator but the exact negation, and
+:func:`real_from_rational`) is dyadic: its value is m * 2**q with
+|m| < 2**precision_bits, and its error is an 8-bit dyadic e * 2**r with
+e < 2**8.  A ball built from other rationals carries them exactly until
+an operation rounds.  The operators use integer multiplies, shifts and at
+most one divmod; only ``value``, ``abs_error`` and the interval view build
+Fractions.  No floating point is used anywhere; the rounding happens in
+one place, :func:`real_from_rational` (``_round`` on triples); precision
+is caller-specified per operation, with no global precision state.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -50,104 +49,180 @@ def check_precision(precision_bits: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# dyadic quantization helpers
+# integer triples: (n, x, d) stands for n * 2**x / d, with d odd and positive
 # ----------------------------------------------------------------------
 
-def _pow2(e: int) -> Fraction:
-    """Exact 2**e for any integer e."""
-    if e >= 0:
-        return Fraction(1 << e)
-    return Fraction(1, 1 << -e)
+_Triple = tuple[int, int, int]
+_ZERO: _Triple = (0, 0, 1)
 
 
-def _floor_log2(x: Fraction) -> int:
-    """Largest e with 2**e <= x, for x > 0.  Exact integer arithmetic."""
-    if x <= 0:
-        raise ValueError("_floor_log2 needs a positive argument")
-    n, d = x.numerator, x.denominator
+def _canon(n: int, x: int, d: int = 1) -> _Triple:
+    """The canonical triple: n odd, or (0, 0, 1); so equal triples are equal numbers."""
+    if not n:
+        return _ZERO
+    k = (n & -n).bit_length() - 1
+    return n >> k, x + k, d
+
+
+def _triple(r: _RationalLike) -> _Triple:
+    """The canonical triple of an int or Fraction (which is in lowest terms)."""
+    n, d = r.numerator, r.denominator
+    k = (d & -d).bit_length() - 1
+    return _canon(n, -k, d >> k)
+
+
+def _fraction(t: _Triple) -> Fraction:
+    n, x, d = t
+    return Fraction(n << x, d) if x >= 0 else Fraction(n, d << -x)
+
+
+def _add(a: _Triple, b: _Triple) -> _Triple:
+    (n1, x1, d1), (n2, x2, d2) = a, b
+    if not n1:
+        return b
+    if not n2:
+        return a
+    x = min(x1, x2)
+    if d1 == d2:
+        return (n1 << (x1 - x)) + (n2 << (x2 - x)), x, d1
+    return (n1 * d2 << (x1 - x)) + (n2 * d1 << (x2 - x)), x, d1 * d2
+
+
+def _mul(a: _Triple, b: _Triple) -> _Triple:
+    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
+
+
+def _abs(t: _Triple) -> _Triple:
+    return abs(t[0]), t[1], t[2]
+
+
+def _neg(t: _Triple) -> _Triple:
+    return -t[0], t[1], t[2]
+
+
+def _inv(t: _Triple) -> _Triple:
+    """1 / t for a nonzero canonical t."""
+    n, x, d = t
+    return (d if n > 0 else -d), -x, abs(n)
+
+
+def _floor_log2(t: _Triple) -> int:
+    """Largest e with 2**e <= |t|, for t != 0."""
+    n, x, d = t
+    n = abs(n)
     e = n.bit_length() - d.bit_length()
-    # candidate satisfies 2**e <= x < 2**(e+2); one downward fixup may apply
-    if e >= 0:
-        ok = n >= (d << e)
-    else:
-        ok = (n << -e) >= d
-    return e if ok else e - 1
+    # for d > 1 the candidate satisfies 2**(e-1) < n/d < 2**(e+1)
+    if d != 1 and (n < d << e if e >= 0 else n << -e < d):
+        e -= 1
+    return e + x
 
 
-def _round_sig(x: Fraction, bits: int, floor: bool = False) -> tuple[Fraction, Fraction]:
-    """Quantize x to `bits` significant dyadic bits.
+def _round_sig(t: _Triple, bits: int, floor: bool = False) -> tuple[_Triple, _Triple]:
+    """Quantize t to `bits` significant bits: (m * 2**q, cap) as triples.
 
-    Returns (quantized value, error cap).  The cap is a dyadic upper bound
-    on |x - quantized|: half a quantum to nearest, a full quantum with
-    `floor`, which never overshoots x.
+    m is t / 2**q rounded to nearest with ties to even, or down with
+    `floor`.  The cap bounds |t - m * 2**q|: half a quantum 2**q to
+    nearest, a full one with `floor`, and 0 when the rounding is exact.
     """
-    if x == 0:
-        return x, Fraction(0)
-    q = _floor_log2(abs(x)) - bits + 1
-    scaled = x / _pow2(q)
-    if floor:
-        n, cap = math.floor(scaled), _pow2(q)
+    n, x, d = t
+    if not n:
+        return _ZERO, _ZERO
+    q = _floor_log2(t) - bits + 1
+    s = x - q  # t / 2**q = n * 2**s / d
+    if d == 1:
+        if s >= 0:
+            return _canon(n << s, q), _ZERO
+        den = 1 << -s
+        m, rem = n >> -s, n & (den - 1)
     else:
-        n, cap = round(scaled), _pow2(q - 1)
-    value = n * _pow2(q)
-    if value == x:
-        return value, Fraction(0)
-    return value, cap
+        num, den = (n << s, d) if s >= 0 else (n, d << -s)
+        m, rem = divmod(num, den)
+    if not rem:
+        return _canon(m, q), _ZERO
+    if not floor and (2 * rem > den or (2 * rem == den and m & 1)):
+        m += 1
+    return _canon(m, q), (1, q if floor else q - 1, 1)
 
 
-def _err_up(e: Fraction) -> Fraction:
+def _err_up(t: _Triple) -> _Triple:
     """Round an error bound up to 8 significant bits (keeps bounds tidy)."""
-    if e == 0:
-        return Fraction(0)
-    if e < 0:
+    n, x, d = t
+    if not n:
+        return _ZERO
+    if n < 0:
         raise ValueError("error bounds must be nonnegative")
-    q = _floor_log2(e) - 7
-    # ceil(e / 2**q) without floats, for either sign of q
-    if q >= 0:
-        n = -((-e.numerator) // (e.denominator << q))
-    else:
-        n = -((-(e.numerator << -q)) // e.denominator)
-    return n * _pow2(q)
+    q = _floor_log2(t) - 7
+    s = x - q  # ceil(t / 2**q) = ceil(n * 2**s / d)
+    num, den = (n << s, d) if s >= 0 else (n, d << -s)
+    return _canon(-(-num // den), q)
+
+
+def _round(value: _Triple, bits: int, err: _Triple,
+           floor: bool = False) -> "BoundedReal":
+    """The rounding behind real_from_rational, on triples."""
+    check_precision(bits)
+    rounded, cap = _round_sig(value, bits, floor)
+    return BoundedReal._make(rounded, _err_up(_add(err, cap)), bits)
 
 
 # ----------------------------------------------------------------------
 # BoundedReal
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class BoundedReal:
-    """A rational approximation plus a rigorous absolute error bound.
+    """A dyadic approximation plus a rigorous absolute error bound.
 
-    ``value`` is the computed approximation (normally a dyadic rational with
-    about ``precision_bits`` significant bits), and ``abs_error`` satisfies
-    ``|value - truth| <= abs_error`` for the real number the instance stands
-    for.  Instances are immutable; operations return new instances whose
-    bounds account for both propagated input error and the operation's own
-    quantization.
+    ``value`` has about ``precision_bits`` significant bits, and
+    ``|value - truth| <= abs_error`` for the real number the instance
+    stands for.  Both are read out of canonical triples (module docstring),
+    so equal balls have equal fields.  Instances are immutable and hashable.
     """
 
-    value: Fraction
-    abs_error: Fraction
+    _v: _Triple
+    _e: _Triple
     precision_bits: int
 
-    def __post_init__(self) -> None:
-        if self.abs_error < 0:
+    def __init__(self, value: _RationalLike, abs_error: _RationalLike,
+                 precision_bits: int) -> None:
+        if abs_error < 0:
             raise ValueError("abs_error must be nonnegative")
-        if self.precision_bits < 1:
+        if precision_bits < 1:
             raise ValueError("precision_bits must be positive")
+        # a frozen dataclass: fields are written once, through __dict__
+        self.__dict__.update(_v=_triple(value), _e=_triple(abs_error),
+                             precision_bits=precision_bits)
+
+    @classmethod
+    def _make(cls, value: _Triple, err: _Triple, bits: int) -> "BoundedReal":
+        self = object.__new__(cls)
+        self.__dict__.update(_v=value, _e=err, precision_bits=bits)
+        return self
 
     @classmethod
     def exact(cls, r: _RationalLike, precision_bits: int) -> "BoundedReal":
         """Wrap an exactly-known rational (abs_error = 0, no quantization)."""
-        return cls(Fraction(r), Fraction(0), precision_bits)
+        return cls(r, 0, precision_bits)
+
+    @property
+    def value(self) -> Fraction:
+        return _fraction(self._v)
+
+    @property
+    def abs_error(self) -> Fraction:
+        return _fraction(self._e)
+
+    def __repr__(self) -> str:
+        return (f"BoundedReal(value={self.value!r}, abs_error={self.abs_error!r}, "
+                f"precision_bits={self.precision_bits!r})")
 
     # -- interval view -------------------------------------------------
 
     def lower(self) -> Fraction:
-        return self.value - self.abs_error
+        return _fraction(_add(self._v, _neg(self._e)))
 
     def upper(self) -> Fraction:
-        return self.value + self.abs_error
+        return _fraction(_add(self._v, self._e))
 
     def contains(self, r: _RationalLike) -> bool:
         return self.lower() <= Fraction(r) <= self.upper()
@@ -157,30 +232,36 @@ class BoundedReal:
 
     def magnitude_upper(self) -> Fraction:
         """Upper bound on |truth|."""
-        return max(abs(self.lower()), abs(self.upper()))
+        return _fraction(_add(_abs(self._v), self._e))
+
+    def magnitude_at_most_pow2(self, exponent: int) -> bool:
+        """Whether magnitude_upper() <= 2**exponent, decided on integers."""
+        n, x, d = _add(_abs(self._v), self._e)
+        return n << max(x - exponent, 0) <= d << max(exponent - x, 0)
 
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: object) -> "BoundedReal":
         if isinstance(other, BoundedReal):
-            bits = min(self.precision_bits, other.precision_bits)
-            return real_from_rational(self.value + other.value, bits,
-                                      self.abs_error + other.abs_error)
+            return _round(_add(self._v, other._v),
+                          min(self.precision_bits, other.precision_bits),
+                          _add(self._e, other._e))
         if isinstance(other, (int, Fraction)):
-            return real_from_rational(self.value + other, self.precision_bits,
-                                      self.abs_error)
+            return _round(_add(self._v, _triple(other)), self.precision_bits,
+                          self._e)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "BoundedReal":
-        return BoundedReal(-self.value, self.abs_error, self.precision_bits)
+        return BoundedReal._make(_neg(self._v), self._e, self.precision_bits)
 
     def __sub__(self, other: object) -> "BoundedReal":
         if isinstance(other, BoundedReal):
             return self.__add__(-other)
         if isinstance(other, (int, Fraction)):
-            return self.__add__(-Fraction(other))
+            return _round(_add(self._v, _neg(_triple(other))),
+                          self.precision_bits, self._e)
         return NotImplemented
 
     def __rsub__(self, other: object) -> "BoundedReal":
@@ -189,15 +270,15 @@ class BoundedReal:
 
     def __mul__(self, other: object) -> "BoundedReal":
         if isinstance(other, BoundedReal):
-            bits = min(self.precision_bits, other.precision_bits)
-            err = (abs(self.value) * other.abs_error
-                   + abs(other.value) * self.abs_error
-                   + self.abs_error * other.abs_error)
-            return real_from_rational(self.value * other.value, bits, err)
+            a, b = self._v, other._v
+            err = _add(_add(_mul(_abs(a), other._e), _mul(_abs(b), self._e)),
+                       _mul(self._e, other._e))
+            return _round(_mul(a, b),
+                          min(self.precision_bits, other.precision_bits), err)
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            return real_from_rational(self.value * r, self.precision_bits,
-                                      self.abs_error * abs(r))
+            r = _triple(other)
+            return _round(_mul(self._v, r), self.precision_bits,
+                          _mul(self._e, _abs(r)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -206,11 +287,11 @@ class BoundedReal:
         # division by exact rationals only; no BoundedReal divisor is needed
         # anywhere in this package
         if isinstance(other, (int, Fraction)):
-            r = Fraction(other)
-            if r == 0:
+            if other == 0:
                 raise ZeroDivisionError("division of a BoundedReal by zero")
-            return real_from_rational(self.value / r, self.precision_bits,
-                                      self.abs_error / abs(r))
+            r = _inv(_triple(other))
+            return _round(_mul(self._v, r), self.precision_bits,
+                          _mul(self._e, _abs(r)))
         return NotImplemented
 
     def __str__(self) -> str:
@@ -228,14 +309,12 @@ def real_from_rational(r: _RationalLike, precision_bits: int,
     value.  `err` bounds the distance from r to the true quantity the
     result stands for; the rounding cap is added to it and the sum is
     rounded up to 8 significant bits, so |value - truth| <= abs_error.
-    Rounding is to nearest, or downward (value <= r) with `floor`.  With
-    err = 0 and nearest rounding, |value - r| <= abs_error <=
-    2**(1-precision_bits) * |r|, and abs_error = 0 whenever r is
+    Rounding is to nearest (ties to even), or downward (value <= r) with
+    `floor`.  With err = 0 and nearest rounding, |value - r| <= abs_error
+    <= 2**(1-precision_bits) * |r|, and abs_error = 0 whenever r is
     representable at that precision.
     """
-    check_precision(precision_bits)
-    value, cap = _round_sig(Fraction(r), precision_bits, floor)
-    return BoundedReal(value, _err_up(err + cap), precision_bits)
+    return _round(_triple(r), precision_bits, _triple(err), floor)
 
 
 # ----------------------------------------------------------------------
@@ -266,7 +345,7 @@ def _atan_recip_scaled(q: int, shift: int) -> tuple[int, int]:
     return total, err_ulps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def pi_constant(precision_bits: int) -> BoundedReal:
     """pi with |value - pi| <= abs_error <= 2**(4 - precision_bits).
 
@@ -277,7 +356,5 @@ def pi_constant(precision_bits: int) -> BoundedReal:
     shift = precision_bits + 32
     a5, e5 = _atan_recip_scaled(5, shift)
     a239, e239 = _atan_recip_scaled(239, shift)
-    scaled = 16 * a5 - 4 * a239
-    series_err = Fraction(16 * e5 + 4 * e239, 1 << shift)
-    return real_from_rational(Fraction(scaled, 1 << shift), precision_bits,
-                              series_err)
+    return _round((16 * a5 - 4 * a239, -shift, 1), precision_bits,
+                  (16 * e5 + 4 * e239, -shift, 1))

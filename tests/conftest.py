@@ -81,6 +81,45 @@ def tangent_numbers(m_max: int) -> list[int]:
     return t[1:]
 
 
+def round_reference(r, bits: int, err=0,
+                    floor: bool = False) -> tuple[Fraction, Fraction]:
+    """(value, abs_error) that real_from_rational(r, bits, err, floor) must give.
+
+    The definition, restated in plain Fractions: scale |r| by a power of two
+    into [2^(bits-1), 2^bits) and round the scaled value to an integer, to
+    nearest with ties to even, or down with `floor`.  The cap on the
+    rounding is half a quantum (a full one with `floor`), and 0 when the
+    rounding is exact.  err + cap is then rounded up to 8 significant bits.
+    """
+    r, err = Fraction(r), Fraction(err)
+    value, cap = Fraction(0), Fraction(0)
+    if r != 0:
+        quantum = Fraction(2) ** (r.numerator.bit_length()
+                                  - r.denominator.bit_length() - bits)
+        while abs(r) / quantum >= 2 ** bits:
+            quantum *= 2
+        while abs(r) / quantum < 2 ** (bits - 1):
+            quantum /= 2
+        scaled = r / quantum
+        n = math.floor(scaled)
+        if not floor and (scaled - n > Fraction(1, 2)
+                          or (scaled - n == Fraction(1, 2) and n % 2 == 1)):
+            n += 1
+        value = n * quantum
+        if value != r:
+            cap = quantum if floor else quantum / 2
+    total = err + cap
+    if total == 0:
+        return value, Fraction(0)
+    unit = Fraction(2) ** (total.numerator.bit_length()
+                           - total.denominator.bit_length() - 8)
+    while total / unit >= 2 ** 8:
+        unit *= 2
+    while total / unit < 2 ** 7:
+        unit /= 2
+    return value, math.ceil(total / unit) * unit
+
+
 def decimal_digits(num: int, den: int, places: int) -> str:
     """Decimal expansion of num/den (0 < num < den) by long division."""
     digits = []

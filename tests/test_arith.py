@@ -8,7 +8,7 @@ from cosprod.arith import (
     pi_constant,
     real_from_rational,
 )
-from conftest import decimal_digits, pi_bracket
+from conftest import decimal_digits, pi_bracket, round_reference
 
 # 50 digits of pi, a standard reference constant
 PI_50 = F("3.14159265358979323846264338327950288419716939937510")
@@ -94,6 +94,151 @@ class TestBoundedRealOps:
             real_from_rational(F(1, 3), 64) / 0
 
 
+def _random_rational(rng, dyadic):
+    num = rng.randint(-(1 << rng.randint(1, 160)), 1 << rng.randint(1, 160))
+    den = 1 << rng.randint(0, 200)
+    if not dyadic:
+        den *= rng.randrange(3, 10**6, 2)
+    return F(num, den)
+
+
+def _random_operand(rng):
+    """An int, a Fraction (dyadic or not) or a BoundedReal of any provenance."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return rng.randint(-10**6, 10**6) or 1
+    if kind == 1:
+        return _random_rational(rng, rng.random() < 0.5) or F(1, 3)
+    bits = rng.choice([8, 9, 16, 53, 64, 100, 128, 256, 1000, 4096])
+    value = _random_rational(rng, rng.random() < 0.5)
+    err = abs(_random_rational(rng, rng.random() < 0.5)) * rng.choice([0, 1, F(1, 2**bits)])
+    if kind == 2:
+        return BoundedReal(value, err, bits)
+    return real_from_rational(value, bits, err, floor=rng.random() < 0.3)
+
+
+def _reference(op, a, b):
+    """(value, abs_error) of the operation, from the definition alone."""
+    if op == "neg":
+        return -a.value, a.abs_error
+    if op in ("radd", "rsub", "rmul"):
+        # b is an int or Fraction on the left of the operator
+        r = F(b)
+        value = {"radd": r + a.value, "rsub": r - a.value, "rmul": r * a.value}[op]
+        err = a.abs_error * abs(r) if op == "rmul" else a.abs_error
+        return round_reference(value, a.precision_bits, err)
+    if isinstance(b, BoundedReal):
+        bits = min(a.precision_bits, b.precision_bits)
+        if op == "mul":
+            err = (abs(a.value) * b.abs_error + abs(b.value) * a.abs_error
+                   + a.abs_error * b.abs_error)
+            return round_reference(a.value * b.value, bits, err)
+        sign = 1 if op == "add" else -1
+        return round_reference(a.value + sign * b.value, bits, a.abs_error + b.abs_error)
+    r = F(b)
+    if op == "mul":
+        return round_reference(a.value * r, a.precision_bits, a.abs_error * abs(r))
+    if op == "div":
+        return round_reference(a.value / r, a.precision_bits, a.abs_error / abs(r))
+    sign = 1 if op == "add" else -1
+    return round_reference(a.value + sign * r, a.precision_bits, a.abs_error)
+
+
+APPLY = {
+    "add": lambda a, b: a + b, "radd": lambda a, b: b + a,
+    "sub": lambda a, b: a - b, "rsub": lambda a, b: b - a,
+    "mul": lambda a, b: a * b, "rmul": lambda a, b: b * a,
+    "div": lambda a, b: a / b, "neg": lambda a, b: -a,
+}
+
+
+class TestRoundingOracle:
+    def test_random_operation_chains(self):
+        rng = random.Random(2024)
+        counts = dict.fromkeys(APPLY, 0)
+        kinds = set()
+        for _ in range(600):
+            a = _random_operand(rng)
+            if not isinstance(a, BoundedReal):
+                a = BoundedReal.exact(a, rng.choice([8, 53, 4096]))
+            for _ in range(9):
+                op = rng.choice(sorted(APPLY))
+                b = _random_operand(rng)
+                if op in ("radd", "rsub", "rmul", "div") and isinstance(b, BoundedReal):
+                    b = b.value
+                if op == "div" and b == 0:
+                    b = 3
+                result = APPLY[op](a, b)
+                assert (result.value, result.abs_error) == _reference(op, a, b), (op, a, b)
+                bits = a.precision_bits
+                if isinstance(b, BoundedReal) and op != "neg":
+                    bits = min(bits, b.precision_bits)
+                assert result.precision_bits == bits
+                counts[op] += 1
+                kinds.add(type(b).__name__ if op != "neg" else "neg")
+                a = result
+        assert sum(counts.values()) >= 5000
+        assert min(counts.values()) >= 500
+        assert kinds == {"int", "Fraction", "BoundedReal", "neg"}
+
+    def test_random_real_from_rational(self):
+        rng = random.Random(2025)
+        for _ in range(1000):
+            bits = rng.choice([8, 10, 53, 128, 1000, 4096])
+            r = _random_rational(rng, rng.random() < 0.5)
+            err = abs(_random_rational(rng, rng.random() < 0.5)) * rng.choice([0, 1])
+            floor = rng.random() < 0.5
+            b = real_from_rational(r, bits, err, floor)
+            assert (b.value, b.abs_error) == round_reference(r, bits, err, floor)
+
+    def test_exact_halves_round_to_even(self):
+        # 257/2 and 259/2 need 9 bits: at 8 bits each is a tie
+        for r, nearest in ((F(257, 2), 128), (F(259, 2), 130),
+                           (F(-257, 2), -128), (F(-259, 2), -130)):
+            b = real_from_rational(r, 8)
+            assert (b.value, b.abs_error) == (nearest, F(1, 2))
+            assert (b.value, b.abs_error) == round_reference(r, 8)
+            c = BoundedReal.exact(r, 8) + 0
+            assert (c.value, c.abs_error) == (nearest, F(1, 2))
+
+    def test_floor_of_negative_values(self):
+        for r, down in ((F(-257, 2), -129), (F(-1, 3), F(-171, 512)), (F(-256), -256)):
+            b = real_from_rational(r, 8, floor=True)
+            assert b.value == down and b.value <= r
+            assert (b.value, b.abs_error) == round_reference(r, 8, 0, True)
+        assert real_from_rational(F(-256), 8, floor=True).abs_error == 0
+
+    def test_non_dyadic_error_is_carried_exactly(self):
+        b = BoundedReal(F(1, 3), F(1, 7), 64)
+        assert (b.value, b.abs_error) == (F(1, 3), F(1, 7))
+        c = b * b
+        expected = round_reference(F(1, 9), 64, 2 * F(1, 3) * F(1, 7) + F(1, 49))
+        assert (c.value, c.abs_error) == expected
+
+    def test_magnitude_test_matches_magnitude_upper(self):
+        rng = random.Random(2026)
+        for _ in range(500):
+            b = _random_operand(rng)
+            if not isinstance(b, BoundedReal):
+                b = BoundedReal.exact(b, 64)
+            mag = b.magnitude_upper()
+            if mag == 0:
+                continue
+            e = mag.numerator.bit_length() - mag.denominator.bit_length() + rng.randint(-1, 1)
+            assert b.magnitude_at_most_pow2(e) == (mag <= F(2) ** e)
+        # the boundary itself: 3/4 + 1/4 is exactly 2**0
+        assert BoundedReal(F(3, 4), F(1, 4), 64).magnitude_at_most_pow2(0)
+        assert not BoundedReal(F(-3, 4), F(1, 3), 64).magnitude_at_most_pow2(0)
+
+    def test_immutable_and_hashable(self):
+        b = real_from_rational(F(1, 3), 64)
+        with pytest.raises(AttributeError):
+            b.precision_bits = 10
+        same = BoundedReal(b.value, b.abs_error, 64)
+        assert same == b and hash(same) == hash(b)
+        assert len({b, same, -b}) == 2
+
+
 class TestPiConstant:
     def test_against_independent_formula(self):
         lo, hi = pi_bracket(terms=80)
@@ -119,6 +264,12 @@ class TestPiConstant:
         for a_bits in (64, 96, 128):
             for b_bits in (64, 96, 128):
                 assert pi_constant(a_bits).overlaps(pi_constant(b_bits))
+
+    def test_cache_is_bounded(self):
+        for bits in range(8, 108):
+            pi_constant(bits)
+        info = pi_constant.cache_info()
+        assert 8 <= info.maxsize and info.currsize <= info.maxsize
 
     def test_deterministic(self):
         assert pi_constant(100).value == pi_constant(100).value

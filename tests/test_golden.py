@@ -1,9 +1,10 @@
-"""Byte-exact output of the five README commands.
+"""Byte-exact output of the five README commands and three high-precision runs.
 
 The files under ``tests/golden/`` hold the standard output of each README
-command at its documented defaults (with ``--n 3``).  A refactor that leaves
-the numbers alone must leave these bytes alone; a change that deliberately
-tightens a bound regenerates them and says so.
+command at its documented defaults (with ``--n 3``), and of three commands
+that take the ``BoundedReal`` arithmetic to hundreds or thousands of bits.
+A refactor that leaves the numbers alone must leave these bytes alone; a
+change that deliberately tightens a bound regenerates them and says so.
 """
 
 from pathlib import Path
@@ -20,6 +21,12 @@ README_COMMANDS = {
     "product": ["product", "--n", "3", "--num-factors", "100000"],
     "verify": ["verify", "--n", "3", "--num-factors", "100000", "--order", "30"],
     "rearrange": ["rearrange", "--n", "3", "--rows", "1000", "--order", "20"],
+    "verify-4096": ["verify", "--n", "11/10", "--num-factors", "1000",
+                    "--order", "40", "--precision", "4096"],
+    "coeffs-300-csv": ["coeffs", "--m-max", "40", "--precision", "300",
+                       "--format", "csv"],
+    "rearrange-1000": ["rearrange", "--n", "5/4", "--rows", "300",
+                       "--order", "40", "--precision", "1000"],
 }
 
 

@@ -1,9 +1,10 @@
 """Module boundaries of the package, checked on its syntax trees.
 
 Modules share only public names, the dyadic rounding of a result
-(``_round_sig`` and the error tidy-up ``_err_up``) is done in ``arith``
-alone, behind ``real_from_rational``, and every exported name is used by
-the package itself or by the benchmark.
+(``_round`` with its quantizer ``_round_sig`` and the error tidy-up
+``_err_up``) is done in ``arith`` alone, behind ``real_from_rational`` and
+the ``BoundedReal`` operators, and every exported name is used by the
+package itself or by the benchmark.
 """
 
 import ast
@@ -13,7 +14,7 @@ import cosprod
 
 SOURCES = sorted(Path(cosprod.__file__).parent.glob("*.py"))
 BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
-ROUNDING = {"_round_sig", "_err_up"}
+ROUNDING = {"_round", "_round_sig", "_err_up"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -34,6 +35,10 @@ def test_no_private_name_imported_across_modules():
 
 def test_rounding_helpers_referenced_only_in_arith():
     assert "arith.py" in {path.name for path in SOURCES}
+    arith = next(path for path in SOURCES if path.name == "arith.py")
+    defined = {node.name for node in ast.walk(_tree(arith))
+               if isinstance(node, ast.FunctionDef)}
+    assert ROUNDING <= defined
     offenders = []
     for path in SOURCES:
         if path.name == "arith.py":
