@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Union
 
+from .output import format_bound, format_decimal
+
 _RationalLike = Union[Fraction, int]
 
 # the coarsest working precision any entry point accepts
@@ -295,10 +297,8 @@ class BoundedReal:
         return NotImplemented
 
     def __str__(self) -> str:
-        try:
-            return f"{float(self.value):.12g} ± {float(self.abs_error):.3g}"
-        except OverflowError:
-            return f"{self.value} ± {self.abs_error}"
+        return (f"{format_decimal(self.value, self.abs_error)} ± "
+                f"{format_bound(self.abs_error)}")
 
 
 def real_from_rational(r: _RationalLike, precision_bits: int,

@@ -4,6 +4,16 @@ Numbers are rendered from exact rationals with no float round-trip.
 Inexact values are printed to as many significant digits as their error
 bound certifies, plus two guard digits; the bound itself always travels in
 the same record, rounded upward so the printed bound is still a bound.
+
+Each rounding is one stdlib ``decimal`` division p/q at k significant
+digits, with an exponent range no result can leave.  That division is
+correctly rounded in the context's rounding mode (General Decimal
+Arithmetic; IEEE 754-2008 decimal), so every printed digit is a digit of
+the exact rational: a value is rounded half-up, a bound is rounded up
+(ceiling) and so stays a bound, and the count of certified digits is the
+decimal exponent of |value|/bound rounded down (floor).  ``decimal`` reads
+and prints integers of any length, where ``str()`` of an int stops at
+``sys.get_int_max_str_digits()`` digits.
 """
 
 from __future__ import annotations
@@ -12,6 +22,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
+                     ROUND_HALF_UP, Context, Decimal, Rounded)
 from fractions import Fraction
 from typing import Optional
 
@@ -30,108 +42,49 @@ class OutputRecord:
 
 
 def format_rational(f: Fraction) -> str:
-    """Lowest-terms p/q (bare integer when q = 1)."""
-    return str(Fraction(f))
+    """Lowest-terms p/q (bare integer when q = 1), with no digit limit."""
+    f = Fraction(f)
+    if f.denominator == 1:
+        return f"{Decimal(f.numerator):f}"
+    return f"{Decimal(f.numerator):f}/{Decimal(f.denominator):f}"
 
 
-def _cmp_pow10(n: int, d: int, e: int) -> int:
-    """Sign of n/d - 10**e for positive n, d."""
-    lhs, rhs = (n, d * 10**e) if e >= 0 else (n * 10**-e, d)
-    return (lhs > rhs) - (lhs < rhs)
+def _to_digits(x: Fraction, digits: int, rounding: str) -> tuple[Decimal, bool]:
+    """x rounded to `digits` significant digits, and whether it was rounded.
 
-
-def _floor_log10(x: Fraction) -> int:
-    """Largest e with 10**e <= x, for x > 0."""
-    n, d = x.numerator, x.denominator
-    # estimate from bit lengths (log10 2 ~ 0.30103), corrected below;
-    # str() of an int past sys.get_int_max_str_digits() digits raises
-    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    while _cmp_pow10(n, d, e) < 0:
-        e -= 1
-    while _cmp_pow10(n, d, e + 1) >= 0:
-        e += 1
-    return e
-
-
-def _sig_digits_string(x: Fraction, digits: int) -> tuple[str, int]:
-    """Round positive x to `digits` significant decimal digits.
-
-    Returns (digit string of exactly `digits` chars, exponent of the
-    leading digit).  Rounding is half-up, carried out in integers.
+    The quotient is correctly rounded in `rounding`; the result carries no
+    trailing zeros.
     """
-    e10 = _floor_log10(x)
-    shift = digits - 1 - e10
-    scaled = x * Fraction(10) ** shift
-    n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
-    if n >= 10**digits:
-        n //= 10
-        e10 += 1
-    return str(n), e10
-
-
-def _terminating_decimal(x: Fraction) -> Optional[str]:
-    """Exact decimal string when it has at most MAX_DIGITS digits."""
-    d = x.denominator
-    twos = (d & -d).bit_length() - 1
-    d >>= twos
-    fives = 0
-    while d % 5 == 0:
-        d //= 5
-        fives += 1
-    if d != 1:
-        return None
-    frac_digits = max(twos, fives)
-    # the digits of x without leading zeros, counted before any str(),
-    # which raises past sys.get_int_max_str_digits() digits
-    scaled = abs(x.numerator) * 10**frac_digits // x.denominator
-    if scaled >= 10**MAX_DIGITS:
-        return None
-    whole = str(scaled)
-    sign = "-" if x < 0 else ""
-    if frac_digits == 0:
-        return sign + whole
-    whole = whole.rjust(frac_digits + 1, "0")
-    text = f"{whole[:-frac_digits]}.{whole[-frac_digits:]}".rstrip("0").rstrip(".")
-    return sign + text
+    ctx = Context(prec=digits, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    quotient = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    return ctx.normalize(quotient), bool(ctx.flags[Rounded])
 
 
 def format_decimal(value: Fraction, bound: Fraction) -> str:
     """Render `value` to the certainty implied by `bound`, plus two guards."""
-    if value == 0:
-        return "0"
     if bound == 0:
-        exact = _terminating_decimal(value)
-        if exact is not None:
-            return exact
         digits = MAX_DIGITS
     elif bound >= abs(value):
         digits = 1
     else:
-        certain = _floor_log10(abs(value) / bound)
+        certain = _to_digits(abs(value) / bound, 1, ROUND_FLOOR)[0].adjusted()
         digits = min(certain + 2, MAX_DIGITS)
-    s, e10 = _sig_digits_string(abs(value), digits)
-    sign = "-" if value < 0 else ""
-    if 0 <= e10 < digits and e10 <= 15:
-        head, tail = s[: e10 + 1], s[e10 + 1 :].rstrip("0")
-        return sign + (f"{head}.{tail}" if tail else head)
-    if -4 <= e10 < 0:
-        return sign + "0." + "0" * (-e10 - 1) + s.rstrip("0")
-    tail = s[1:].rstrip("0")
-    mantissa = f"{s[0]}.{tail}" if tail else s[0]
-    return f"{sign}{mantissa}e{e10:+03d}"
+    d, rounded = _to_digits(value, digits, ROUND_HALF_UP)
+    e10 = d.adjusted()
+    # an exact value that fits in MAX_DIGITS prints in full, without exponent
+    if (bound == 0 and not rounded) or (-4 <= e10 <= 15 and e10 < digits):
+        return f"{d:f}"
+    mantissa = f"{d:e}".partition("e")[0]
+    return f"{mantissa}e{e10:+03d}"
 
 
 def format_bound(bound: Fraction) -> str:
     """Two-significant-digit scientific rendering, rounded upward."""
     if bound == 0:
         return "0"
-    e10 = _floor_log10(bound)
-    scaled = bound * Fraction(10) ** (1 - e10)
-    n = -((-scaled.numerator) // scaled.denominator)  # ceil keeps it a bound
-    if n >= 100:
-        n //= 10
-        e10 += 1
-    return f"{n // 10}.{n % 10}e{e10:+03d}"
+    d, _ = _to_digits(bound, 2, ROUND_CEILING)  # ceiling keeps it a bound
+    mantissa = f"{d:.1e}".partition("e")[0]
+    return f"{mantissa}e{d.adjusted():+03d}"
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,14 @@ provably contains the target.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
+
+# str() of an int past this many digits raises ValueError.  640 is the least
+# limit Python accepts, so any package code that renders a big int through
+# str() fails every test that reaches it.
+if hasattr(sys, "set_int_max_str_digits"):
+    sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
 
 
 def atan_recip_bracket(q: int, terms: int) -> tuple[Fraction, Fraction]:
@@ -118,6 +125,27 @@ def round_reference(r, bits: int, err=0,
     while total / unit < 2 ** 7:
         unit /= 2
     return value, math.ceil(total / unit) * unit
+
+
+def floor_log10(x: Fraction) -> int:
+    """Largest e with 10**e <= x, for rational x > 0, by exact comparison."""
+    x = Fraction(x)
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 3 // 10
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    return e
+
+
+def round_half_up(x: Fraction, digits: int) -> Fraction:
+    """x rounded to `digits` significant decimal digits, ties away from zero."""
+    x = Fraction(x)
+    if x == 0:
+        return x
+    quantum = Fraction(10) ** (floor_log10(abs(x)) + 1 - digits)
+    rounded = math.floor(abs(x) / quantum + Fraction(1, 2)) * quantum
+    return rounded if x > 0 else -rounded
 
 
 def decimal_digits(num: int, den: int, places: int) -> str:

@@ -3,12 +3,13 @@ from fractions import Fraction as F
 
 import pytest
 
+from cosprod.analytic import cos_approx
 from cosprod.arith import (
     BoundedReal,
     pi_constant,
     real_from_rational,
 )
-from conftest import decimal_digits, pi_bracket, round_reference
+from conftest import decimal_digits, pi_bracket, round_reference, sqrt_bracket
 
 # 50 digits of pi, a standard reference constant
 PI_50 = F("3.14159265358979323846264338327950288419716939937510")
@@ -92,6 +93,17 @@ class TestBoundedRealOps:
             BoundedReal(F(1), F(-1, 10), 64)
         with pytest.raises(ZeroDivisionError):
             real_from_rational(F(1, 3), 64) / 0
+
+    def test_str_prints_a_nonzero_bound_below_float_range(self):
+        # an error near 2^-4096 underflows a float to 0; the printed bound must not
+        ball = cos_approx(pi_constant(4112) * F(1, 6), 4096)
+        value, bound = str(ball).split(" ± ")
+        assert F(bound) >= ball.abs_error > 0
+        lo, hi = sqrt_bracket(F(3, 4), 200)
+        assert lo - F(1, 10**36) <= F(value) <= hi + F(1, 10**36)
+
+    def test_str_of_a_value_past_the_int_to_str_digit_limit(self):
+        assert str(BoundedReal(10**5000, 1, 64)) == "1e+5000 ± 1.0e+00"
 
 
 def _random_rational(rng, dyadic):

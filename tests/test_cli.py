@@ -1,11 +1,13 @@
 import csv
 import io
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
 
 from cosprod import cli
+from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
 
 
@@ -44,6 +46,13 @@ class TestFormatting:
         text = format_decimal(F(12337, 10**16), F(1, 10**18))
         assert "e-" in text
 
+    def test_fixed_layout_for_exponents_from_minus_4_to_15(self):
+        bound = F(1, 10**12)
+        assert format_decimal(F(12345, 10**8), bound) == "0.00012345"
+        assert format_decimal(F(12345, 10**9), bound) == "1.2345e-05"
+        assert format_decimal(F(10**15 + 1), F(1)) == "1000000000000001"
+        assert format_decimal(F(10**16 + 1), F(1)) == "1.0000000000000001e+16"
+
     def test_bound_rounded_upward(self):
         rendered = format_bound(F(24057, 10**10))
         assert rendered == "2.5e-06"
@@ -65,6 +74,12 @@ class TestFormatting:
         text = format_decimal(F(1, 2**15000), F(0))
         assert text.startswith("3.5486") and text.endswith("e-4516")
 
+    def test_exact_value_of_more_than_36_digits_is_rounded(self):
+        # 10^35 has 36 digits and prints in full; 10^36 has 37 and is rounded
+        assert format_decimal(F(10**35), F(0)) == "1" + "0" * 35
+        assert format_decimal(F(10**36), F(0)) == "1e+36"
+        assert format_decimal(-F(10**40), F(0)) == "-1e+40"
+
     def test_exact_value_prints_at_most_36_significant_digits(self):
         text = format_decimal(F(1, 2**200), F(0))
         mantissa = text.split("e")[0].replace(".", "").lstrip("0")
@@ -82,6 +97,23 @@ class TestCoeffs:
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "--m-max", "0"])
         assert exc.value.code == cli.EXIT_USAGE
+
+
+    def test_m_max_past_the_int_to_str_digit_limit(self, capsys):
+        # c_250's denominator has more digits than the int-to-str limit the
+        # suite runs under (tests/conftest.py)
+        code, out, _ = run(capsys, "coeffs", "--m-max", "250", "--precision", "8")
+        assert code == 0
+        lines = [line for line in out.splitlines() if not line.startswith("#")]
+        assert lines[0].split()[:2] == ["m", "c_m"]
+        column = [line.split()[1] for line in lines[1:]]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            printed = [F(text) for text in column]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert printed == list(lambda_coefficients(250).coeffs)
 
 
 class TestLambda:

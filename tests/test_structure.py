@@ -3,8 +3,9 @@
 Modules share only public names, the dyadic rounding of a result
 (``_round`` with its quantizer ``_round_sig`` and the error tidy-up
 ``_err_up``) is done in ``arith`` alone, behind ``real_from_rational`` and
-the ``BoundedReal`` operators, and every exported name is used by the
-package itself or by the benchmark.
+the ``BoundedReal`` operators, every exported name is used by the
+package itself or by the benchmark, and no floating point appears
+anywhere: no ``float`` name and no float literal.
 """
 
 import ast
@@ -67,3 +68,14 @@ def test_every_exported_name_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(cosprod.__all__) - used) == []
+
+
+def test_no_floating_point_in_the_package():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(_tree(path))
+        if (isinstance(node, ast.Name) and node.id == "float")
+        or (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
+    ]
+    assert offenders == []
