@@ -27,12 +27,9 @@ from .recurrence import (
     tangent_coefficients,
 )
 from .series import (
-    EvenSeries,
     OddSeries,
-    integrate_twice_scaled,
     ode_residual,
     picard_fixed_point,
-    square_odd,
 )
 from .analytic import (
     IdentityReport,
@@ -43,7 +40,6 @@ from .analytic import (
     exp_approx,
     lambda_direct,
     neg_log_product_series,
-    partial_product,
     product_trace,
     rearrangement_check,
     verify_identity,
@@ -54,7 +50,6 @@ __all__ = [
     "BoundedReal",
     "CoefficientTable",
     "DomainError",
-    "EvenSeries",
     "IdentityReport",
     "LambdaEstimate",
     "OddSeries",
@@ -64,19 +59,16 @@ __all__ = [
     "bernoulli_numbers",
     "cos_approx",
     "exp_approx",
-    "integrate_twice_scaled",
     "lambda_closed_form",
     "lambda_coefficients",
     "lambda_direct",
     "neg_log_product_series",
     "ode_residual",
-    "partial_product",
     "pi_constant",
     "picard_fixed_point",
     "product_trace",
     "real_from_rational",
     "rearrangement_check",
-    "square_odd",
     "tangent_coefficients",
     "verify_identity",
 ]

@@ -79,10 +79,6 @@ class LambdaEstimate:
     def bracket(self) -> tuple[Fraction, Fraction]:
         return self.value.lower(), self.value.upper() + self.tail_bound
 
-    def contains(self, r: _RationalLike) -> bool:
-        lo, hi = self.bracket()
-        return lo <= Fraction(r) <= hi
-
 
 @dataclass(frozen=True)
 class PartialProductResult:
@@ -112,10 +108,6 @@ class PartialProductResult:
     def interval(self) -> tuple[Fraction, Fraction]:
         b = self.total_bound()
         return self.value.value - b, self.value.value + b
-
-    def contains(self, r: _RationalLike) -> bool:
-        lo, hi = self.interval()
-        return lo <= Fraction(r) <= hi
 
 
 @dataclass(frozen=True)
@@ -210,15 +202,15 @@ def _product_log_tail(n: Fraction, num_factors: int) -> Fraction:
     return sum_a / (1 - a_first)
 
 
-def product_trace(n: _RationalLike, num_factors: int, precision_bits: int,
-                  checkpoints: Optional[list[int]] = None) -> list[PartialProductResult]:
-    """One left-to-right product pass, snapshotted at each checkpoint.
+def product_trace(n: _RationalLike, num_factors: int,
+                  precision_bits: int) -> list[PartialProductResult]:
+    """One left-to-right product pass, snapshotted after 1, 2, 4, ... factors.
 
     Factors 1 - 1/((2k-1)^2 n^2) are applied as exact integer ratios with a
     single floor division per step, so the running value undershoots the
     exact partial product by at most k ulps after k factors (each factor is
-    at most 1, so floor errors never amplify).  Default checkpoints double
-    from 1 up to num_factors.
+    at most 1, so floor errors never amplify).  Snapshots double from 1
+    below num_factors; the last one is always at num_factors.
     """
     n = Fraction(n)
     if n < 1:
@@ -226,16 +218,12 @@ def product_trace(n: _RationalLike, num_factors: int, precision_bits: int,
     if num_factors < 1:
         raise ValueError("num_factors must be at least 1")
     check_precision(precision_bits)
-    if checkpoints is None:
-        checkpoints = []
-        c = 1
-        while c < num_factors:
-            checkpoints.append(c)
-            c *= 2
-        checkpoints.append(num_factors)
-    marks = sorted(set(checkpoints))
-    if not marks or marks[0] < 1 or marks[-1] > num_factors:
-        raise ValueError("checkpoints must lie in 1..num_factors")
+    marks = []
+    c = 1
+    while c < num_factors:
+        marks.append(c)
+        c *= 2
+    marks.append(num_factors)
 
     if n == 1:
         # first factor is exactly zero; every partial product is exactly 0
@@ -258,13 +246,6 @@ def product_trace(n: _RationalLike, num_factors: int, precision_bits: int,
         results.append(PartialProductResult(n, mark, value,
                                             _product_log_tail(n, mark)))
     return results
-
-
-def partial_product(n: _RationalLike, num_factors: int,
-                    precision_bits: int) -> PartialProductResult:
-    """Truncated product over the first `num_factors` odd squares."""
-    return product_trace(n, num_factors, precision_bits,
-                         checkpoints=[num_factors])[0]
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +462,7 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
         raise DomainError(
             "identity verification requires n > 1; at n = 1 the product is "
             "exactly 0 = cos(pi/2) but the log-based route is undefined")
-    detail = partial_product(n, num_factors, precision_bits)
+    detail = product_trace(n, num_factors, precision_bits)[-1]
     # the value is already dyadic at this precision, so only the bound moves
     product = real_from_rational(detail.value.value, precision_bits,
                                  detail.total_bound())

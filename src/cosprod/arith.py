@@ -23,6 +23,7 @@ is caller-specified per operation, with no global precision state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Union
@@ -215,7 +216,11 @@ class BoundedReal:
         return _fraction(self._e)
 
     def __repr__(self) -> str:
-        return (f"BoundedReal(value={self.value!r}, abs_error={self.abs_error!r}, "
+        # Fraction's repr goes through str(), which stops at the int-to-str
+        # digit limit; Decimal prints an int of any length
+        def frac(r: Fraction) -> str:
+            return f"Fraction({Decimal(r.numerator)}, {Decimal(r.denominator)})"
+        return (f"BoundedReal(value={frac(self.value)}, abs_error={frac(self.abs_error)}, "
                 f"precision_bits={self.precision_bits!r})")
 
     # -- interval view -------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -47,8 +48,11 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an exact rational; write an integer or p/q "
             "(decimal input is rejected)")
+    # int(Decimal) reads any number of digits, where int(str) stops at the
+    # int-to-str digit limit
+    p, _, q = text.partition("/")
     try:
-        return Fraction(text)
+        return Fraction(int(Decimal(p)), int(Decimal(q or "1")))
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(
             f"{text!r} has a zero denominator") from None

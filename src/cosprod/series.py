@@ -1,21 +1,19 @@
-"""Truncated formal power series over exact rationals.
+"""The odd power series of the fixed point t = x/2 + 2 * integral(t^2 dx).
 
-An OddSeries of order M carries the terms x, x^3, ..., x^(2M-1); an
-EvenSeries of order M carries x^2, x^4, ..., x^(2M).  Truncation order is
-explicit and operations never silently exceed it.  The operations here are
-the ones needed to realize the fixed point
-
-    t = x/2 + 2 * integral(t^2 dx)
-
-whose unique odd-series solution reproduces the coefficient table from
-:mod:`cosprod.recurrence`, and to check the equivalent differential
-identity 2 t' = 1 + 4 t^2 coefficientwise.
+An OddSeries of order M carries the terms x, x^3, ..., x^(2M-1).  Its
+unique solution reproduces the coefficient table from
+:mod:`cosprod.recurrence` without using it: :func:`picard_fixed_point`
+solves the fixed point by Picard iteration in integers over one common
+denominator, and :func:`ode_residual` checks the equivalent differential
+identity 2 t' = 1 + 4 t^2 coefficientwise.  Both square the series through
+one convolution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 
 @dataclass(frozen=True)
@@ -33,71 +31,58 @@ class OddSeries:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class EvenSeries:
-    """coeffs[m-1] multiplies x**(2m); order = number of stored terms."""
+def _square(cs):
+    """Coefficients of x^2, x^4, ..., x^(2M) in t^2, t = sum cs[m-1] x^(2m-1).
 
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("series must carry at least one term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-
-def square_odd(t: OddSeries) -> EvenSeries:
-    """Square an odd series, truncated to the input order.
-
-    The x**(2m) coefficient of t^2 is sum over ordered pairs (i, j) with
-    i + j = m + 1 of c_i c_j; every pair needed for m <= order involves
-    only stored coefficients, so all returned terms are exact.
+    The x^(2k) coefficient is sum over ordered pairs i + j = k + 1 of
+    c_i c_j; for k <= M every pair involves only stored coefficients.
     """
-    cs = t.coeffs
-    out = []
-    for m in range(1, t.order + 1):
-        acc = Fraction(0)
-        for i in range(max(1, m + 1 - t.order), min(m, t.order) + 1):
-            acc += cs[i - 1] * cs[m - i]
-        out.append(acc)
-    return EvenSeries(tuple(out))
+    return [sum(a * b for a, b in zip(cs[:k], cs[k - 1::-1]))
+            for k in range(1, len(cs) + 1)]
 
 
-def integrate_twice_scaled(sq: EvenSeries) -> OddSeries:
-    """Map each e_m x**(2m) to 2 e_m x**(2m+1) / (2m+1), i.e. 2*integral.
+def _picard_round(current: list[int], denom: int) -> list[int]:
+    """One round t <- x/2 + 2*integral(t^2 dx) on numerators over `denom`.
 
-    No constant of integration is introduced, so the output has an empty
-    (zero) x**1 slot.  Every input term maps exactly, so the output order
-    is one higher than the input's; callers that iterate at fixed order
-    truncate explicitly.
+    The numerator a_m of the x^(2m-1) coefficient becomes denom/2 for
+    m = 1 and 2 * sum_{i+j=m} a_i a_j / ((2m-1) denom) for m >= 2.
     """
-    out = [Fraction(0)]
-    for m in range(1, sq.order + 1):
-        out.append(Fraction(2, 2 * m + 1) * sq.coeffs[m - 1])
-    return OddSeries(tuple(out))
+    squared = _square(current)
+    out = [denom // 2]
+    for m in range(2, len(current) + 1):
+        a, rem = divmod(2 * squared[m - 2], (2 * m - 1) * denom)
+        if rem:
+            raise AssertionError(f"Picard coefficient {m} is not a multiple of 1/denom")
+        out.append(a)
+    return out
 
 
 def picard_fixed_point(order: int) -> OddSeries:
     """Iterate t <- x/2 + 2*integral(t^2 dx) until the truncation stabilizes.
 
-    Seeded with t = x/2.  Each iteration finalizes at least one more
-    coefficient, so two successive iterates agree after at most `order`
-    rounds; equality of exact rationals is the stopping test.  The result
-    must coincide with lambda_coefficients(order), which is checked by the
-    test suite rather than assumed here.
+    Seeded with t = x/2.  Every coefficient is held as an integer numerator
+    over D = 2 (2 order - 1)!, and each division is exact: by induction
+    each iterate's x^(2m-1) coefficient is a multiple of 1/(2 (2m-1)!),
+    since a product c_i c_j with i + j = m lies in
+    Z / (4 (2i-1)! (2j-1)!), the factor 2/(2m-1) makes that
+    Z / (2 (2m-1) (2i-1)! (2j-1)!), and (2i-1)! (2j-1)! divides
+    (2m-2)! because C(2m-2, 2i-1) is an integer.  Soundness does not rest
+    on this argument: a nonzero remainder raises AssertionError.
+
+    Each round finalizes at least one more coefficient, so two successive
+    iterates agree after at most `order` rounds; equality of the integer
+    numerators is the stopping test.  The result must coincide with
+    lambda_coefficients(order), which is checked by the test suite rather
+    than assumed here.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
-    seed = (Fraction(1, 2),) + (Fraction(0),) * (order - 1)
-    current = OddSeries(seed)
+    denom = 2 * factorial(2 * order - 1)
+    current = [denom // 2] + [0] * (order - 1)
     for _ in range(order + 1):
-        squared = square_odd(current)
-        integrated = integrate_twice_scaled(squared).coeffs[:order]
-        nxt = OddSeries(tuple(s + i for s, i in zip(seed, integrated)))
+        nxt = _picard_round(current, denom)
         if nxt == current:
-            return current
+            return OddSeries(tuple(Fraction(a, denom) for a in current))
         current = nxt
     raise AssertionError("fixed point failed to stabilize within order iterations")
 
@@ -110,11 +95,10 @@ def ode_residual(t: OddSeries) -> list[Fraction]:
     truncation artifact, reported as computed: the derivative of the
     truncated t contributes nothing at that degree while the square still does.
     """
-    m_order = t.order
-    squared = square_odd(t)
-    out = [2 * t.coeffs[0] - 1]
-    for i in range(1, m_order):
-        deriv = 2 * (2 * i + 1) * t.coeffs[i]
-        out.append(deriv - 4 * squared.coeffs[i - 1])
-    out.append(-4 * squared.coeffs[m_order - 1])
+    cs = t.coeffs
+    squared = _square(cs)
+    out = [2 * cs[0] - 1]
+    for i in range(1, t.order):
+        out.append(2 * (2 * i + 1) * cs[i] - 4 * squared[i - 1])
+    out.append(-4 * squared[-1])
     return out

@@ -14,7 +14,7 @@ from cosprod.analytic import (
     cos_approx,
     lambda_direct,
     neg_log_product_series,
-    partial_product,
+    product_trace,
 )
 from cosprod.arith import BoundedReal, pi_constant
 from cosprod.recurrence import (
@@ -86,13 +86,13 @@ def test_criterion_4_product_identity_at_desk_scale():
     start = time.perf_counter()
     within = True
     for n in (F(2), F(3), F(3, 2), F(10)):
-        prod = partial_product(n, 10**5, 128)
+        prod = product_trace(n, 10**5, 128)[-1]
         x = pi_constant(144) * F(n.denominator, 2 * n.numerator)
         cos = cos_approx(x, 128)
         gap = abs(prod.value.value - cos.value)
         within = within and gap <= prod.total_bound() + cos.abs_error
     lo, hi = sqrt_bracket(F(3, 4))
-    prod3 = partial_product(F(3), 10**5, 128)
+    prod3 = product_trace(F(3), 10**5, 128)[-1]
     deviation = max(abs(prod3.value.value - lo), abs(prod3.value.value - hi))
     dev_ok = deviation < F(1, 10**5)
     elapsed = time.perf_counter() - start
@@ -147,8 +147,8 @@ def test_criterion_7_bound_soundness_suite():
         n = F(rng.randint(101, 1000), 100)
         factors = rng.randint(10, 2000)
         bits = rng.choice([32, 48, 64, 96])
-        loose = partial_product(n, factors, bits)
-        refined = partial_product(n, factors * 10, bits * 4)
+        loose = product_trace(n, factors, bits)[-1]
+        refined = product_trace(n, factors * 10, bits * 4)[-1]
         lo, hi = loose.interval()
         if not lo <= refined.value.value <= hi:
             failures.append(("product", n, factors, bits))
@@ -180,7 +180,7 @@ def test_criterion_7_bound_soundness_suite():
 
 
 def test_criterion_8_edge_cases():
-    zero_ok = all(partial_product(1, n, 96).value.value == 0
+    zero_ok = all(product_trace(1, n, 96)[-1].value.value == 0
                   for n in (1, 10, 1000))
 
     rejects = 0

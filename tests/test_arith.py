@@ -105,6 +105,16 @@ class TestBoundedRealOps:
     def test_str_of_a_value_past_the_int_to_str_digit_limit(self):
         assert str(BoundedReal(10**5000, 1, 64)) == "1e+5000 ± 1.0e+00"
 
+    def test_repr_of_small_values_matches_fraction_repr(self):
+        ball = BoundedReal(F(-1, 3), F(1, 2**70), 64)
+        assert repr(ball) == (f"BoundedReal(value={F(-1, 3)!r}, "
+                              f"abs_error={F(1, 2**70)!r}, precision_bits=64)")
+
+    def test_repr_of_a_value_past_the_int_to_str_digit_limit(self):
+        assert repr(BoundedReal(10**5000, 1, 64)) == (
+            f"BoundedReal(value=Fraction(1{'0' * 5000}, 1), "
+            "abs_error=Fraction(1, 1), precision_bits=64)")
+
 
 def _random_rational(rng, dyadic):
     num = rng.randint(-(1 << rng.randint(1, 160)), 1 << rng.randint(1, 160))

@@ -146,6 +146,15 @@ class TestProduct:
         assert rows[-1]["num_factors"] == "2048"
         assert all(r["contained"] == "PASS" for r in rows)
 
+    def test_n_past_the_int_to_str_digit_limit(self, capsys):
+        n = "1" + "0" * 5000 + "/3"
+        code, out, err = run(capsys, "product", "--n", n,
+                             "--num-factors", "8", "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows[-1]["num_factors"] == "8"
+        assert all(r["contained"] == "PASS" for r in rows)
+
     def test_domain_error_below_one(self, capsys):
         code, _, err = run(capsys, "product", "--n", "1/2", "--num-factors", "8")
         assert code == cli.EXIT_DOMAIN

@@ -1,17 +1,11 @@
 import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 
 from cosprod.recurrence import lambda_coefficients, tangent_coefficients
-from cosprod.series import (
-    EvenSeries,
-    OddSeries,
-    integrate_twice_scaled,
-    ode_residual,
-    picard_fixed_point,
-    square_odd,
-)
+from cosprod.series import OddSeries, _picard_round, ode_residual, picard_fixed_point
 
 
 def naive_square_coeffs(coeffs):
@@ -24,42 +18,12 @@ def naive_square_coeffs(coeffs):
     return out[1:]
 
 
-class TestSquareOdd:
-    def test_single_term(self):
-        assert square_odd(OddSeries((F(1, 2),))).coeffs == (F(1, 4),)
-
-    def test_two_terms(self):
-        sq = square_odd(OddSeries((F(1, 2), F(1, 6))))
-        assert sq.coeffs == (F(1, 4), F(1, 6))  # (1/2)^2, 2*(1/2)(1/6)
-
-    def test_third_coefficient_of_reference_square(self):
-        sq = square_odd(OddSeries(lambda_coefficients(4).coeffs))
-        # 2*(1/2)(1/15) + (1/6)^2 = 17/180, by direct multiplication
-        assert sq.coeffs[2] == F(17, 180)
-
-    def test_against_naive_multiplication(self):
-        rng = random.Random(42)
-        for _ in range(60):
-            m = rng.randint(1, 8)
-            coeffs = tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
-            sq = square_odd(OddSeries(coeffs))
-            assert list(sq.coeffs) == naive_square_coeffs(coeffs)[:m]
-
-
-class TestIntegrateTwiceScaled:
-    def test_single_term(self):
-        out = integrate_twice_scaled(EvenSeries((F(1, 4),)))
-        assert out.coeffs == (F(0), F(1, 6))  # 2/3 * 1/4 lands on x^3
-
-    def test_reference_square_reproduces_next_coefficients(self):
-        sq = square_odd(OddSeries(lambda_coefficients(4).coeffs))
-        out = integrate_twice_scaled(sq)
-        table = lambda_coefficients(5)
-        assert out.coeffs == (F(0), table.c(2), table.c(3), table.c(4), table.c(5))
-
-    def test_zero_input(self):
-        out = integrate_twice_scaled(EvenSeries((F(0), F(0), F(0))))
-        assert all(c == 0 for c in out.coeffs)
+def numerators(coeffs, order):
+    """The coefficients as integers over the Picard denominator 2 (2 order - 1)!."""
+    denom = 2 * factorial(2 * order - 1)
+    scaled = [c * denom for c in coeffs]
+    assert all(s.denominator == 1 for s in scaled)
+    return [int(s) for s in scaled], denom
 
 
 class TestPicardFixedPoint:
@@ -70,13 +34,20 @@ class TestPicardFixedPoint:
         assert picard_fixed_point(4).coeffs == (F(1, 2), F(1, 6), F(1, 15), F(17, 630))
 
     def test_one_hand_computed_step(self):
-        seed = OddSeries((F(1, 2), F(0), F(0), F(0)))
-        integrated = integrate_twice_scaled(square_odd(seed)).coeffs[:4]
-        step = tuple(s + i for s, i in zip(seed.coeffs, integrated))
-        assert step == (F(1, 2), F(1, 6), F(0), F(0))
+        seed, denom = numerators((F(1, 2), F(0), F(0), F(0)), 4)
+        step = [F(a, denom) for a in _picard_round(seed, denom)]
+        assert step == [F(1, 2), F(1, 6), F(0), F(0)]  # 2/3 * (1/2)^2 on x^3
+
+    def test_reference_series_is_fixed_by_one_round(self):
+        current, denom = numerators(lambda_coefficients(5).coeffs, 5)
+        assert _picard_round(current, denom) == current
 
     def test_matches_recurrence_through_25(self):
         assert picard_fixed_point(25).coeffs == lambda_coefficients(25).coeffs
+
+    def test_matches_recurrence_at_every_order_through_60(self):
+        for k in range(1, 61):
+            assert picard_fixed_point(k).coeffs == lambda_coefficients(k).coeffs, k
 
     def test_doubled_fixed_point_is_the_tangent_series(self):
         # coefficient-level form of "twice the fixed point is tan x"
@@ -87,12 +58,15 @@ class TestPicardFixedPoint:
         # after k substitution rounds the first k+1 coefficients are final
         order = 8
         table = lambda_coefficients(order)
-        seed = (F(1, 2),) + (F(0),) * (order - 1)
-        current = OddSeries(seed)
+        current, denom = numerators((F(1, 2),) + (F(0),) * (order - 1), order)
         for k in range(1, order):
-            integ = integrate_twice_scaled(square_odd(current)).coeffs[:order]
-            current = OddSeries(tuple(s + i for s, i in zip(seed, integ)))
-            assert current.coeffs[: k + 1] == table.coeffs[: k + 1]
+            current = _picard_round(current, denom)
+            assert [F(a, denom) for a in current[: k + 1]] == list(table.coeffs[: k + 1])
+
+    def test_inexact_division_is_an_assertion_error(self):
+        # 2 * (1/2)^2 / 3 = 1/6 is no multiple of 1/2
+        with pytest.raises(AssertionError):
+            _picard_round([1, 0], 2)
 
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
@@ -103,6 +77,26 @@ class TestOdeResidual:
     def test_minimal_series(self):
         res = ode_residual(OddSeries((F(1, 2),)))
         assert res == [F(0), F(-1)]  # constant vanishes; x^2 is the artifact
+
+    def test_two_terms(self):
+        # the square is 1/4 x^2 + 1/6 x^4 + ..., so 2 * 3 * 1/6 - 4 * 1/4 = 0
+        res = ode_residual(OddSeries((F(1, 2), F(1, 6))))
+        assert res == [F(0), F(0), F(-2, 3)]
+
+    def test_truncation_artifact_of_reference_series(self):
+        # x^6 of t^2 is 2*(1/2)(1/15) + (1/6)^2 = 17/180, by direct multiplication
+        res = ode_residual(OddSeries(lambda_coefficients(3).coeffs))
+        assert res[-1] == -4 * F(17, 180)
+
+    def test_against_naive_multiplication(self):
+        rng = random.Random(42)
+        for _ in range(60):
+            m = rng.randint(1, 8)
+            coeffs = tuple(F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(m))
+            sq = naive_square_coeffs(coeffs)[:m]
+            deriv = [2 * (2 * i + 1) * c for i, c in enumerate(coeffs)] + [0]
+            expected = [deriv[0] - 1] + [d - 4 * s for d, s in zip(deriv[1:], sq)]
+            assert ode_residual(OddSeries(coeffs)) == expected
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8, 12])
     def test_reference_series_vanishes(self, order):

@@ -5,7 +5,10 @@ Modules share only public names, the dyadic rounding of a result
 ``_err_up``) is done in ``arith`` alone, behind ``real_from_rational`` and
 the ``BoundedReal`` operators, every exported name is used by the
 package itself or by the benchmark, and no floating point appears
-anywhere: no ``float`` name and no float literal.
+anywhere: no ``float`` name and no float literal.  The coefficient oracles
+stay independent of the recurrence they check: ``series`` imports nothing
+from ``recurrence``, and neither the Bernoulli route nor the Picard fixed
+point reaches the recurrence's table.
 """
 
 import ast
@@ -78,4 +81,50 @@ def test_no_floating_point_in_the_package():
         if (isinstance(node, ast.Name) and node.id == "float")
         or (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)))
     ]
+    assert offenders == []
+
+
+ORACLES = {"recurrence.py": ("bernoulli_numbers", "tangent_coefficients"),
+           "series.py": ("picard_fixed_point",)}
+RECURRENCE_TABLE = {"_extend", "_coeff_prefix", "lambda_coefficients",
+                    "lambda_closed_form"}
+
+
+def _names(node: ast.AST) -> set[str]:
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def test_series_imports_nothing_from_recurrence():
+    series = next(path for path in SOURCES if path.name == "series.py")
+    imported = set()
+    for node in ast.walk(_tree(series)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not {name for name in imported if "recurrence" in name}
+
+
+def test_coefficient_oracles_never_reach_the_recurrence_table():
+    # a module-level function counts with everything it calls in its module
+    offenders = []
+    for path in SOURCES:
+        if path.name not in ORACLES:
+            continue
+        functions = {node.name: node for node in _tree(path).body
+                     if isinstance(node, ast.FunctionDef)}
+        for oracle in ORACLES[path.name]:
+            assert oracle in functions
+            seen, todo, reached = set(), [oracle], set()
+            while todo:
+                name = todo.pop()
+                if name in seen:
+                    continue
+                seen.add(name)
+                names = _names(functions[name])
+                reached |= names
+                todo += [n for n in names if n in functions]
+            offenders += [f"{oracle}: {n}" for n in sorted(reached & RECURRENCE_TABLE)]
     assert offenders == []
