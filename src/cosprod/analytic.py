@@ -27,8 +27,7 @@ Tail-bound inventory (N terms kept, all terms positive and decreasing):
         =  (2N+1)^(-2m) + (2N+1)^(1-2m) / (2(2m-1))
 
 (the first omitted term plus the integral comparison for the rest), and
-for the coefficient series, lambda(2m) <= lambda(2) = pi^2/8 < 5/4 because
-pi^2 < 10, giving c_m x^(2m) <= (5/4) * (2x/pi)^(2m).
+for the coefficient series the geometric bound of ``_coefficient_tail``.
 """
 
 from __future__ import annotations
@@ -52,10 +51,6 @@ _RationalLike = Union[Fraction, int]
 _GUARD_BITS = 32
 _MAX_SERIES_TERMS = 100_000
 
-# lambda(2m) <= lambda(2) = pi^2/8 < 5/4 (since pi^2 < 10); used by every
-# geometric tail over the coefficient series
-_LAMBDA_CAP = Fraction(5, 4)
-
 
 # ----------------------------------------------------------------------
 # result records
@@ -63,7 +58,7 @@ _LAMBDA_CAP = Fraction(5, 4)
 
 @dataclass(frozen=True)
 class LambdaEstimate:
-    """Truncated lambda(2m) = sum over odd d of d^(-2m), with tail bound.
+    """The first ``num_terms`` terms of lambda(2m), with tail bound.
 
     ``value`` carries the summation/quantization rounding; ``tail_bound``
     bounds the omitted positive terms, so lambda(2m) lies in
@@ -71,7 +66,6 @@ class LambdaEstimate:
     rounds downward, so ``value.value`` itself never exceeds lambda(2m).
     """
 
-    m: int
     num_terms: int
     value: BoundedReal
     tail_bound: Fraction
@@ -82,14 +76,13 @@ class LambdaEstimate:
 
 @dataclass(frozen=True)
 class PartialProductResult:
-    """A truncated product value plus a bound on the log of its tail.
+    """The product of the first ``num_factors`` factors, with log-tail bound.
 
     ``log_tail_bound`` dominates |log(true product) - log(partial)|; it is
     None only for n = 1, where the first factor (and the true value) is
     exactly zero and no logarithm exists.
     """
 
-    n: Fraction
     num_factors: int
     value: BoundedReal
     log_tail_bound: Optional[Fraction]
@@ -112,12 +105,11 @@ class PartialProductResult:
 
 @dataclass(frozen=True)
 class RearrangementReport:
-    """Row-order and column-order evaluations of the same double sum."""
+    """Row-order and column-order sums of the same double sum.
 
-    n: Fraction
-    num_rows: int
-    series_order: int
-    precision_bits: int
+    ``overlap`` is the verdict: two enclosures of -log of the product overlap.
+    """
+
     row_sum: BoundedReal
     column_sum: BoundedReal
     overlap: bool
@@ -125,16 +117,14 @@ class RearrangementReport:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Three bound-carrying estimates of the same value, plus the verdict."""
+    """The product, series and cosine routes to cos(pi/2n), and the verdict.
 
-    n: Fraction
-    num_factors: int
-    order: int
-    precision_bits: int
+    ``verdict`` is whether every pair of the three intervals overlaps.
+    """
+
     product: BoundedReal
     log_series: BoundedReal
     cosine: BoundedReal
-    product_detail: PartialProductResult
     verdict: bool
 
     def estimates(self) -> list[tuple[str, BoundedReal]]:
@@ -177,7 +167,6 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
             break  # terms are decreasing; the rest floor to zero as well
         total += term
     return LambdaEstimate(
-        m=m,
         num_terms=num_terms,
         value=real_from_rational(Fraction(total, one), precision_bits,
                                  Fraction(num_terms, one), floor=True),
@@ -228,7 +217,7 @@ def product_trace(n: _RationalLike, num_factors: int,
     if n == 1:
         # first factor is exactly zero; every partial product is exactly 0
         zero = BoundedReal(Fraction(0), Fraction(0), precision_bits)
-        return [PartialProductResult(n, mark, zero, None) for mark in marks]
+        return [PartialProductResult(mark, zero, None) for mark in marks]
 
     shift = precision_bits + _GUARD_BITS
     pn, qn = n.numerator, n.denominator
@@ -243,7 +232,7 @@ def product_trace(n: _RationalLike, num_factors: int,
             acc = acc * (den - qn2) // den
         value = real_from_rational(Fraction(acc, 1 << shift), precision_bits,
                                    Fraction(mark, 1 << shift), floor=True)
-        results.append(PartialProductResult(n, mark, value,
+        results.append(PartialProductResult(mark, value,
                                             _product_log_tail(n, mark)))
     return results
 
@@ -252,13 +241,24 @@ def product_trace(n: _RationalLike, num_factors: int,
 # the coefficient series for -log of the product
 # ----------------------------------------------------------------------
 
+def _coefficient_tail(r: Fraction, order: int) -> Fraction:
+    """Bound on sum_{m>order} lambda(2m) r^m / m for 0 <= r < 1.
+
+    lambda(2m) <= lambda(2) = pi^2/8 < 5/4 (since pi^2 < 10), and
+    1/m <= 1/(order+1), so the sum is at most the geometric series
+    (5/4) r^(order+1) / ((order+1)(1-r)).
+    """
+    return Fraction(5, 4) * r ** (order + 1) / ((order + 1) * (1 - r))
+
+
 def neg_log_product_series(x: BoundedReal, order: int,
                            precision_bits: int) -> BoundedReal:
     """Evaluate sum_{m=1..order} c_m x^(2m) / m with a rigorous tail.
 
     This is the series whose exact sum is -log cos x for |x| < pi/2; the
     domain check is performed against a certified lower bound on pi.  The
-    truncation tail uses c_m x^(2m) <= (5/4) (2x/pi)^(2m); when x carries
+    terms are c_m x^(2m) / m = lambda(2m) r^m / m with r = (2x/pi)^2, so the
+    truncation tail is ``_coefficient_tail``; when x carries
     its own uncertainty, the derivative bound
     |d/dx sum| <= 10 x_up / (pi^2 (1 - r)) converts it into output error.
     """
@@ -281,7 +281,7 @@ def neg_log_product_series(x: BoundedReal, order: int,
         total = total + power * (table.c(m) / m)
 
     r_up = Fraction(4) * x_up * x_up / (pi_low * pi_low)
-    tail = _LAMBDA_CAP * r_up ** (order + 1) / ((order + 1) * (1 - r_up))
+    tail = _coefficient_tail(r_up, order)
     input_err = Fraction(0)
     if x.abs_error:
         lipschitz = 10 * x_up / (pi_low * pi_low * (1 - r_up))
@@ -428,16 +428,11 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         widened = BoundedReal(est.value.value,
                               est.value.abs_error + est.tail_bound, work)
         col = col + widened * Fraction(1, m) / n_pow
-    s = 1 / n_sq
-    col_tail = _LAMBDA_CAP * s ** (series_order + 1) / ((series_order + 1) * (1 - s))
+    col_tail = _coefficient_tail(1 / n_sq, series_order)
     col_sum = real_from_rational(col.value, precision_bits,
                                  col.abs_error + col_tail)
 
     return RearrangementReport(
-        n=n,
-        num_rows=num_rows,
-        series_order=series_order,
-        precision_bits=precision_bits,
         row_sum=row_sum,
         column_sum=col_sum,
         overlap=row_sum.overlaps(col_sum),
@@ -475,13 +470,8 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
                and product.overlaps(cosine)
                and log_series.overlaps(cosine))
     return IdentityReport(
-        n=n,
-        num_factors=num_factors,
-        order=order,
-        precision_bits=precision_bits,
         product=product,
         log_series=log_series,
         cosine=cosine,
-        product_detail=detail,
         verdict=verdict,
     )

@@ -231,9 +231,6 @@ class BoundedReal:
     def upper(self) -> Fraction:
         return _fraction(_add(self._v, self._e))
 
-    def contains(self, r: _RationalLike) -> bool:
-        return self.lower() <= Fraction(r) <= self.upper()
-
     def overlaps(self, other: "BoundedReal") -> bool:
         return self.lower() <= other.upper() and other.lower() <= self.upper()
 
@@ -264,11 +261,8 @@ class BoundedReal:
         return BoundedReal._make(_neg(self._v), self._e, self.precision_bits)
 
     def __sub__(self, other: object) -> "BoundedReal":
-        if isinstance(other, BoundedReal):
+        if isinstance(other, (BoundedReal, int, Fraction)):
             return self.__add__(-other)
-        if isinstance(other, (int, Fraction)):
-            return _round(_add(self._v, _neg(_triple(other))),
-                          self.precision_bits, self._e)
         return NotImplemented
 
     def __rsub__(self, other: object) -> "BoundedReal":

@@ -152,7 +152,11 @@ def _closed_forms(table: CoefficientTable,
     return [power * c for power, c in zip(powers, table.coeffs)]
 
 
-def cmd_coeffs(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+# a command's rows, and its verdict (None for a command with no check)
+_Result = tuple[list[dict[str, str]], Optional[bool]]
+
+
+def cmd_coeffs(args: argparse.Namespace) -> _Result:
     table = lambda_coefficients(args.m_max)
     rows = []
     for m, lam in enumerate(_closed_forms(table, args.precision), start=1):
@@ -163,15 +167,10 @@ def cmd_coeffs(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             "lambda_2m": format_decimal(lam.value, lam.abs_error),
             "lambda_bound": format_bound(lam.abs_error),
         })
-    record = OutputRecord(
-        command="coeffs",
-        parameters={"m_max": str(args.m_max), "precision": str(args.precision)},
-        rows=rows,
-    )
-    return record, EXIT_OK
+    return rows, None
 
 
-def cmd_lambda(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_lambda(args: argparse.Namespace) -> _Result:
     closed_forms = _closed_forms(lambda_coefficients(args.m_max), args.precision)
     rows = []
     all_pass = True
@@ -190,17 +189,10 @@ def cmd_lambda(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             "closed_bound": format_bound(closed.abs_error),
             "overlap": "PASS" if ok else "FAIL",
         })
-    record = OutputRecord(
-        command="lambda",
-        parameters={"m_max": str(args.m_max), "num_terms": str(args.num_terms),
-                    "precision": str(args.precision)},
-        rows=rows,
-        verdict="PASS" if all_pass else "FAIL",
-    )
-    return record, EXIT_OK if all_pass else EXIT_FAIL
+    return rows, all_pass
 
 
-def cmd_product(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_product(args: argparse.Namespace) -> _Result:
     trace = product_trace(args.n, args.num_factors, args.precision)
     if args.n == 1:
         target = BoundedReal.exact(0, args.precision)
@@ -226,63 +218,40 @@ def cmd_product(args: argparse.Namespace) -> tuple[OutputRecord, int]:
             "deviation": format_bound(deviation) if deviation else "0",
             "contained": "PASS" if ok else "FAIL",
         })
-    record = OutputRecord(
-        command="product",
-        parameters={"n": format_rational(args.n),
-                    "num_factors": str(args.num_factors),
-                    "precision": str(args.precision)},
-        rows=rows,
-        verdict="PASS" if all_pass else "FAIL",
-    )
-    return record, EXIT_OK if all_pass else EXIT_FAIL
+    return rows, all_pass
 
 
-def cmd_verify(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_verify(args: argparse.Namespace) -> _Result:
     report = verify_identity(args.n, args.num_factors, args.order,
                              args.precision)
-    rows = [_interval_row(name, est) for name, est in report.estimates()]
-    record = OutputRecord(
-        command="verify",
-        parameters={"n": format_rational(args.n),
-                    "num_factors": str(args.num_factors),
-                    "order": str(args.order),
-                    "precision": str(args.precision)},
-        rows=rows,
-        verdict="PASS" if report.verdict else "FAIL",
-    )
-    return record, EXIT_OK if report.verdict else EXIT_FAIL
+    return ([_interval_row(name, est) for name, est in report.estimates()],
+            report.verdict)
 
 
-def cmd_rearrange(args: argparse.Namespace) -> tuple[OutputRecord, int]:
+def cmd_rearrange(args: argparse.Namespace) -> _Result:
     report = rearrangement_check(args.n, args.rows, args.order, args.precision)
-    rows = [_interval_row("row_order", report.row_sum),
-            _interval_row("column_order", report.column_sum)]
-    record = OutputRecord(
-        command="rearrange",
-        parameters={"n": format_rational(args.n),
-                    "rows": str(args.rows),
-                    "order": str(args.order),
-                    "precision": str(args.precision)},
-        rows=rows,
-        verdict="PASS" if report.overlap else "FAIL",
-    )
-    return record, EXIT_OK if report.overlap else EXIT_FAIL
+    return ([_interval_row("row_order", report.row_sum),
+             _interval_row("column_order", report.column_sum)],
+            report.overlap)
 
 
+# each command's function and the arguments its output echoes, in order;
+# precision follows them
 _COMMANDS = {
-    "coeffs": cmd_coeffs,
-    "lambda": cmd_lambda,
-    "product": cmd_product,
-    "verify": cmd_verify,
-    "rearrange": cmd_rearrange,
+    "coeffs": (cmd_coeffs, ("m_max",)),
+    "lambda": (cmd_lambda, ("m_max", "num_terms")),
+    "product": (cmd_product, ("n", "num_factors")),
+    "verify": (cmd_verify, ("n", "num_factors", "order")),
+    "rearrange": (cmd_rearrange, ("n", "rows", "order")),
 }
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command, echoed = _COMMANDS[args.command]
     try:
-        record, code = _COMMANDS[args.command](args)
+        rows, verdict = command(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -290,6 +259,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"order or precision too low to decide ({exc}); "
               "raise --order or --precision", file=sys.stderr)
         return EXIT_USAGE
+    record = OutputRecord(
+        command=args.command,
+        parameters={key: format_rational(getattr(args, key))
+                    for key in (*echoed, "precision")},
+        rows=rows,
+        verdict=None if verdict is None else ("PASS" if verdict else "FAIL"),
+    )
     text = render(record, args.format)
     if args.out:
         try:
@@ -300,7 +276,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_USAGE
     else:
         sys.stdout.write(text)
-    return code
+    return EXIT_FAIL if verdict is False else EXIT_OK
 
 
 if __name__ == "__main__":

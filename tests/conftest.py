@@ -71,6 +71,12 @@ def sqrt_bracket(r: Fraction, bits: int = 200) -> tuple[Fraction, Fraction]:
     return lo, hi
 
 
+
+def contains(ball, r) -> bool:
+    """Whether the rational r lies in the interval of a BoundedReal."""
+    return ball.lower() <= Fraction(r) <= ball.upper()
+
+
 def tangent_numbers(m_max: int) -> list[int]:
     """T_1..T_m_max (1, 2, 16, 272, ...) by the Knuth-Buckholtz scheme.
 

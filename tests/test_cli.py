@@ -9,6 +9,7 @@ import pytest
 from cosprod import cli
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
+from test_golden import README_COMMANDS
 
 
 def run(capsys, *argv):
@@ -278,3 +279,34 @@ class TestOutputContracts:
                            "--order", "5")
         assert code == cli.EXIT_FAIL
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("argv, name, breaks", [
+        # a direct sum pushed above its closed form
+        (("lambda", "--m-max", "2", "--num-terms", "50"), "lambda_direct",
+         lambda est: type(est)(est.num_terms, est.value + 1, est.tail_bound)),
+        # a target the trace cannot contain
+        (("product", "--n", "3", "--num-factors", "8"), "cos_approx",
+         lambda target: target + 1),
+        (("rearrange", "--n", "3", "--rows", "20", "--order", "4"),
+         "rearrangement_check",
+         lambda rep: type(rep)(**{**rep.__dict__, "overlap": False})),
+    ])
+    def test_every_failed_check_maps_to_exit_one(self, capsys, monkeypatch,
+                                                 argv, name, breaks):
+        import cosprod.cli as cli_mod
+        real = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name,
+                            lambda *args: breaks(real(*args)))
+        code, out, _ = run(capsys, *argv)
+        assert code == cli.EXIT_FAIL
+        assert out.endswith("verdict: FAIL\n")
+
+    @pytest.mark.parametrize("name", sorted(README_COMMANDS))
+    def test_json_parameters_match_the_table_header(self, capsys, name):
+        argv = README_COMMANDS[name]
+        _, table, _ = run(capsys, *argv, "--format", "table")
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        header = [line[2:].split(" = ") for line in table.splitlines()
+                  if line.startswith("# ") and " = " in line]
+        assert list(json.loads(json_out)["parameters"].items()) == \
+            [tuple(pair) for pair in header]

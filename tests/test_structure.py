@@ -3,12 +3,12 @@
 Modules share only public names, the dyadic rounding of a result
 (``_round`` with its quantizer ``_round_sig`` and the error tidy-up
 ``_err_up``) is done in ``arith`` alone, behind ``real_from_rational`` and
-the ``BoundedReal`` operators, every exported name is used by the
-package itself or by the benchmark, and no floating point appears
-anywhere: no ``float`` name and no float literal.  The coefficient oracles
-stay independent of the recurrence they check: ``series`` imports nothing
-from ``recurrence``, and neither the Bernoulli route nor the Picard fixed
-point reaches the recurrence's table.
+the ``BoundedReal`` operators, every exported name and every public
+member of a class is used by the package itself or by the benchmark, and
+no floating point appears anywhere: no ``float`` name and no float
+literal.  The coefficient oracles stay independent of the recurrence they
+check: ``series`` imports nothing from ``recurrence``, and neither the
+Bernoulli route nor the Picard fixed point reaches the recurrence's table.
 """
 
 import ast
@@ -71,6 +71,32 @@ def test_every_exported_name_is_used():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(cosprod.__all__) - used) == []
+
+
+def test_every_public_class_member_is_read():
+    """Each public method, property and dataclass field is read as ``.name``.
+
+    The reads are counted by name alone, in the package and the benchmark,
+    so a member that shares its name with another attribute read anywhere
+    (``n``, ``order``, ``precision_bits`` are read off the parsed arguments
+    or other classes) is not caught here.
+    """
+    read = {node.attr
+            for path in SOURCES + BENCH
+            for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [
+        f"{path.name}: {cls.name}.{name}"
+        for path in SOURCES
+        for cls in ast.walk(_tree(path))
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        for name in ([member.name] if isinstance(member, ast.FunctionDef)
+                     else [member.target.id] if isinstance(member, ast.AnnAssign)
+                     else [])
+        if not name.startswith("_") and name not in read
+    ]
+    assert unread == []
 
 
 def test_no_floating_point_in_the_package():
