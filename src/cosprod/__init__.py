@@ -19,7 +19,6 @@ from .arith import (
     real_from_rational,
 )
 from .recurrence import (
-    BernoulliTable,
     CoefficientTable,
     bernoulli_numbers,
     lambda_closed_form,
@@ -46,7 +45,6 @@ from .analytic import (
 )
 
 __all__ = [
-    "BernoulliTable",
     "BoundedReal",
     "CoefficientTable",
     "DomainError",

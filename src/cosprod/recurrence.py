@@ -16,8 +16,13 @@ The table comes from the integer tangent numbers T_m = 2 (2m-1)! c_m (1, 2,
 16, 272, ...): scaled by 2 (2m-1)!, the recurrence becomes T_1 = 1,
 T_m = sum_{i=1}^{m-1} C(2m-2, 2i-1) T_i T_{m-i}, with no gcd per step.
 Both identities are verified elsewhere in this package; this module also
-provides the independent oracles (Bernoulli numbers, the Bernoulli formula
-for tangent coefficients) used for that cross-check.
+provides the independent oracle for that cross-check: the tangent
+coefficients from the Bernoulli numbers B_k, each B_k from their defining
+recurrence in integers (Brent & Harvey, arXiv:1108.0286).  By von
+Staudt-Clausen the denominator of B_k is the product of the primes p with
+p-1 dividing k, each at most k+1, so D = (k_max+1)! clears every
+denominator up to B_k_max and every step divides exactly.  The odd B_k,
+k >= 3, are zero because x/(e^x-1) + x/2 is an even function of x.
 """
 
 from __future__ import annotations
@@ -34,18 +39,6 @@ class CoefficientTable:
 
     coeffs: tuple[Fraction, ...]
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
-            raise ValueError("coefficient table must not be empty")
-        if self.coeffs[0] != Fraction(1, 2):
-            raise ValueError("c_1 must be 1/2")
-        for m, c in enumerate(self.coeffs, start=1):
-            if c <= 0:
-                raise ValueError(f"c_{m} must be positive")
-        for m in range(1, len(self.coeffs)):
-            if not self.coeffs[m] < self.coeffs[m - 1]:
-                raise ValueError("coefficients must be strictly decreasing")
-
     @property
     def m_max(self) -> int:
         return len(self.coeffs)
@@ -56,35 +49,6 @@ class CoefficientTable:
         return self.coeffs[m - 1]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """B_0..B_k_max with the B_1 = -1/2 convention (1-based values via b())."""
-
-    bernoulli: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        vals = self.bernoulli
-        if not vals or vals[0] != 1:
-            raise ValueError("B_0 must be 1")
-        if len(vals) > 1 and vals[1] != Fraction(-1, 2):
-            raise ValueError("B_1 must be -1/2")
-        for k in range(3, len(vals), 2):
-            if vals[k] != 0:
-                raise ValueError(f"B_{k} must vanish for odd k >= 3")
-        for k in range(2, len(vals), 2):
-            if (-1) ** (k // 2 + 1) * vals[k] <= 0:
-                raise ValueError("even-index Bernoulli numbers must alternate in sign")
-
-    @property
-    def k_max(self) -> int:
-        return len(self.bernoulli) - 1
-
-    def b(self, k: int) -> Fraction:
-        if not 0 <= k <= self.k_max:
-            raise IndexError(f"index {k} outside 0..{self.k_max}")
-        return self.bernoulli[k]
-
-
 # the sequence is a fixed mathematical constant, so computed prefixes of
 # (T_m, c_m) are shared between calls; the prefix only grows, so entries
 # read after an extension never change, and the lock serialises extensions
@@ -93,13 +57,19 @@ _coeff_prefix: list[tuple[int, Fraction]] = [(1, Fraction(1, 2))]
 
 
 def _extend(m_max: int) -> list[tuple[int, Fraction]]:
-    """The shared prefix, extended to at least m_max entries (T_m, c_m)."""
+    """The shared prefix, extended to at least m_max entries (T_m, c_m).
+
+    Each c_m is checked once, when it is appended: 0 < c_m < c_{m-1}.
+    """
     with _coeff_lock:
         prefix = _coeff_prefix
         for m in range(len(prefix) + 1, m_max + 1):
             t = sum(comb(2 * m - 2, 2 * i - 1) * prefix[i - 1][0] * prefix[m - i - 1][0]
                     for i in range(1, m))
-            prefix.append((t, Fraction(t, 2 * factorial(2 * m - 1))))
+            c = Fraction(t, 2 * factorial(2 * m - 1))
+            if not 0 < c < prefix[-1][1]:
+                raise AssertionError(f"c_{m} is not in (0, c_{m - 1})")
+            prefix.append((t, c))
     return _coeff_prefix
 
 
@@ -116,19 +86,29 @@ def lambda_coefficients(m_max: int) -> CoefficientTable:
     return CoefficientTable(tuple(c for _, c in _extend(m_max)[:m_max]))
 
 
-def bernoulli_numbers(k_max: int) -> BernoulliTable:
-    """B_0..B_k_max from the defining recurrence.
+def bernoulli_numbers(k_max: int) -> tuple[Fraction, ...]:
+    """B_0..B_k_max (B_1 = -1/2) from the defining recurrence.
 
-    sum_{j=0..k} C(k+1, j) B_j = 0 for k >= 1, with B_0 = 1; solved for B_k
-    at each step.  Exact rationals throughout.
+    sum_{j=0..k} C(k+1, j) B_j = 0 for k >= 1, with B_0 = 1, solved for B_k
+    on the integers D B_j, D = (k_max+1)!; the odd zeros stay out of the
+    sums.  A remainder in the division by k+1, or a B_1 or even B_k off the
+    signs (-1)**(k//2+1) B_k > 0, raises AssertionError.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    values = [Fraction(1)]
+    denom = factorial(k_max + 1)
+    scaled = [denom] + [0] * k_max
     for k in range(1, k_max + 1):
-        acc = sum(comb(k + 1, j) * values[j] for j in range(k))
-        values.append(Fraction(-acc, k + 1))
-    return BernoulliTable(tuple(values))
+        if k > 1 and k % 2:
+            continue
+        acc = sum(comb(k + 1, j) * scaled[j] for j in range(k) if j < 2 or j % 2 == 0)
+        b, rem = divmod(-acc, k + 1)
+        if rem:
+            raise AssertionError(f"B_{k} is not a multiple of 1/{k_max + 1}!")
+        if (-1) ** (k // 2 + 1) * b <= 0:
+            raise AssertionError(f"B_{k} breaks the alternating sign pattern")
+        scaled[k] = b
+    return tuple(Fraction(a, denom) for a in scaled)
 
 
 def tangent_coefficients(m_max: int) -> list[Fraction]:
@@ -143,14 +123,9 @@ def tangent_coefficients(m_max: int) -> list[Fraction]:
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    table = bernoulli_numbers(2 * m_max)
-    out = []
-    fact = 1  # (2m)!
-    for m in range(1, m_max + 1):
-        fact *= (2 * m - 1) * (2 * m)
-        four_m = 1 << (2 * m)
-        out.append((-1) ** (m - 1) * four_m * (four_m - 1) * table.b(2 * m) / fact)
-    return out
+    b = bernoulli_numbers(2 * m_max)
+    return [(-1) ** (m - 1) * 4**m * (4**m - 1) * b[2 * m] / factorial(2 * m)
+            for m in range(1, m_max + 1)]
 
 
 def lambda_closed_form(m: int) -> Fraction:

@@ -3,6 +3,7 @@ from math import comb, factorial
 
 import pytest
 
+from cosprod import recurrence
 from cosprod.arith import pi_constant
 from cosprod.recurrence import (
     bernoulli_numbers,
@@ -18,7 +19,7 @@ def zeta_over_pi_power(m: int, b4m) -> F:
     fact = 1
     for i in range(1, 2 * m + 1):
         fact *= i
-    return F((-1) ** (m + 1) * b4m.b(2 * m) * 2 ** (2 * m), 2 * fact)
+    return F((-1) ** (m + 1) * b4m[2 * m] * 2 ** (2 * m), 2 * fact)
 
 
 class TestCoefficientTable:
@@ -77,27 +78,43 @@ class TestCoefficientTable:
 class TestBernoulli:
     def test_base_cases(self):
         table = bernoulli_numbers(4)
-        assert table.b(0) == 1
-        assert table.b(1) == F(-1, 2)
+        assert table[0] == 1
+        assert table[1] == F(-1, 2)
         # k=2: B2 = -(C(3,0)B0 + C(3,1)B1)/C(3,2) = -(1 - 3/2)/3 = 1/6
-        assert table.b(2) == F(1, 6)
+        assert table[2] == F(1, 6)
         # k=4: B4 = -(B0 + 5B1 + 10B2 + 10B3)/5 = -(1 - 5/2 + 10/6)/5 = -1/30
-        assert table.b(4) == F(-1, 30)
+        assert table[4] == F(-1, 30)
 
     def test_odd_indices_vanish(self):
         table = bernoulli_numbers(31)
         for k in range(3, 32, 2):
-            assert table.b(k) == 0
+            assert table[k] == 0
 
     def test_defining_recurrence_resubstitution(self):
         table = bernoulli_numbers(30)
         for k in range(1, 30):
-            assert sum(comb(k + 1, j) * table.b(j) for j in range(k + 1)) == 0
+            assert sum(comb(k + 1, j) * table[j] for j in range(k + 1)) == 0
 
     def test_even_signs_alternate(self):
         table = bernoulli_numbers(20)
         for k in range(2, 21, 2):
-            assert ((-1) ** (k // 2 + 1)) * table.b(k) > 0
+            assert ((-1) ** (k // 2 + 1)) * table[k] > 0
+
+    def test_every_value_to_400_against_knuth_buckholtz(self):
+        # tangent_coefficients(200), the cold-path oracle, reads B_0..B_400
+        table = bernoulli_numbers(400)
+        assert type(table) is tuple and len(table) == 401
+        assert all(type(b) is F for b in table)
+        assert table[0] == 1 and table[1] == F(-1, 2)
+        assert all(table[k] == 0 for k in range(3, 401, 2))
+        for m, t in enumerate(tangent_numbers(200), start=1):
+            assert table[2 * m] == F((-1) ** (m - 1) * 2 * m * t, 4**m * (4**m - 1))
+
+    def test_inexact_division_is_an_assertion_error(self, monkeypatch):
+        # D = 6 clears the denominators of B_1 and B_2 but not 30, that of B_4
+        monkeypatch.setattr(recurrence, "factorial", lambda n: 6)
+        with pytest.raises(AssertionError, match="B_4"):
+            bernoulli_numbers(6)
 
 
 class TestTangentCoefficients:
@@ -106,6 +123,11 @@ class TestTangentCoefficients:
 
     def test_all_positive(self):
         assert all(t > 0 for t in tangent_coefficients(20))
+
+    def test_matches_knuth_buckholtz_tangent_numbers_to_200(self):
+        tangent = tangent_coefficients(200)
+        for m, t in enumerate(tangent_numbers(200), start=1):
+            assert tangent[m - 1] == F(t, factorial(2 * m - 1))
 
 
 class TestLambdaClosedForm:
