@@ -19,7 +19,6 @@ from .arith import (
     real_from_rational,
 )
 from .recurrence import (
-    CoefficientTable,
     bernoulli_numbers,
     lambda_closed_form,
     lambda_coefficients,
@@ -46,7 +45,6 @@ from .analytic import (
 
 __all__ = [
     "BoundedReal",
-    "CoefficientTable",
     "DomainError",
     "IdentityReport",
     "LambdaEstimate",

@@ -246,9 +246,13 @@ def _coefficient_tail(r: Fraction, order: int) -> Fraction:
 
     lambda(2m) <= lambda(2) = pi^2/8 < 5/4 (since pi^2 < 10), and
     1/m <= 1/(order+1), so the sum is at most the geometric series
-    (5/4) r^(order+1) / ((order+1)(1-r)).
+    (5/4) r^(order+1) / ((order+1)(1-r)), increasing in r.  The power is
+    taken of r_up = real_from_rational(r, 64).upper() >= r, with 1 - r
+    exact: r_up <= r (1 + 2^-62) loosens the bound by less than 2^-50
+    relative for order < 2047, far below the 8-bit round-up that follows.
     """
-    return Fraction(5, 4) * r ** (order + 1) / ((order + 1) * (1 - r))
+    r_up = real_from_rational(r, 64).upper()
+    return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * (1 - r))
 
 
 def neg_log_product_series(x: BoundedReal, order: int,
@@ -271,14 +275,13 @@ def neg_log_product_series(x: BoundedReal, order: int,
     if 2 * x_up >= pi_low:
         raise DomainError("the series requires |x| strictly below pi/2")
 
-    table = lambda_coefficients(order)
     x0 = BoundedReal(x.value, Fraction(0), work)
     x2 = x0 * x0
     power = BoundedReal.exact(1, work)
     total = BoundedReal.exact(0, work)
-    for m in range(1, order + 1):
+    for m, c in enumerate(lambda_coefficients(order).coeffs, start=1):
         power = power * x2
-        total = total + power * (table.c(m) / m)
+        total = total + power * (c / m)
 
     r_up = Fraction(4) * x_up * x_up / (pi_low * pi_low)
     tail = _coefficient_tail(r_up, order)

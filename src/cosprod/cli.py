@@ -33,7 +33,7 @@ from .output import (
     format_rational,
     render,
 )
-from .recurrence import CoefficientTable, lambda_closed_form, lambda_coefficients
+from .recurrence import lambda_closed_form, lambda_coefficients
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,9 +137,9 @@ def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
     }
 
 
-def _closed_forms(table: CoefficientTable,
+def _closed_forms(coeffs: tuple[Fraction, ...],
                   precision_bits: int) -> list[BoundedReal]:
-    """lambda(2m) = c_m (pi/2)^2m = q_m pi^2m for m = 1..table.m_max.
+    """lambda(2m) = c_m (pi/2)^2m = q_m pi^2m for c_1..c_M in `coeffs`.
 
     The two products agree bit for bit: q_m = c_m / 4^m, and scaling by a
     power of two commutes with the dyadic rounding of every step.
@@ -147,9 +147,9 @@ def _closed_forms(table: CoefficientTable,
     half_pi = pi_constant(precision_bits + 16) * Fraction(1, 2)
     step = half_pi * half_pi
     powers = [step]
-    while len(powers) < table.m_max:
+    while len(powers) < len(coeffs):
         powers.append(powers[-1] * step)
-    return [power * c for power, c in zip(powers, table.coeffs)]
+    return [power * c for power, c in zip(powers, coeffs)]
 
 
 # a command's rows, and its verdict (None for a command with no check)
@@ -157,13 +157,14 @@ _Result = tuple[list[dict[str, str]], Optional[bool]]
 
 
 def cmd_coeffs(args: argparse.Namespace) -> _Result:
-    table = lambda_coefficients(args.m_max)
+    coeffs = lambda_coefficients(args.m_max).coeffs
+    closed_forms = _closed_forms(coeffs, args.precision)
     rows = []
-    for m, lam in enumerate(_closed_forms(table, args.precision), start=1):
+    for m, (c, lam) in enumerate(zip(coeffs, closed_forms), start=1):
         rows.append({
             "m": str(m),
-            "c_m": format_rational(table.c(m)),
-            "tangent_coeff": format_rational(2 * table.c(m)),
+            "c_m": format_rational(c),
+            "tangent_coeff": format_rational(2 * c),
             "lambda_2m": format_decimal(lam.value, lam.abs_error),
             "lambda_bound": format_bound(lam.abs_error),
         })
@@ -171,7 +172,7 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def cmd_lambda(args: argparse.Namespace) -> _Result:
-    closed_forms = _closed_forms(lambda_coefficients(args.m_max), args.precision)
+    closed_forms = _closed_forms(lambda_coefficients(args.m_max).coeffs, args.precision)
     rows = []
     all_pass = True
     for m, closed in enumerate(closed_forms, start=1):

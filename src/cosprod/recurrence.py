@@ -28,25 +28,10 @@ k >= 3, are zero because x/(e^x-1) + x/2 is an even function of x.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """The sequence c_1..c_m_max as exact rationals (1-based access via c())."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def m_max(self) -> int:
-        return len(self.coeffs)
-
-    def c(self, m: int) -> Fraction:
-        if not 1 <= m <= self.m_max:
-            raise IndexError(f"index {m} outside 1..{self.m_max}")
-        return self.coeffs[m - 1]
+from .series import OddSeries
 
 
 # the sequence is a fixed mathematical constant, so computed prefixes of
@@ -73,7 +58,7 @@ def _extend(m_max: int) -> list[tuple[int, Fraction]]:
     return _coeff_prefix
 
 
-def lambda_coefficients(m_max: int) -> CoefficientTable:
+def lambda_coefficients(m_max: int) -> OddSeries:
     """First m_max terms of the recurrence c_1 = 1/2, c_m = 2/(2m-1) * conv.
 
     The convolution sum_{i+j=m} c_i c_j is over ordered pairs, matching the
@@ -83,7 +68,7 @@ def lambda_coefficients(m_max: int) -> CoefficientTable:
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    return CoefficientTable(tuple(c for _, c in _extend(m_max)[:m_max]))
+    return OddSeries(tuple(c for _, c in _extend(m_max)[:m_max]))
 
 
 def bernoulli_numbers(k_max: int) -> tuple[Fraction, ...]:

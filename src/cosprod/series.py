@@ -1,12 +1,13 @@
 """The odd power series of the fixed point t = x/2 + 2 * integral(t^2 dx).
 
-An OddSeries of order M carries the terms x, x^3, ..., x^(2M-1).  Its
-unique solution reproduces the coefficient table from
-:mod:`cosprod.recurrence` without using it: :func:`picard_fixed_point`
-solves the fixed point by Picard iteration in integers over one common
-denominator, and :func:`ode_residual` checks the equivalent differential
-identity 2 t' = 1 + 4 t^2 coefficientwise.  Both square the series through
-one convolution.
+An OddSeries of order M carries the terms x, x^3, ..., x^(2M-1); it is
+also the type of the coefficient table that :mod:`cosprod.recurrence`
+computes.  The unique solution reproduces that table without using the
+recurrence: :func:`picard_fixed_point` solves the fixed point by Picard
+iteration in integers over one common denominator, and
+:func:`ode_residual` checks the equivalent differential identity
+2 t' = 1 + 4 t^2 coefficientwise.  Both square the series through one
+convolution.
 """
 
 from __future__ import annotations

@@ -94,6 +94,18 @@ def tangent_numbers(m_max: int) -> list[int]:
     return t[1:]
 
 
+def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
+    """(5/4) r^(M+1) / ((M+1)(1-r)), M = order, as an unreduced (num, den).
+
+    With r = p/q this is 5 p^(M+1) / (4 (M+1) q^M (q-p)).  The pair is left
+    unreduced: with r of thousands of bits and M in the hundreds, the powers
+    have millions of bits, and a gcd of them would take far longer than the
+    comparisons the tests make.
+    """
+    p, q = r.numerator, r.denominator
+    return 5 * p ** (order + 1), 4 * (order + 1) * q**order * (q - p)
+
+
 def round_reference(r, bits: int, err=0,
                     floor: bool = False) -> tuple[Fraction, Fraction]:
     """(value, abs_error) that real_from_rational(r, bits, err, floor) must give.

@@ -38,7 +38,7 @@ def test_criterion_1_coefficient_cross_verification():
     start = time.perf_counter()
     table = lambda_coefficients(25)
     tangent = tangent_coefficients(25)
-    equal = all(2 * table.c(m) == tangent[m - 1] for m in range(1, 26))
+    equal = all(2 * table.coeffs[m - 1] == tangent[m - 1] for m in range(1, 26))
     first_four = table.coeffs[:4] == (F(1, 2), F(1, 6), F(1, 15), F(17, 630))
     elapsed = time.perf_counter() - start
     _report("criterion 1: coefficients(25) = half tangent coefficients",

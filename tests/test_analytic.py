@@ -5,6 +5,7 @@ import pytest
 
 from cosprod.analytic import (
     DomainError,
+    _coefficient_tail,
     cos_approx,
     exp_approx,
     lambda_direct,
@@ -15,7 +16,7 @@ from cosprod.analytic import (
 )
 from cosprod.arith import BoundedReal, PrecisionError, pi_constant
 from cosprod.recurrence import lambda_closed_form
-from conftest import contains, ln_bracket, sqrt_bracket
+from conftest import coefficient_tail_exact, contains, ln_bracket, sqrt_bracket
 
 E_40 = F("2.7182818284590452353602874713526624977572")
 
@@ -156,6 +157,24 @@ class TestNegLogProductSeries:
         blurred = neg_log_product_series(wide, 30, 128)
         assert blurred.abs_error > F(1, 10**7)
         assert contains(blurred, narrow.value)
+
+
+class TestCoefficientTail:
+    def test_within_two_to_minus_50_above_the_exact_geometric_bound(self):
+        rng = random.Random(2024)
+        ratios = [F(1, n * n) for n in [2, 3, 10**6] + [rng.randint(2, 10**6) for _ in range(5)]]
+        ratios.append(1 - F(1, 2**70))
+        # (2x/pi)^2 as the 4096-bit verify at n = 11/10 bounds it
+        x_up = (pi_constant(4112) * F(10, 22)).magnitude_upper()
+        ratios.append(4 * x_up * x_up / pi_constant(4112).lower() ** 2)
+        for r in ratios:
+            for order in (1, 5, 30, 40, 200, 400):
+                num, den = coefficient_tail_exact(r, order)
+                tail = _coefficient_tail(r, order)
+                # num/den <= tail <= num/den * (1 + 2^-50), cross-multiplied
+                exact, bound = num * tail.denominator, tail.numerator * den
+                assert exact <= bound, (r, order)
+                assert bound << 50 <= exact * ((1 << 50) + 1), (r, order)
 
 
 class TestCosApprox:

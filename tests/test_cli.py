@@ -204,6 +204,15 @@ class TestVerify:
         assert err.count("\n") == 1
         assert "--order" in err and "--precision" in err
 
+    def test_n_within_1e_minus_21_of_one_is_usage_error(self, capsys):
+        # the series ratio r = 1/n^2 rounds to 1 at 64 bits; its tail bound
+        # must still divide by the exact 1 - r
+        code, out, err = run(capsys, "verify", "--n",
+                             "1000000000000000000001/1000000000000000000000")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == ("order or precision too low to decide (exp input "
+                       "uncertainty must be below 1); raise --order or --precision\n")
+
     def test_enough_order_near_one_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "101/100", "--order", "300")
         assert code == 0

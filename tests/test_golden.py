@@ -5,8 +5,12 @@ command at its documented defaults (with ``--n 3``), and of three commands
 that take the ``BoundedReal`` arithmetic to hundreds or thousands of bits.
 A refactor that leaves the numbers alone must leave these bytes alone; a
 change that deliberately tightens a bound regenerates them and says so.
+The README's examples are pinned too: its ``python`` block must print the
+line shown under it, and its ``cosprod`` lines are the first five commands
+below.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -14,6 +18,7 @@ import pytest
 from cosprod import cli
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 README_COMMANDS = {
     "coeffs": ["coeffs", "--m-max", "10"],
@@ -36,3 +41,14 @@ def test_readme_command_output_is_unchanged(name, capsys):
     out = capsys.readouterr().out
     assert code == cli.EXIT_OK
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_readme_examples_are_what_the_package_does(capsys):
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"```(\w*)\n(.*?)```", text, re.S)
+    at = next(i for i, (lang, _) in enumerate(blocks) if lang == "python")
+    exec(blocks[at][1], {})
+    assert capsys.readouterr().out == blocks[at + 1][1]
+    shown = [line.split("#")[0].split()[1:] for line in text.splitlines()
+             if line.startswith("cosprod ")]
+    assert shown == list(README_COMMANDS.values())[:5]

@@ -35,12 +35,12 @@ class TestCoefficientTable:
         table = lambda_coefficients(25)
         tangent = tangent_coefficients(25)
         for m in range(1, 26):
-            assert 2 * table.c(m) == tangent[m - 1]
+            assert 2 * table.coeffs[m - 1] == tangent[m - 1]
 
     def test_positive_and_strictly_decreasing(self):
         table = lambda_coefficients(40)
         for m in range(1, 40):
-            assert table.c(m) > table.c(m + 1) > 0
+            assert table.coeffs[m - 1] > table.coeffs[m] > 0
 
     def test_lambda_values_decrease_toward_one(self):
         # c_m (pi/2)^2m = lambda(2m) must sit in (1, 1.234] and decrease
@@ -49,7 +49,7 @@ class TestCoefficientTable:
         power = half_pi * half_pi
         previous_upper = None
         for m in range(1, 26):
-            lam = power * table.c(m)
+            lam = power * table.coeffs[m - 1]
             assert lam.lower() > 1
             assert lam.upper() <= F(1234, 1000)
             if previous_upper is not None:
@@ -66,7 +66,7 @@ class TestCoefficientTable:
         table = lambda_coefficients(400)
         for m, t in enumerate(tangent_numbers(400), start=1):
             c = F(t, 2 * factorial(2 * m - 1))
-            assert table.c(m) == c
+            assert table.coeffs[m - 1] == c
             assert lambda_closed_form(m) == c / 4**m
 
     def test_tables_in_any_request_order_are_prefixes(self):

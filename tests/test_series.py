@@ -47,7 +47,12 @@ class TestPicardFixedPoint:
 
     def test_matches_recurrence_at_every_order_through_60(self):
         for k in range(1, 61):
-            assert picard_fixed_point(k).coeffs == lambda_coefficients(k).coeffs, k
+            assert picard_fixed_point(k) == lambda_coefficients(k), k
+
+    def test_recurrence_table_is_an_odd_series(self):
+        table = lambda_coefficients(3)
+        assert isinstance(table, OddSeries)
+        assert table.order == 3
 
     def test_doubled_fixed_point_is_the_tangent_series(self):
         # coefficient-level form of "twice the fixed point is tan x"
@@ -85,7 +90,7 @@ class TestOdeResidual:
 
     def test_truncation_artifact_of_reference_series(self):
         # x^6 of t^2 is 2*(1/2)(1/15) + (1/6)^2 = 17/180, by direct multiplication
-        res = ode_residual(OddSeries(lambda_coefficients(3).coeffs))
+        res = ode_residual(lambda_coefficients(3))
         assert res[-1] == -4 * F(17, 180)
 
     def test_against_naive_multiplication(self):
@@ -100,7 +105,7 @@ class TestOdeResidual:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8, 12])
     def test_reference_series_vanishes(self, order):
-        res = ode_residual(OddSeries(lambda_coefficients(order).coeffs))
+        res = ode_residual(lambda_coefficients(order))
         assert res[:order] == [F(0)] * order  # degrees 0..2(order-1)
         assert res[order] != 0                # truncation artifact at 2*order
 
