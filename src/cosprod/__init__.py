@@ -15,6 +15,7 @@ from .arith import (
     BoundedReal,
     DomainError,
     PrecisionError,
+    WorkBudgetError,
     pi_constant,
     real_from_rational,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "PartialProductResult",
     "PrecisionError",
     "RearrangementReport",
+    "WorkBudgetError",
     "bernoulli_numbers",
     "cos_approx",
     "exp_approx",

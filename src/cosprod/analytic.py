@@ -20,6 +20,16 @@ by :func:`~cosprod.arith.real_from_rational`, which adds the carried error
 to the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals
 are sound by construction.
 
+Precision follows accuracy: the series route needs only as many bits as
+its truncation tail leaves, and exp only as many as its input's error
+leaves, so both work at ``_working_bits``, at most _GUARD_BITS past that
+accuracy (Arb does the same, arXiv:1611.02831).  Every ball operation is
+sound at any precision, so the working precision moves only the width:
+the extra rounding is a small multiple of 2^-_GUARD_BITS of the error
+the result already carries, which the 8-bit round-up of that error absorbs.  The
+cosine route, which has to deliver every requested bit, keeps the full
+precision_bits + 16.
+
 Tail-bound inventory (N terms kept, all terms positive and decreasing):
 
     sum_{j>=N} (2j+1)^(-2m)
@@ -40,6 +50,7 @@ from .arith import (
     BoundedReal,
     DomainError,
     PrecisionError,
+    WorkBudgetError,
     check_precision,
     pi_constant,
     real_from_rational,
@@ -50,6 +61,26 @@ _RationalLike = Union[Fraction, int]
 
 _GUARD_BITS = 32
 _MAX_SERIES_TERMS = 100_000
+# the most passes of row 1 that rearrangement_check starts (_row_one_steps);
+# it admits n = 12501/12500 at 128 bits and n = 1001/1000 at 2048 bits
+_MAX_ROW_STEPS = 1 << 20
+
+
+def _working_bits(precision_bits: int, err: Fraction) -> int:
+    """Working precision for a result that already carries the error err.
+
+    precision_bits + 16 when err = 0; otherwise at most acc + _GUARD_BITS,
+    acc = floor(-log2 err) (0 when err >= 1): the bits the result can
+    carry at all, and a guard that keeps the rounding far below err.
+    """
+    work = precision_bits + 16
+    if err:
+        num, den = err.numerator, err.denominator
+        acc = den.bit_length() - num.bit_length()  # 2^(acc-1) < 1/err < 2^(acc+1)
+        if (den < num << acc) if acc >= 0 else (den << -acc < num):
+            acc -= 1
+        work = min(work, max(acc, 0) + _GUARD_BITS)
+    return work
 
 
 # ----------------------------------------------------------------------
@@ -265,16 +296,29 @@ def neg_log_product_series(x: BoundedReal, order: int,
     truncation tail is ``_coefficient_tail``; when x carries
     its own uncertainty, the derivative bound
     |d/dx sum| <= 10 x_up / (pi^2 (1 - r)) converts it into output error.
+
+    The tail depends only on r and order, so it is known before the loop,
+    and the loop runs at work = ``_working_bits(precision_bits, tail)``
+    bits, which is at most G = _GUARD_BITS past floor(-log2 tail).  Every
+    ball operation is sound at any precision, so this moves only the
+    width.  Each rounding adds at most 2^(1-work) < 2^(2-G) tail of its
+    result; the powers of x^2 gain one rounding per step, so the loop adds
+    about (order + 2) 2^(2-G) S tail in all, S = -log cos x.  That is below
+    2^-21 of the tail for order 40 and S < 8, and the 8-bit round-up of
+    the result absorbs it (at worst it grows the bound by one 2^-7 step).
+    The domain check and pi_low keep the full precision_bits + 16.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     check_precision(precision_bits)
-    work = precision_bits + 16
-    pi_low = pi_constant(work).lower()
+    pi_low = pi_constant(precision_bits + 16).lower()
     x_up = abs(x.value) + x.abs_error
     if 2 * x_up >= pi_low:
         raise DomainError("the series requires |x| strictly below pi/2")
 
+    r_up = Fraction(4) * x_up * x_up / (pi_low * pi_low)
+    tail = _coefficient_tail(r_up, order)
+    work = _working_bits(precision_bits, tail)
     x0 = BoundedReal(x.value, Fraction(0), work)
     x2 = x0 * x0
     power = BoundedReal.exact(1, work)
@@ -283,8 +327,6 @@ def neg_log_product_series(x: BoundedReal, order: int,
         power = power * x2
         total = total + power * (c / m)
 
-    r_up = Fraction(4) * x_up * x_up / (pi_low * pi_low)
-    tail = _coefficient_tail(r_up, order)
     input_err = Fraction(0)
     if x.abs_error:
         lipschitz = 10 * x_up / (pi_low * pi_low * (1 - r_up))
@@ -337,9 +379,22 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
     squared back up.  Input uncertainty e contributes a relative factor
     exp(e) - 1 <= e / (1 - e), applied to the upper value; e >= 1 gives no
     bound, so it raises PrecisionError.
+
+    The work runs at ``_working_bits(precision_bits, e)`` bits: all of
+    precision_bits + 16 for an exact input, and otherwise at most
+    G = _GUARD_BITS past floor(-log2 e).  Every ball operation is sound at
+    any precision, so this moves only the width.  The k Taylor steps round
+    at 2 h more bits than that, which covers the doubling of relative error
+    in each of the h squarings, so the result carries about (k + h)
+    2^(1-work) < (k + h) 2^(2-G) e of relative rounding, against the input
+    term's relative e.  That is below 2^-22 of it for k + h < 256, and the
+    8-bit round-up of the result absorbs it (at worst it grows the bound
+    by one 2^-7 step).
     """
     check_precision(precision_bits)
-    work = precision_bits + 16
+    if y.abs_error >= 1:
+        raise PrecisionError("exp input uncertainty must be below 1")
+    work = _working_bits(precision_bits, y.abs_error)
     halvings = 0
     v = y.value
     while abs(v) * 2 > (1 << halvings):
@@ -366,8 +421,6 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
 
     input_err = Fraction(0)
     if y.abs_error:
-        if y.abs_error >= 1:
-            raise PrecisionError("exp input uncertainty must be below 1")
         input_err = total.magnitude_upper() * y.abs_error / (1 - y.abs_error)
     return real_from_rational(total.value, precision_bits,
                               total.abs_error + input_err)
@@ -376,6 +429,18 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
 # ----------------------------------------------------------------------
 # rearrangement of the double sum
 # ----------------------------------------------------------------------
+
+def _row_one_steps(n: Fraction, shift: int) -> int:
+    """Upper bound on the passes of row 1's loop in rearrangement_check.
+
+    Row 1 has x = n^2, and its loop floors pw_j <= 2^shift / x^j, so pw is
+    0 once x^j > 2^shift: at most shift / log2 x + 1 passes.  As
+    log2 x >= ln x >= (x-1)/x, that is at most shift * drift + 1, with
+    drift = floor(x/(x-1)) + 1 the row's drift cap.  Row 1 is the longest.
+    """
+    p2, q2 = n.numerator ** 2, n.denominator ** 2
+    return shift * (p2 // (p2 - q2) + 1) + 1
+
 
 def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
                         precision_bits: int) -> RearrangementReport:
@@ -386,6 +451,8 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     lambda estimates against powers of 1/n^2 (per-column tails from
     lambda_direct, plus a geometric bound over the omitted columns).  Both
     intervals must contain -log of the true product, so they must overlap.
+    An n so close to 1 that row 1 could take more than _MAX_ROW_STEPS
+    passes at this precision raises WorkBudgetError before any work.
     """
     n = Fraction(n)
     if n <= 1:
@@ -395,6 +462,13 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     check_precision(precision_bits)
 
     shift = precision_bits + _GUARD_BITS
+    steps = _row_one_steps(n, shift)
+    if steps > _MAX_ROW_STEPS:
+        raise WorkBudgetError(
+            f"--n is too close to 1 for this precision: the first row of the "
+            f"row order may take up to 2^{steps.bit_length()} steps, over the "
+            f"budget of 2^{_MAX_ROW_STEPS.bit_length() - 1}; take --n farther "
+            f"from 1 or a lower --precision")
     one = 1 << shift
     pn, qn = n.numerator, n.denominator
     qn2 = qn * qn

@@ -44,6 +44,10 @@ class PrecisionError(ValueError):
     """Argument in the domain, but its error bound too wide to bound a result."""
 
 
+class WorkBudgetError(PrecisionError):
+    """Arguments in the domain whose work at this precision is over a budget."""
+
+
 def check_precision(precision_bits: int) -> None:
     """Reject a precision below MIN_PRECISION_BITS with ValueError."""
     if precision_bits < MIN_PRECISION_BITS:

@@ -3,7 +3,7 @@
 Subcommands: coeffs, lambda, product, verify, rearrange.  Common flags:
 --precision <bits>, --format <table|csv|json>, --out <path>.  Exit codes:
 0 success/PASS, 1 verification FAIL, 2 usage error (order or precision
-too low to decide included), 3 domain error.
+too low to decide, and work over a budget, included), 3 domain error.
 The parameter n is parsed exactly, as an integer or p/q; decimal input is
 rejected so nothing is silently rounded at the API boundary.
 """
@@ -25,7 +25,13 @@ from .analytic import (
     rearrangement_check,
     verify_identity,
 )
-from .arith import MIN_PRECISION_BITS, BoundedReal, PrecisionError, pi_constant
+from .arith import (
+    MIN_PRECISION_BITS,
+    BoundedReal,
+    PrecisionError,
+    WorkBudgetError,
+    pi_constant,
+)
 from .output import (
     OutputRecord,
     format_bound,
@@ -256,6 +262,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except WorkBudgetError as exc:
+        print(f"work over budget: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PrecisionError as exc:
         print(f"order or precision too low to decide ({exc}); "
               "raise --order or --precision", file=sys.stderr)

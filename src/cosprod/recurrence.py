@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .series import OddSeries
 
@@ -49,8 +49,10 @@ def _extend(m_max: int) -> list[tuple[int, Fraction]]:
     with _coeff_lock:
         prefix = _coeff_prefix
         for m in range(len(prefix) + 1, m_max + 1):
-            t = sum(comb(2 * m - 2, 2 * i - 1) * prefix[i - 1][0] * prefix[m - i - 1][0]
-                    for i in range(1, m))
+            t, binom = 0, 2 * m - 2  # binom = C(2m-2, 2i-1), stepped along the row
+            for i in range(1, m):
+                t += binom * prefix[i - 1][0] * prefix[m - i - 1][0]
+                binom = binom * ((2 * m - 2 * i - 1) * (2 * m - 2 * i - 2)) // (2 * i * (2 * i + 1))
             c = Fraction(t, 2 * factorial(2 * m - 1))
             if not 0 < c < prefix[-1][1]:
                 raise AssertionError(f"c_{m} is not in (0, c_{m - 1})")
@@ -86,7 +88,11 @@ def bernoulli_numbers(k_max: int) -> tuple[Fraction, ...]:
     for k in range(1, k_max + 1):
         if k > 1 and k % 2:
             continue
-        acc = sum(comb(k + 1, j) * scaled[j] for j in range(k) if j < 2 or j % 2 == 0)
+        acc = (k + 1) * scaled[1] if k > 1 else 0
+        binom = 1  # binom = C(k+1, j) for even j, stepped along the row
+        for j in range(0, k, 2):
+            acc += binom * scaled[j]
+            binom = binom * ((k + 1 - j) * (k - j)) // ((j + 1) * (j + 2))
         b, rem = divmod(-acc, k + 1)
         if rem:
             raise AssertionError(f"B_{k} is not a multiple of 1/{k_max + 1}!")

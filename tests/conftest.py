@@ -13,6 +13,10 @@ import math
 import sys
 from fractions import Fraction
 
+from cosprod.analytic import DomainError, _coefficient_tail
+from cosprod.arith import BoundedReal, PrecisionError, pi_constant, real_from_rational
+from cosprod.recurrence import lambda_coefficients
+
 # str() of an int past this many digits raises ValueError.  640 is the least
 # limit Python accepts, so any package code that renders a big int through
 # str() fails every test that reaches it.
@@ -104,6 +108,60 @@ def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
     """
     p, q = r.numerator, r.denominator
     return 5 * p ** (order + 1), 4 * (order + 1) * q**order * (q - p)
+
+
+def neg_log_series_full_precision(x, order: int, precision_bits: int):
+    """neg_log_product_series with every ball operation at precision_bits + 16.
+
+    The reference for the working-precision cap: the same sum, domain
+    check, tail (the package's ``_coefficient_tail``, which
+    ``TestCoefficientTail`` checks against ``coefficient_tail_exact``) and
+    input term, with nothing fitted to the accuracy of the tail.
+    """
+    work = precision_bits + 16
+    pi_low = pi_constant(work).lower()
+    x_up = abs(x.value) + x.abs_error
+    if 2 * x_up >= pi_low:
+        raise DomainError("the series requires |x| strictly below pi/2")
+    x2 = BoundedReal(x.value, 0, work) * BoundedReal(x.value, 0, work)
+    power = BoundedReal.exact(1, work)
+    total = BoundedReal.exact(0, work)
+    for m, c in enumerate(lambda_coefficients(order).coeffs, start=1):
+        power = power * x2
+        total = total + power * (c / m)
+    r_up = 4 * x_up * x_up / (pi_low * pi_low)
+    input_err = 10 * x_up * x.abs_error / (pi_low * pi_low * (1 - r_up))
+    return real_from_rational(total.value, precision_bits,
+                              total.abs_error + _coefficient_tail(r_up, order)
+                              + input_err)
+
+
+def exp_full_precision(y, precision_bits: int):
+    """exp_approx with every ball operation at precision_bits + 16.
+
+    The reference for the working-precision cap: the same halving, Taylor
+    remainder and input factor e / (1 - e), with nothing fitted to e.
+    """
+    if y.abs_error >= 1:
+        raise PrecisionError("exp input uncertainty must be below 1")
+    halvings = 0
+    while abs(y.value) * 2 > (1 << halvings):
+        halvings += 1
+    work = precision_bits + 16 + 2 * halvings
+    z = BoundedReal(y.value / (1 << halvings), 0, work)
+    total = term = BoundedReal.exact(1, work)
+    k = 0
+    while not term.magnitude_at_most_pow2(-(work + 8)):
+        k += 1
+        term = term * z / k
+        total = total + term
+    remainder = 2 * term.magnitude_upper() * abs(z.value) / (k + 1)
+    total = BoundedReal(total.value, total.abs_error + remainder, work)
+    for _ in range(halvings):
+        total = total * total
+    input_err = total.magnitude_upper() * y.abs_error / (1 - y.abs_error)
+    return real_from_rational(total.value, precision_bits,
+                              total.abs_error + input_err)
 
 
 def round_reference(r, bits: int, err=0,

@@ -4,8 +4,10 @@ from fractions import Fraction as F
 import pytest
 
 from cosprod.analytic import (
+    _MAX_ROW_STEPS,
     DomainError,
     _coefficient_tail,
+    _row_one_steps,
     cos_approx,
     exp_approx,
     lambda_direct,
@@ -14,9 +16,16 @@ from cosprod.analytic import (
     rearrangement_check,
     verify_identity,
 )
-from cosprod.arith import BoundedReal, PrecisionError, pi_constant
+from cosprod.arith import BoundedReal, PrecisionError, WorkBudgetError, pi_constant
 from cosprod.recurrence import lambda_closed_form
-from conftest import coefficient_tail_exact, contains, ln_bracket, sqrt_bracket
+from conftest import (
+    coefficient_tail_exact,
+    contains,
+    exp_full_precision,
+    ln_bracket,
+    neg_log_series_full_precision,
+    sqrt_bracket,
+)
 
 E_40 = F("2.7182818284590452353602874713526624977572")
 
@@ -245,6 +254,44 @@ class TestExpLog:
             assert back.abs_error <= y * F(1, 2**100)
 
 
+class TestWorkingPrecision:
+    """The series and exp, run at the bits their inputs carry, against the
+    same algorithms run at full precision (``conftest``): the intervals
+    overlap, and the capped error is at most one 8-bit step wider."""
+
+    STEP = 1 + F(1, 2**7)
+    BITS = (8, 16, 64, 128, 512, 1024, 4096)
+
+    def assert_close(self, capped, full):
+        assert capped.overlaps(full)
+        assert capped.abs_error <= full.abs_error * self.STEP
+
+    def test_series_and_exp_on_the_verify_route(self):
+        rng = random.Random(1111)
+        ns = [F(11, 10), F(3, 2), F(5)] + [F(rng.randint(21, 200), 20) for _ in range(3)]
+        for n in ns:
+            for bits in self.BITS:
+                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                for order in (5, 30, 40):
+                    full = neg_log_series_full_precision(x, order, bits + 8)
+                    self.assert_close(neg_log_product_series(x, order, bits + 8), full)
+                    try:
+                        full_exp = exp_full_precision(-full, bits)
+                    except PrecisionError:
+                        with pytest.raises(PrecisionError):
+                            exp_approx(-full, bits)
+                        continue
+                    self.assert_close(exp_approx(-full, bits), full_exp)
+
+    def test_exp_over_seeded_arguments_and_errors(self):
+        rng = random.Random(2222)
+        for _ in range(40):
+            bits = rng.choice(self.BITS)
+            y = BoundedReal(F(rng.randint(-3000, 300), 100),
+                            F(1, 2 ** rng.randint(1, bits + 40)), bits + 16)
+            self.assert_close(exp_approx(y, bits), exp_full_precision(y, bits))
+
+
 class TestRearrangement:
     def test_n3_overlaps_and_contains_truth(self):
         rep = rearrangement_check(3, 1_000, 20, 128)
@@ -282,6 +329,33 @@ class TestRearrangement:
             rearrangement_check(1, 10, 3, 64)
         with pytest.raises(DomainError):
             rearrangement_check(F(2, 3), 10, 3, 64)
+
+    def test_row_one_estimate_is_at_least_its_loop_count(self):
+        def passes(n, shift):
+            # row 1 of rearrangement_check: pw = floor(pw / n^2) until 0
+            den, qn2 = n.numerator ** 2, n.denominator ** 2
+            pw, count = (1 << shift) * qn2 // den, 0
+            while pw:
+                count += 1
+                pw = pw * qn2 // den
+            return count
+
+        rng = random.Random(3030)
+        for _ in range(100):
+            a = rng.choice((rng.randint(1, 3000), rng.randint(1, 10**6)))
+            n = 1 + F(rng.randint(1, 40), a)
+            shift = rng.choice((8, 16, 64, 128, 1024, 4096)) + 32
+            steps = _row_one_steps(n, shift)
+            if steps <= 1 << 18:
+                assert steps >= passes(n, shift)
+
+    def test_n_near_one_over_the_row_budget_is_refused(self):
+        # allowed at 2048 bits, over the budget at 4096
+        n = F(1001, 1000)
+        assert _row_one_steps(n, 2048 + 32) <= _MAX_ROW_STEPS < _row_one_steps(n, 4096 + 32)
+        with pytest.raises(WorkBudgetError, match="--n"):
+            rearrangement_check(n, 1, 1, 4096)
+        assert issubclass(WorkBudgetError, PrecisionError)
 
 
 class TestExtremeParameters:

@@ -1,8 +1,12 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,22 @@ class TestRearrange:
         code, _, err = run(capsys, "rearrange", "--n", "1", "--rows", "10")
         assert code == cli.EXIT_DOMAIN
         assert "domain error" in err
+
+    def test_n_near_one_is_refused_before_the_row_loop(self):
+        # row 1 would take about 10^9 passes; in a subprocess with a
+        # timeout, so that a hang fails the test instead of stalling it
+        src = Path(cli.__file__).parents[1]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosprod", "rearrange", "--n",
+             "100000001/100000000", "--rows", "1", "--order", "1",
+             "--precision", "8"],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+        assert proc.stderr.startswith("work over budget: --n is too close to 1")
+        assert elapsed < 1
 
 
 class TestOutputContracts:

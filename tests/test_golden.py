@@ -1,8 +1,11 @@
-"""Byte-exact output of the five README commands and three high-precision runs.
+"""Byte-exact output of the five README commands and five high-precision runs.
 
 The files under ``tests/golden/`` hold the standard output of each README
-command at its documented defaults (with ``--n 3``), and of three commands
+command at its documented defaults (with ``--n 3``), and of five commands
 that take the ``BoundedReal`` arithmetic to hundreds or thousands of bits.
+The three 4096-bit ``verify`` runs differ in how many bits their series
+route carries (about 17, 54 and 196), so each tests the working precision
+of ``exp`` and of the series at a different depth.
 A refactor that leaves the numbers alone must leave these bytes alone; a
 change that deliberately tightens a bound regenerates them and says so.
 The README's examples are pinned too: its ``python`` block must print the
@@ -28,6 +31,10 @@ README_COMMANDS = {
     "rearrange": ["rearrange", "--n", "3", "--rows", "1000", "--order", "20"],
     "verify-4096": ["verify", "--n", "11/10", "--num-factors", "1000",
                     "--order", "40", "--precision", "4096"],
+    "verify-4096-3-2": ["verify", "--n", "3/2", "--num-factors", "1000",
+                        "--order", "40", "--precision", "4096"],
+    "verify-4096-5": ["verify", "--n", "5", "--num-factors", "1000",
+                      "--order", "40", "--precision", "4096"],
     "coeffs-300-csv": ["coeffs", "--m-max", "40", "--precision", "300",
                        "--format", "csv"],
     "rearrange-1000": ["rearrange", "--n", "5/4", "--rows", "300",
