@@ -7,8 +7,9 @@ Everything here evaluates one of the three routes to the same number,
                     factors;
     series route:   exp(-L(x)) with L(x) = sum_m c_m x^(2m) / m evaluated at
                     x = pi/(2n), truncated with a geometric tail bound;
-    cosine route:   the Maclaurin series of cos at pi/(2n) with the
-                    alternating-series remainder,
+    cosine route:   cos at pi/(2n) by argument halving, the versine
+                    series with its alternating-series remainder, and
+                    doubling back,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos/exp needed to evaluate the routes).  All heavy
@@ -27,8 +28,10 @@ accuracy (Arb does the same, arXiv:1611.02831).  Every ball operation is
 sound at any precision, so the working precision moves only the width:
 the extra rounding is a small multiple of 2^-_GUARD_BITS of the error
 the result already carries, which the 8-bit round-up of that error absorbs.  The
-cosine route, which has to deliver every requested bit, keeps the full
-precision_bits + 16.
+cosine route has to deliver every requested bit, so it works at
+precision_bits + 16 + 6: it halves its argument h times, 2 h^2 >= work,
+so that its series is short, and doubles back through the versine, which
+keeps the relative error flat (``cos_approx``).
 
 Tail-bound inventory (N terms kept, all terms positive and decreasing):
 
@@ -61,9 +64,12 @@ _RationalLike = Union[Fraction, int]
 
 _GUARD_BITS = 32
 _MAX_SERIES_TERMS = 100_000
-# the most passes of row 1 that rearrangement_check starts (_row_one_steps);
-# it admits n = 12501/12500 at 128 bits and n = 1001/1000 at 2048 bits
-_MAX_ROW_STEPS = 1 << 20
+# the most bit-passes of row 1 that rearrangement_check starts: its passes
+# (_row_one_steps) times the shift, since each pass costs about shift bits.
+# That is 2^20 passes at 128 bits (shift 160); the n nearest 1 it admits is
+# 209713/209712 at 8 bits, 13105/13104 at 128 and 17/16 at 4096, and at
+# 16,384 bits it admits n >= 2 only
+_MAX_ROW_BIT_PASSES = (1 << 20) * 160
 
 
 def _working_bits(precision_bits: int, err: Fraction) -> int:
@@ -340,35 +346,76 @@ def neg_log_product_series(x: BoundedReal, order: int,
 # elementary functions (cos, exp) with explicit remainders
 # ----------------------------------------------------------------------
 
-def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
-    """Maclaurin cosine with the alternating-series remainder.
+def _versine(y: Fraction, work: int, cutoff: int) -> BoundedReal:
+    """1 - cos y = y^2/2 - y^4/24 + ... at work bits, with its remainder.
 
-    Terms are accumulated until the next one is below the working cutoff
-    and the term ratio x^2 / ((2k+1)(2k+2)) has dropped below 1, at which
-    point the first omitted term bounds the rest.  Input uncertainty is
-    folded in via the Lipschitz bound |cos'| <= 1.
+    Terms are summed until the term ratio y^2 / ((2k+1)(2k+2)) has dropped
+    below 1 and the term is at most 2^cutoff; from there the terms
+    alternate and decrease, so the first omitted one bounds the rest.
     """
-    check_precision(precision_bits)
-    work = precision_bits + 16
-    x0 = BoundedReal(x.value, Fraction(0), work)
-    x2 = x0 * x0
-    x2_up = x2.upper()
-    total = BoundedReal.exact(1, work)
+    y0 = BoundedReal(y, Fraction(0), work)
+    y2 = y0 * y0
+    y2_up = y2.upper()
+    total = BoundedReal.exact(0, work)
     term = BoundedReal.exact(1, work)
     k = 0
     while True:
         k += 1
         if k > _MAX_SERIES_TERMS:
             raise AssertionError("cosine series failed to converge")
-        term = term * x2 / ((2 * k - 1) * (2 * k))
-        total = total - term if k % 2 else total + term
+        term = term * y2 / ((2 * k - 1) * (2 * k))
+        total = total + term if k % 2 else total - term
         ratio_den = (2 * k + 1) * (2 * k + 2)
-        if (x2_up < ratio_den
-                and term.magnitude_at_most_pow2(-(precision_bits + 8))):
+        if y2_up < ratio_den and term.magnitude_at_most_pow2(cutoff):
             break
-    remainder = term.magnitude_upper() * x2_up / ratio_den
-    return real_from_rational(total.value, precision_bits,
-                              total.abs_error + remainder + x.abs_error)
+    remainder = term.magnitude_upper() * y2_up / ratio_den
+    return BoundedReal(total.value, total.abs_error + remainder, work)
+
+
+def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
+    """cos by argument halving, the versine series, and doubling back.
+
+    With work = precision_bits + 16 + 6 (6 guard bits for the doublings),
+    h is the least integer with 2 h^2 >= work, which balances the terms
+    against the doublings (h = 46 at 4096 bits), and y = x.value / 2^h
+    exactly.  ``_versine`` sums s = 1 - cos y down to terms of at most
+    2^-(work + 8) / 4^h.  Then s <- 2 s (2 - s), the exact identity
+    1 - cos 2y = 2 sin^2 y, is applied h times, and c = 1 - s is rounded
+    at precision_bits + 16 before the final rounding, so that a cosine
+    which is a short dyadic (cos(pi/3) = 1/2) usually comes out exact.
+    Input uncertainty is folded in via the Lipschitz bound |cos'| <= 1.
+
+    Every ball operation is sound at any precision, so soundness rests on
+    the series remainder alone; the working precision moves only the
+    width.  A doubling multiplies s by 2 (2 - s) and its error by 4, so
+    the absolute error grows by 4^h (which the cutoff's extra 4^-h pays
+    for) but the relative error only by 2 / (2 - s) per step, less than
+    1.25 in all for |x| <= pi/2, where each s before the last doubling is
+    at most 1 - cos(pi/4).  (With c <- 2 c^2 - 1 it would grow by 4 per
+    step.)  The K terms (a product, a division and a sum each) and the h
+    doublings (2 - s and a product; the factor 2 is exact) make
+    N = 3K + 2h roundings, each at most 2^-work of its result, so together
+    they add at most N 2^(1-work) s <= N 2^(-precision_bits-21) for
+    |x| <= pi/2, where s <= 1.  That is below 2^-7 of the final rounding
+    cap, at least c 2^(-precision_bits-1), when N <= c 2^13; N is 42 at
+    128 bits and 218 at 4096 bits, so for c >= 1/32 the 8-bit round-up of
+    the result absorbs it (at worst it grows the bound by one 2^-7 step).
+    Nearer pi/2 the subtraction 1 - s cancels, as the plain Maclaurin sum
+    of cos does, and the guard bits keep the bound no wider than that sum
+    gives at precision_bits + 16.
+    """
+    check_precision(precision_bits)
+    work = precision_bits + 16 + 6
+    halvings = 0
+    while 2 * halvings * halvings < work:
+        halvings += 1
+    s = _versine(x.value / (1 << halvings), work,
+                 -(work + 8) - 2 * halvings)
+    for _ in range(halvings):
+        s = s * (2 - s) * 2
+    c = BoundedReal.exact(1, precision_bits + 16) - s
+    return real_from_rational(c.value, precision_bits,
+                              c.abs_error + x.abs_error)
 
 
 def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
@@ -434,11 +481,16 @@ def _row_one_steps(n: Fraction, shift: int) -> int:
     """Upper bound on the passes of row 1's loop in rearrangement_check.
 
     Row 1 has x = n^2, and its loop floors pw_j <= 2^shift / x^j, so pw is
-    0 once x^j > 2^shift: at most shift / log2 x + 1 passes.  As
-    log2 x >= ln x >= (x-1)/x, that is at most shift * drift + 1, with
-    drift = floor(x/(x-1)) + 1 the row's drift cap.  Row 1 is the longest.
+    0 once x^j > 2^shift: at most shift / log2 x + 1 passes.  For x >= 2,
+    log2 x >= L = floor(log2 x) >= 1 makes that at most shift // L + 1.
+    Below 2, log2 x >= ln x >= (x-1)/x makes it at most shift * drift + 1,
+    with drift = floor(x/(x-1)) + 1 the row's drift cap.  Row 1 is the
+    longest.
     """
     p2, q2 = n.numerator ** 2, n.denominator ** 2
+    log2_floor = (p2 // q2).bit_length() - 1
+    if log2_floor >= 1:
+        return shift // log2_floor + 1
     return shift * (p2 // (p2 - q2) + 1) + 1
 
 
@@ -451,8 +503,9 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     lambda estimates against powers of 1/n^2 (per-column tails from
     lambda_direct, plus a geometric bound over the omitted columns).  Both
     intervals must contain -log of the true product, so they must overlap.
-    An n so close to 1 that row 1 could take more than _MAX_ROW_STEPS
-    passes at this precision raises WorkBudgetError before any work.
+    An n so close to 1 that row 1 could take more than _MAX_ROW_BIT_PASSES
+    bit-passes (passes times shift) at this precision raises
+    WorkBudgetError before any work.
     """
     n = Fraction(n)
     if n <= 1:
@@ -462,13 +515,14 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     check_precision(precision_bits)
 
     shift = precision_bits + _GUARD_BITS
-    steps = _row_one_steps(n, shift)
-    if steps > _MAX_ROW_STEPS:
+    bit_passes = shift * _row_one_steps(n, shift)
+    if bit_passes > _MAX_ROW_BIT_PASSES:
         raise WorkBudgetError(
             f"--n is too close to 1 for this precision: the first row of the "
-            f"row order may take up to 2^{steps.bit_length()} steps, over the "
-            f"budget of 2^{_MAX_ROW_STEPS.bit_length() - 1}; take --n farther "
-            f"from 1 or a lower --precision")
+            f"row order may take up to 2^{bit_passes.bit_length()} "
+            f"bit-passes (passes times bits), over the budget of "
+            f"{_MAX_ROW_BIT_PASSES >> 20} * 2^20; take --n farther from 1 or "
+            f"a lower --precision")
     one = 1 << shift
     pn, qn = n.numerator, n.denominator
     qn2 = qn * qn

@@ -164,6 +164,31 @@ def exp_full_precision(y, precision_bits: int):
                               total.abs_error + input_err)
 
 
+def cos_full_precision(x, precision_bits: int):
+    """cos by the plain Maclaurin series, every ball operation at precision_bits + 16.
+
+    The reference for the halved cosine: no halving and no doubling, the
+    same alternating-series remainder once the term ratio x^2 /
+    ((2k+1)(2k+2)) is below 1 and the term below 2^-(precision_bits + 8),
+    and the same input term |cos'| <= 1.
+    """
+    work = precision_bits + 16
+    x2 = BoundedReal(x.value, 0, work) * BoundedReal(x.value, 0, work)
+    x2_up = x2.upper()
+    total = term = BoundedReal.exact(1, work)
+    k = 0
+    while True:
+        k += 1
+        term = term * x2 / ((2 * k - 1) * (2 * k))
+        total = total - term if k % 2 else total + term
+        ratio_den = (2 * k + 1) * (2 * k + 2)
+        if x2_up < ratio_den and term.magnitude_at_most_pow2(-(precision_bits + 8)):
+            break
+    remainder = term.magnitude_upper() * x2_up / ratio_den
+    return real_from_rational(total.value, precision_bits,
+                              total.abs_error + remainder + x.abs_error)
+
+
 def round_reference(r, bits: int, err=0,
                     floor: bool = False) -> tuple[Fraction, Fraction]:
     """(value, abs_error) that real_from_rational(r, bits, err, floor) must give.

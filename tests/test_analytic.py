@@ -4,10 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from cosprod.analytic import (
-    _MAX_ROW_STEPS,
+    _MAX_ROW_BIT_PASSES,
     DomainError,
     _coefficient_tail,
     _row_one_steps,
+    _versine,
     cos_approx,
     exp_approx,
     lambda_direct,
@@ -21,6 +22,7 @@ from cosprod.recurrence import lambda_closed_form
 from conftest import (
     coefficient_tail_exact,
     contains,
+    cos_full_precision,
     exp_full_precision,
     ln_bracket,
     neg_log_series_full_precision,
@@ -214,6 +216,50 @@ class TestCosApprox:
         assert abs(res.value - cos5) <= res.abs_error + F(1, 10**39)
 
 
+class TestCosineHalving:
+    """The halved cosine against the plain Maclaurin loop (``conftest``):
+    the intervals overlap, and the error is at most one 8-bit step wider.
+    At n = 3/2, cos(pi/3) = 1/2 is exact, the final rounding is often exact
+    too, and then only the carried error shows, so there the error is held
+    to 2^-p instead."""
+
+    STEP = 1 + F(1, 2**7)
+    BITS = (8, 16, 64, 128, 512, 1024, 4096)
+
+    def test_against_the_maclaurin_loop(self):
+        squares = {F(2): F(1, 2), F(3): F(3, 4)}  # cos(pi/2n)^2
+        rng = random.Random(1212)
+        # near 1, c is small and so is the final rounding cap: there the
+        # guard bits of the working precision show
+        ns = [F(101, 100), F(1001, 1000), F(11, 10), F(3, 2), F(2), F(3), F(5), F(1000)]
+        while len(ns) < 18:
+            q = rng.randint(1, 64)
+            ns.append(F(rng.randint(q + 1, 20 * q), q))
+        for n in ns:
+            for bits in self.BITS:
+                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                res, ref = cos_approx(x, bits), cos_full_precision(x, bits)
+                assert res.overlaps(ref), (n, bits)
+                if n == F(3, 2):
+                    assert res.abs_error <= F(1, 2**bits), (n, bits)
+                    assert contains(res, F(1, 2)), (n, bits)
+                else:
+                    assert res.abs_error <= ref.abs_error * self.STEP, (n, bits)
+                if n in squares:
+                    lo, hi = sqrt_bracket(squares[n], bits + 64)
+                    assert res.lower() <= lo and hi <= res.upper(), (n, bits)
+
+    def test_versine_remainder_alone_covers_a_coarse_cutoff(self):
+        # at 512 bits the rounding is far below these cutoffs, so only the
+        # alternating-series remainder keeps the ball around 1 - cos y
+        for y in (F(1, 10), F(1, 2), F(1), F(3), F(5)):
+            ref = cos_full_precision(BoundedReal.exact(y, 640), 640)
+            for cutoff in (-8, -20, -40):
+                s = _versine(y, 512, cutoff)
+                assert s.lower() <= 1 - ref.upper() and 1 - ref.lower() <= s.upper(), (y, cutoff)
+                assert s.abs_error <= F(1, 2 ** -cutoff), (y, cutoff)
+
+
 def ln_ball(y: F, bits: int) -> BoundedReal:
     """ln y from the oracle's bracket, as midpoint +- half-width.
 
@@ -350,12 +396,20 @@ class TestRearrangement:
                 assert steps >= passes(n, shift)
 
     def test_n_near_one_over_the_row_budget_is_refused(self):
-        # allowed at 2048 bits, over the budget at 4096
+        # the budget counts bit-passes: allowed at 128 bits, over it at 4096
         n = F(1001, 1000)
-        assert _row_one_steps(n, 2048 + 32) <= _MAX_ROW_STEPS < _row_one_steps(n, 4096 + 32)
+        assert 160 * _row_one_steps(n, 160) <= _MAX_ROW_BIT_PASSES
+        assert 4128 * _row_one_steps(n, 4128) > _MAX_ROW_BIT_PASSES
         with pytest.raises(WorkBudgetError, match="--n"):
             rearrangement_check(n, 1, 1, 4096)
         assert issubclass(WorkBudgetError, PrecisionError)
+
+    def test_n_of_two_is_within_the_row_budget_at_16384_bits(self):
+        # for n^2 >= 4 the estimate is shift // floor(log2 n^2) + 1, not the
+        # drift bound, which would refuse every n at this precision
+        shift = 16384 + 32
+        assert shift * _row_one_steps(F(2), shift) <= _MAX_ROW_BIT_PASSES
+        assert rearrangement_check(2, 1, 1, 16384).overlap
 
 
 class TestExtremeParameters:

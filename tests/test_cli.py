@@ -235,21 +235,29 @@ class TestRearrange:
         assert code == cli.EXIT_DOMAIN
         assert "domain error" in err
 
-    def test_n_near_one_is_refused_before_the_row_loop(self):
-        # row 1 would take about 10^9 passes; in a subprocess with a
-        # timeout, so that a hang fails the test instead of stalling it
+    @staticmethod
+    def assert_refused_at_once(n, precision):
+        # in a subprocess with a timeout, so that a hang fails the test
+        # instead of stalling it
         src = Path(cli.__file__).parents[1]
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "cosprod", "rearrange", "--n",
-             "100000001/100000000", "--rows", "1", "--order", "1",
-             "--precision", "8"],
+            [sys.executable, "-m", "cosprod", "rearrange", "--n", n,
+             "--rows", "1", "--order", "1", "--precision", precision],
             capture_output=True, text=True, timeout=20,
             env={**os.environ, "PYTHONPATH": str(src)})
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
         assert proc.stderr.startswith("work over budget: --n is too close to 1")
         assert elapsed < 1
+
+    def test_n_near_one_is_refused_before_the_row_loop(self):
+        # row 1 would take about 10^9 passes
+        self.assert_refused_at_once("100000001/100000000", "8")
+
+    def test_n_near_one_at_high_precision_is_refused_by_its_bits(self):
+        # about 700,000 passes, admitted at 128 bits, but each of 16,416 bits
+        self.assert_refused_at_once("123/122", "16384")
 
 
 class TestOutputContracts:

@@ -7,13 +7,15 @@ The three 4096-bit ``verify`` runs differ in how many bits their series
 route carries (about 17, 54 and 196), so each tests the working precision
 of ``exp`` and of the series at a different depth.
 A refactor that leaves the numbers alone must leave these bytes alone; a
-change that deliberately tightens a bound regenerates them and says so.
+change that deliberately tightens a bound regenerates them, says so, and
+keeps the old row here to show that the new interval lies inside it.
 The README's examples are pinned too: its ``python`` block must print the
 line shown under it, and its ``cosprod`` lines are the first five commands
 below.
 """
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -41,6 +43,11 @@ README_COMMANDS = {
                        "--order", "40", "--precision", "1000"],
 }
 
+# the cosine row of verify-4096-3-2 as the plain Maclaurin cosine printed it,
+# before the cosine halved its argument and doubled back
+OLD_COSINE_4096_3_2 = ("    cosine                  0.5  2.9e-1236"
+                       "                  0.5                  0.5")
+
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
 def test_readme_command_output_is_unchanged(name, capsys):
@@ -59,3 +66,15 @@ def test_readme_examples_are_what_the_package_does(capsys):
     shown = [line.split("#")[0].split()[1:] for line in text.splitlines()
              if line.startswith("cosprod ")]
     assert shown == list(README_COMMANDS.values())[:5]
+
+
+def test_tightened_cosine_lies_inside_the_old_one(capsys):
+    def interval(row):
+        _, value, bound = row.split()[:3]
+        return Fraction(value) - Fraction(bound), Fraction(value) + Fraction(bound)
+
+    assert cli.main(README_COMMANDS["verify-4096-3-2"]) == cli.EXIT_OK
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.split()[:1] == ["cosine"])
+    (lo, hi), (old_lo, old_hi) = interval(row), interval(OLD_COSINE_4096_3_2)
+    assert old_lo < lo <= hi < old_hi
