@@ -14,12 +14,17 @@ Everything here evaluates one of the three routes to the same number,
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos/exp needed to evaluate the routes).  All heavy
 summations run in scaled-integer arithmetic with floor divisions, so every
-intermediate is exact and the accumulated rounding is counted in ulps;
-every tail is bounded by an integral or geometric comparison that is stated
-at the point of use.  Each result is rounded to the requested precision
-by :func:`~cosprod.arith.real_from_rational`, which adds the carried error
-to the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals
-are sound by construction.
+intermediate is exact and the accumulated rounding is counted in ulps; the
+product multiplies blocks of _PRODUCT_BLOCK factors exactly in small
+integers and floors once per block, so it counts one ulp per block.  Every
+tail is bounded by an integral or geometric comparison that is stated at
+the point of use; the series route takes its tail and its input slope from
+64-bit outward bounds on x and pi (``_series_bounds``), so no bound
+multiplies or divides rationals of thousands of bits.  Each result is
+rounded to the requested precision by
+:func:`~cosprod.arith.real_from_rational`, which adds the carried error to
+the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals are
+sound by construction.
 
 Precision follows accuracy: the series route needs only as many bits as
 its truncation tail leaves, and exp only as many as its input's error
@@ -64,12 +69,18 @@ _RationalLike = Union[Fraction, int]
 
 _GUARD_BITS = 32
 _MAX_SERIES_TERMS = 100_000
-# the most bit-passes of row 1 that rearrangement_check starts: its passes
-# (_row_one_steps) times the shift, since each pass costs about shift bits.
-# That is 2^20 passes at 128 bits (shift 160); the n nearest 1 it admits is
-# 209713/209712 at 8 bits, 13105/13104 at 128 and 17/16 at 4096, and at
-# 16,384 bits it admits n >= 2 only
-_MAX_ROW_BIT_PASSES = (1 << 20) * 160
+# factors of the truncated product multiplied exactly before one floor
+_PRODUCT_BLOCK = 16
+# rearrangement_check refuses an n whose row 1 could cost more than
+# _MAX_ROW_WORK, with each of its passes (_row_one_steps) charged
+# _ROW_PASS_BITS + shift: a pass costs about c0 (1 + shift / 256),
+# c0 = 0.15 us, a fit within 10% of passes timed at shifts 40, 160, 4128
+# and 16,416 (0.16, 0.24, 2.6 and 9.9 us, Python 3.11).  That is 2^20
+# passes at 128 bits (shift 160), about 0.25 s at any precision; the n
+# nearest 1 it admits is 73681/73680 at 8 bits, 13105/13104 at 128, 47/46
+# at 4096 and 3/2 at 16,384
+_ROW_PASS_BITS = 256
+_MAX_ROW_WORK = (_ROW_PASS_BITS + 160) << 20
 
 
 def _working_bits(precision_bits: int, err: Fraction) -> int:
@@ -232,11 +243,17 @@ def product_trace(n: _RationalLike, num_factors: int,
                   precision_bits: int) -> list[PartialProductResult]:
     """One left-to-right product pass, snapshotted after 1, 2, 4, ... factors.
 
-    Factors 1 - 1/((2k-1)^2 n^2) are applied as exact integer ratios with a
-    single floor division per step, so the running value undershoots the
-    exact partial product by at most k ulps after k factors (each factor is
-    at most 1, so floor errors never amplify).  Snapshots double from 1
-    below num_factors; the last one is always at num_factors.
+    Snapshots double from 1 below num_factors; the last one is always at
+    num_factors.  With a = (2k-1) pn for n = pn/qn, the factor
+    1 - 1/((2k-1)^2 n^2) is the integer ratio (a^2 - qn^2) / a^2.  The
+    factors are taken in blocks of up to _PRODUCT_BLOCK consecutive ones,
+    each ending at a snapshot at the latest: the numerators and the
+    denominators of a block are multiplied exactly, and the block is
+    applied to the running value with a single floor division.  The
+    running value therefore undershoots the exact partial product by at
+    most one ulp per block (each block's ratio is at most 1, so floor
+    errors never amplify), and every block holds at least one factor, so
+    after k factors it is at most k ulps low.
     """
     n = Fraction(n)
     if n < 1:
@@ -257,18 +274,26 @@ def product_trace(n: _RationalLike, num_factors: int,
         return [PartialProductResult(mark, zero, None) for mark in marks]
 
     shift = precision_bits + _GUARD_BITS
-    pn, qn = n.numerator, n.denominator
-    qn2 = qn * qn
+    pn2, qn2 = n.numerator ** 2, n.denominator ** 2
     acc = 1 << shift
     results = []
     k = 0
     for mark in marks:
         while k < mark:
-            k += 1
-            den = ((2 * k - 1) * pn) ** 2
-            acc = acc * (den - qn2) // den
-        value = real_from_rational(Fraction(acc, 1 << shift), precision_bits,
-                                   Fraction(mark, 1 << shift), floor=True)
+            # one block: factors k+1..end, multiplied exactly, one floor
+            end = min(k + _PRODUCT_BLOCK, mark)
+            num = den = 1
+            for odd in range(2 * k + 1, 2 * end, 2):
+                a2 = odd * odd * pn2
+                num *= a2 - qn2
+                den *= a2
+            acc = acc * num // den
+            k = end
+        # acc / 2^shift floored to precision_bits, with mark ulps of error:
+        # rounded as an integer, then scaled exactly, as a Fraction of acc
+        # would cost a gcd of shift bits
+        value = (real_from_rational(acc, precision_bits, mark, floor=True)
+                 * Fraction(1, 1 << shift))
         results.append(PartialProductResult(mark, value,
                                             _product_log_tail(n, mark)))
     return results
@@ -278,18 +303,52 @@ def product_trace(n: _RationalLike, num_factors: int,
 # the coefficient series for -log of the product
 # ----------------------------------------------------------------------
 
-def _coefficient_tail(r: Fraction, order: int) -> Fraction:
-    """Bound on sum_{m>order} lambda(2m) r^m / m for 0 <= r < 1.
+def _coefficient_tail(r: Fraction, order: int,
+                      gap: Optional[Fraction] = None) -> Fraction:
+    """Bound on sum_{m>order} lambda(2m) s^m / m for 0 <= s <= r, s < 1.
 
     lambda(2m) <= lambda(2) = pi^2/8 < 5/4 (since pi^2 < 10), and
     1/m <= 1/(order+1), so the sum is at most the geometric series
-    (5/4) r^(order+1) / ((order+1)(1-r)), increasing in r.  The power is
-    taken of r_up = real_from_rational(r, 64).upper() >= r, with 1 - r
-    exact: r_up <= r (1 + 2^-62) loosens the bound by less than 2^-50
-    relative for order < 2047, far below the 8-bit round-up that follows.
+    (5/4) s^(order+1) / ((order+1)(1-s)), increasing in s.  The power is
+    taken of r_up = real_from_rational(r, 64).upper() >= r, and 1 - s is
+    replaced by gap, a positive lower bound on 1 - s that defaults to the
+    exact 1 - r (for r < 1); with gap given, r may reach 1.
+    r_up <= r (1 + 2^-62) loosens the bound by less than 2^-50 relative
+    for order < 2047, far below the 8-bit round-up that follows.
     """
     r_up = real_from_rational(r, 64).upper()
-    return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * (1 - r))
+    if gap is None:
+        gap = 1 - r
+    return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * gap)
+
+
+def _series_bounds(x_up: Fraction, pi_low: Fraction,
+                   order: int) -> tuple[Fraction, Fraction]:
+    """(tail, slope) of the coefficient series for |x| <= x_up.
+
+    pi_low <= pi, so r = (2 x / pi)^2 <= (2 x_up / pi_low)^2, and the tail
+    is ``_coefficient_tail`` at that ratio; the slope bounds
+    |d/dx sum| <= 10 x_up / (pi_low^2 (1 - r)).  Both come from 64-bit
+    outward bounds, each within 2^-62 relative of its exact value:
+    x_hi >= x_up and pi_lo <= pi_low, so 4 x_hi^2 / pi_lo^2 >= r.  The
+    distance 1 - r must not come from that rounded ratio, which reaches 1
+    once r is within 2^-61 of it.  It comes from the exact gap
+    d = pi_low - 2 x_up instead: 1 - r = d (2 pi_low - d) / pi_low^2,
+    which grows with d and falls with pi_low (for pi_low > d), so d rounded
+    down and pi_low rounded up give a lower bound on it, loose by less
+    than 2^-60 relative, with no cancellation however near 1 r is.
+    Raises DomainError unless x_up < pi_low / 2.
+    """
+    d = pi_low - 2 * x_up
+    if d <= 0:
+        raise DomainError("the series requires |x| strictly below pi/2")
+    x_hi = real_from_rational(x_up, 64).upper()
+    pi64 = real_from_rational(pi_low, 64)
+    pi_lo, pi_hi = pi64.lower(), pi64.upper()
+    d_lo = real_from_rational(d, 64).lower()
+    gap = d_lo * (2 * pi_hi - d_lo) / (pi_hi * pi_hi)
+    tail = _coefficient_tail(4 * x_hi * x_hi / (pi_lo * pi_lo), order, gap)
+    return tail, 10 * x_hi / (pi_lo * pi_lo * gap)
 
 
 def neg_log_product_series(x: BoundedReal, order: int,
@@ -302,6 +361,9 @@ def neg_log_product_series(x: BoundedReal, order: int,
     truncation tail is ``_coefficient_tail``; when x carries
     its own uncertainty, the derivative bound
     |d/dx sum| <= 10 x_up / (pi^2 (1 - r)) converts it into output error.
+    Both bounds are taken from 64-bit outward bounds on x_up and pi_low
+    (``_series_bounds``); the domain check compares them exactly, with
+    pi_low at the full precision_bits + 16.
 
     The tail depends only on r and order, so it is known before the loop,
     and the loop runs at work = ``_working_bits(precision_bits, tail)``
@@ -312,18 +374,12 @@ def neg_log_product_series(x: BoundedReal, order: int,
     about (order + 2) 2^(2-G) S tail in all, S = -log cos x.  That is below
     2^-21 of the tail for order 40 and S < 8, and the 8-bit round-up of
     the result absorbs it (at worst it grows the bound by one 2^-7 step).
-    The domain check and pi_low keep the full precision_bits + 16.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     check_precision(precision_bits)
     pi_low = pi_constant(precision_bits + 16).lower()
-    x_up = abs(x.value) + x.abs_error
-    if 2 * x_up >= pi_low:
-        raise DomainError("the series requires |x| strictly below pi/2")
-
-    r_up = Fraction(4) * x_up * x_up / (pi_low * pi_low)
-    tail = _coefficient_tail(r_up, order)
+    tail, slope = _series_bounds(x.magnitude_upper(), pi_low, order)
     work = _working_bits(precision_bits, tail)
     x0 = BoundedReal(x.value, Fraction(0), work)
     x2 = x0 * x0
@@ -333,13 +389,8 @@ def neg_log_product_series(x: BoundedReal, order: int,
         power = power * x2
         total = total + power * (c / m)
 
-    input_err = Fraction(0)
-    if x.abs_error:
-        lipschitz = 10 * x_up / (pi_low * pi_low * (1 - r_up))
-        input_err = lipschitz * x.abs_error
-
     return real_from_rational(total.value, precision_bits,
-                              total.abs_error + tail + input_err)
+                              total.abs_error + tail + slope * x.abs_error)
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +554,8 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     lambda estimates against powers of 1/n^2 (per-column tails from
     lambda_direct, plus a geometric bound over the omitted columns).  Both
     intervals must contain -log of the true product, so they must overlap.
-    An n so close to 1 that row 1 could take more than _MAX_ROW_BIT_PASSES
-    bit-passes (passes times shift) at this precision raises
+    An n so close to 1 that row 1 could cost more than _MAX_ROW_WORK at
+    this precision (passes times _ROW_PASS_BITS + shift) raises
     WorkBudgetError before any work.
     """
     n = Fraction(n)
@@ -515,13 +566,13 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     check_precision(precision_bits)
 
     shift = precision_bits + _GUARD_BITS
-    bit_passes = shift * _row_one_steps(n, shift)
-    if bit_passes > _MAX_ROW_BIT_PASSES:
+    steps = _row_one_steps(n, shift)
+    if steps * (_ROW_PASS_BITS + shift) > _MAX_ROW_WORK:
         raise WorkBudgetError(
             f"--n is too close to 1 for this precision: the first row of the "
-            f"row order may take up to 2^{bit_passes.bit_length()} "
-            f"bit-passes (passes times bits), over the budget of "
-            f"{_MAX_ROW_BIT_PASSES >> 20} * 2^20; take --n farther from 1 or "
+            f"row order may take up to 2^{steps.bit_length()} passes, each "
+            f"charged {_ROW_PASS_BITS} + {shift} bits, over the budget of "
+            f"{_MAX_ROW_WORK >> 20} * 2^20 bits; take --n farther from 1 or "
             f"a lower --precision")
     one = 1 << shift
     pn, qn = n.numerator, n.denominator
@@ -530,7 +581,7 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     # --- row order: k-th row is -log(1 - 1/x_k) summed explicitly -------
     total = 0
     err_ulps = 0
-    row_tails = Fraction(0)
+    tail_units = 0  # the row tails, in units of 2^-16 ulp
     for k in range(1, num_rows + 1):
         den = ((2 * k - 1) * pn) ** 2   # x_k = den / qn2 > 1
         drift = den // (den - qn2) + 1  # floor-chain drift cap x/(x-1)
@@ -541,12 +592,13 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
             err_ulps += drift + 1
             pw = pw * qn2 // den
             j += 1
-        # at exit x_k^-j < drift ulps; geometric rest of the row
-        row_tails += Fraction(drift * den, j * (den - qn2) * one)
+        # at exit x_k^-j < drift ulps, so the geometric rest of the row is
+        # below drift x_k / (j (x_k - 1)) ulps, rounded up to a 2^-16 ulp
+        tail_units += -(-(drift * den << 16) // (j * (den - qn2)))
     rows_tail = _product_log_tail(n, num_rows)
     row_sum = real_from_rational(
         Fraction(total, one), precision_bits,
-        Fraction(err_ulps, one) + row_tails + rows_tail)
+        Fraction((err_ulps << 16) + tail_units, one << 16) + rows_tail)
 
     # --- column order: m-th column is lambda(2m) / (m n^2m) -------------
     work = precision_bits + 16

@@ -98,6 +98,21 @@ def tangent_numbers(m_max: int) -> list[int]:
     return t[1:]
 
 
+def partial_products_exact(n: Fraction, counts) -> dict[int, Fraction]:
+    """prod_{k<=N} (1 - 1/((2k-1)^2 n^2)) for each N in counts, exactly.
+
+    One plain Fraction factor at a time, with no blocks and no floors.
+    """
+    n = Fraction(n)
+    wanted = set(counts)
+    total, products = Fraction(1), {}
+    for k in range(1, max(wanted) + 1):
+        total *= 1 - 1 / ((2 * k - 1) ** 2 * n * n)
+        if k in wanted:
+            products[k] = total
+    return products
+
+
 def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
     """(5/4) r^(M+1) / ((M+1)(1-r)), M = order, as an unreduced (num, den).
 

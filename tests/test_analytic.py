@@ -4,10 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from cosprod.analytic import (
-    _MAX_ROW_BIT_PASSES,
+    _MAX_ROW_WORK,
+    _ROW_PASS_BITS,
     DomainError,
     _coefficient_tail,
     _row_one_steps,
+    _series_bounds,
     _versine,
     cos_approx,
     exp_approx,
@@ -26,6 +28,7 @@ from conftest import (
     exp_full_precision,
     ln_bracket,
     neg_log_series_full_precision,
+    partial_products_exact,
     sqrt_bracket,
 )
 
@@ -130,6 +133,24 @@ class TestPartialProduct:
     def test_rejects_n_below_one(self):
         with pytest.raises(DomainError):
             product_trace(F(1, 2), 10, 64)
+
+    def test_blocks_against_the_exact_partial_products(self):
+        # factor counts at the edges of the 16-factor blocks; at n = 1 +
+        # 10^-21 each a^2 = ((2k-1) pn)^2 spans several 30-bit limbs
+        counts = (1, 15, 16, 17, 31, 32, 33, 1000)
+        ns = (F(3), F(3, 2), F(11, 10), F(1001, 1000), F(10**21 + 1, 10**21))
+        for n in ns:
+            exact = partial_products_exact(n, range(1, 1001))
+            for bits in (8, 128, 4096):
+                for count in counts:
+                    trace = product_trace(n, count, bits)
+                    marks = [1 << i for i in range(count.bit_length())
+                             if 1 << i < count] + [count]
+                    assert [snap.num_factors for snap in trace] == marks
+                    for snap in trace:
+                        value = snap.value
+                        assert value.value <= exact[snap.num_factors]
+                        assert exact[snap.num_factors] - value.value <= value.abs_error
 
 
 class TestNegLogProductSeries:
@@ -338,6 +359,33 @@ class TestWorkingPrecision:
             self.assert_close(exp_approx(y, bits), exp_full_precision(y, bits))
 
 
+    def test_series_prologue_near_and_far_from_half_pi(self):
+        # x_up and pi_low are rounded outward to 64 bits; at x within 2^-62
+        # of pi/2 the rounded ratio reaches 1, and 1 - r must still come
+        # from the exact gap
+        rng = random.Random(3333)
+        for case in range(32):
+            bits = rng.choice((128, 512, 1024, 4096))
+            pi_low = pi_constant(bits + 16).lower()
+            if case % 2:
+                value = pi_low / 2 - F(rng.randint(1, 2**20), 2 ** rng.randint(60, 120))
+            else:
+                value = F(rng.randint(1, 2**20), 2**20)
+            x = BoundedReal(value, F(rng.randint(0, 3), 2 ** (bits + 8)), bits + 16)
+            order = rng.choice((5, 30, 40))
+            capped = neg_log_product_series(x, order, bits)
+            full = neg_log_series_full_precision(x, order, bits)
+            assert contains(capped, full.value)
+            self.assert_close(capped, full)
+
+            x_up = x.magnitude_upper()
+            r = 4 * x_up * x_up / (pi_low * pi_low)
+            tail, slope = _series_bounds(x_up, pi_low, order)
+            num, den = coefficient_tail_exact(r, order)
+            assert num * tail.denominator <= tail.numerator * den
+            assert slope >= 10 * x_up / (pi_low * pi_low * (1 - r))
+
+
 class TestRearrangement:
     def test_n3_overlaps_and_contains_truth(self):
         rep = rearrangement_check(3, 1_000, 20, 128)
@@ -395,11 +443,16 @@ class TestRearrangement:
             if steps <= 1 << 18:
                 assert steps >= passes(n, shift)
 
+    @staticmethod
+    def row_one_work(n, shift):
+        return _row_one_steps(n, shift) * (_ROW_PASS_BITS + shift)
+
     def test_n_near_one_over_the_row_budget_is_refused(self):
-        # the budget counts bit-passes: allowed at 128 bits, over it at 4096
+        # each pass is charged _ROW_PASS_BITS + shift: allowed at 128 bits,
+        # over the budget at 4096
         n = F(1001, 1000)
-        assert 160 * _row_one_steps(n, 160) <= _MAX_ROW_BIT_PASSES
-        assert 4128 * _row_one_steps(n, 4128) > _MAX_ROW_BIT_PASSES
+        assert self.row_one_work(n, 160) <= _MAX_ROW_WORK
+        assert self.row_one_work(n, 4128) > _MAX_ROW_WORK
         with pytest.raises(WorkBudgetError, match="--n"):
             rearrangement_check(n, 1, 1, 4096)
         assert issubclass(WorkBudgetError, PrecisionError)
@@ -408,8 +461,18 @@ class TestRearrangement:
         # for n^2 >= 4 the estimate is shift // floor(log2 n^2) + 1, not the
         # drift bound, which would refuse every n at this precision
         shift = 16384 + 32
-        assert shift * _row_one_steps(F(2), shift) <= _MAX_ROW_BIT_PASSES
+        assert self.row_one_work(F(2), shift) <= _MAX_ROW_WORK
         assert rearrangement_check(2, 1, 1, 16384).overlap
+
+    def test_the_row_budget_admits_three_halves_at_16384_bits(self):
+        # a 16,416-bit pass is charged 56 times a 40-bit one, not 410 times
+        # (one took about 60 times as long): n = 3/2 is admitted at 16,384
+        # bits, 123/122 is not, and at 8 bits 100000001/100000000 is not
+        shift = 16384 + 32
+        assert self.row_one_work(F(3, 2), shift) <= _MAX_ROW_WORK
+        assert self.row_one_work(F(123, 122), shift) > _MAX_ROW_WORK
+        assert self.row_one_work(F(100000001, 100000000), 40) > _MAX_ROW_WORK
+        assert rearrangement_check(F(3, 2), 1, 1, 16384).overlap
 
 
 class TestExtremeParameters:
