@@ -5,7 +5,7 @@ The library evaluates the classical identity
     cos(pi / 2n) = prod_{k>=1} (1 - 1/((2k-1)^2 n^2)),    n > 1,
 
 by three independent routes (truncated product, coefficient series through
-the exponential, Maclaurin cosine), each carried with a proven absolute
+the exponential, halved cosine), each carried with a proven absolute
 error bound, together with the exact-rational machinery behind the series
 route: the quadratic coefficient recurrence, its Bernoulli and tangent
 oracles, and the formal power-series fixed point.

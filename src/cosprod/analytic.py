@@ -12,7 +12,7 @@ Everything here evaluates one of the three routes to the same number,
                     doubling back,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
-elementary functions cos/exp needed to evaluate the routes).  All heavy
+elementary functions cos and decimal's correctly rounded exp).  All heavy
 summations run in scaled-integer arithmetic with floor divisions, so every
 intermediate is exact and the accumulated rounding is counted in ulps; the
 product multiplies blocks of _PRODUCT_BLOCK factors exactly in small
@@ -29,14 +29,14 @@ sound by construction.
 Precision follows accuracy: the series route needs only as many bits as
 its truncation tail leaves, and exp only as many as its input's error
 leaves, so both work at ``_working_bits``, at most _GUARD_BITS past that
-accuracy (Arb does the same, arXiv:1611.02831).  Every ball operation is
-sound at any precision, so the working precision moves only the width:
-the extra rounding is a small multiple of 2^-_GUARD_BITS of the error
-the result already carries, which the 8-bit round-up of that error absorbs.  The
-cosine route has to deliver every requested bit, so it works at
-precision_bits + 16 + 6: it halves its argument h times, 2 h^2 >= work,
-so that its series is short, and doubles back through the versine, which
-keeps the relative error flat (``cos_approx``).
+accuracy (Arb does the same, arXiv:1611.02831).  Every ball operation and
+decimal's exp are sound at any precision, so the working precision moves
+only the width: the extra rounding is a small multiple of 2^-_GUARD_BITS
+of the error the result already carries, which the 8-bit round-up of that
+error absorbs.  The cosine route has to deliver every requested bit, so it
+works at precision_bits + 16 + 6: it halves its argument h times,
+2 h^2 >= work, so that its series is short, and doubles back through the
+versine, which keeps the relative error flat (``cos_approx``).
 
 Tail-bound inventory (N terms kept, all terms positive and decreasing):
 
@@ -51,6 +51,7 @@ for the coefficient series the geometric bound of ``_coefficient_tail``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -430,7 +431,8 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     h is the least integer with 2 h^2 >= work, which balances the terms
     against the doublings (h = 46 at 4096 bits), and y = x.value / 2^h
     exactly.  ``_versine`` sums s = 1 - cos y down to terms of at most
-    2^-(work + 8) / 4^h.  Then s <- 2 s (2 - s), the exact identity
+    2^-(work + 8); its remainder, the last term times y^2 / ((2k+1)(2k+2)),
+    carries y^2 = x^2 / 4^h.  Then s <- 2 s (2 - s), the exact identity
     1 - cos 2y = 2 sin^2 y, is applied h times, and c = 1 - s is rounded
     at precision_bits + 16 before the final rounding, so that a cosine
     which is a short dyadic (cos(pi/3) = 1/2) usually comes out exact.
@@ -438,30 +440,29 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
 
     Every ball operation is sound at any precision, so soundness rests on
     the series remainder alone; the working precision moves only the
-    width.  A doubling multiplies s by 2 (2 - s) and its error by 4, so
-    the absolute error grows by 4^h (which the cutoff's extra 4^-h pays
-    for) but the relative error only by 2 / (2 - s) per step, less than
-    1.25 in all for |x| <= pi/2, where each s before the last doubling is
-    at most 1 - cos(pi/4).  (With c <- 2 c^2 - 1 it would grow by 4 per
-    step.)  The K terms (a product, a division and a sum each) and the h
-    doublings (2 - s and a product; the factor 2 is exact) make
-    N = 3K + 2h roundings, each at most 2^-work of its result, so together
-    they add at most N 2^(1-work) s <= N 2^(-precision_bits-21) for
-    |x| <= pi/2, where s <= 1.  That is below 2^-7 of the final rounding
-    cap, at least c 2^(-precision_bits-1), when N <= c 2^13; N is 42 at
-    128 bits and 218 at 4096 bits, so for c >= 1/32 the 8-bit round-up of
-    the result absorbs it (at worst it grows the bound by one 2^-7 step).
-    Nearer pi/2 the subtraction 1 - s cancels, as the plain Maclaurin sum
-    of cos does, and the guard bits keep the bound no wider than that sum
-    gives at precision_bits + 16.
+    width.  A doubling multiplies s by 2 (2 - s) and its error by 4, so the
+    absolute error grows by 4^h (the remainder ends at most
+    2^-(work + 8) x^2 / 12) but the relative error only by 2 / (2 - s) per
+    step, less than 1.25 in all for |x| <= pi/2, where each s before the
+    last doubling is at most 1 - cos(pi/4).  (With c <- 2 c^2 - 1 it would
+    grow by 4 per step.)  The K terms (a product, a division and a sum
+    each) and the h doublings (2 - s and a product; the factor 2 is exact)
+    make N = 3K + 2h roundings, each at most 2^-work of its result, so
+    together they add at most N 2^(1-work) s <= N 2^(-precision_bits-21)
+    for |x| <= pi/2, where s <= 1.  That is below 2^-7 of the final
+    rounding cap, at least c 2^(-precision_bits-1), when N <= c 2^13;
+    N <= 42 at 128 bits and 215 at 4096 bits, so for c >= 1/32 the 8-bit
+    round-up of the result absorbs it (at worst it grows the bound by one
+    2^-7 step).  Nearer pi/2 the subtraction 1 - s cancels, as the plain
+    Maclaurin sum of cos does, and the guard bits keep the bound no wider
+    than that sum gives at precision_bits + 16.
     """
     check_precision(precision_bits)
     work = precision_bits + 16 + 6
     halvings = 0
     while 2 * halvings * halvings < work:
         halvings += 1
-    s = _versine(x.value / (1 << halvings), work,
-                 -(work + 8) - 2 * halvings)
+    s = _versine(x.value / (1 << halvings), work, -(work + 8))
     for _ in range(halvings):
         s = s * (2 - s) * 2
     c = BoundedReal.exact(1, precision_bits + 16) - s
@@ -470,58 +471,35 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
 
 
 def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
-    """exp with halving reduction, Taylor remainder, and input-error factor.
+    """exp from the stdlib's correctly rounded decimal exp, with a bound.
 
-    The argument value is halved until |z| <= 1/2, the series is summed
-    with remainder bound 2 * (first omitted term), and the result is
-    squared back up.  Input uncertainty e contributes a relative factor
-    exp(e) - 1 <= e / (1 - e), applied to the upper value; e >= 1 gives no
-    bound, so it raises PrecisionError.
-
-    The work runs at ``_working_bits(precision_bits, e)`` bits: all of
-    precision_bits + 16 for an exact input, and otherwise at most
-    G = _GUARD_BITS past floor(-log2 e).  Every ball operation is sound at
-    any precision, so this moves only the width.  The k Taylor steps round
-    at 2 h more bits than that, which covers the doubling of relative error
-    in each of the h squarings, so the result carries about (k + h)
-    2^(1-work) < (k + h) 2^(2-G) e of relative rounding, against the input
-    term's relative e.  That is below 2^-22 of it for k + h < 256, and the
-    8-bit round-up of the result absorbs it (at worst it grows the bound
-    by one 2^-7 step).
+    At work = ``_working_bits(precision_bits, y.abs_error)`` bits, take
+    d = floor(0.30103 work) + 2 digits, so 10^(1-d) < 2^-work.  At d digits
+    ``Context.divide`` and ``Context.exp`` are correctly rounded (Python's
+    ``decimal`` docs; Cowlishaw, General Decimal Arithmetic): y.value
+    rounds to v_d, and r = exp(v_d) to within rho, half an ulp of r.  As
+    e' = y.abs_error + |y.value - v_d| >= |t - v_d| for the true t,
+    |exp(t) - r| <= rho + (r + rho) (exp(e') - 1) <= rho + (r + rho) e' /
+    (1 - e'); e' >= 1 gives no bound and raises PrecisionError.  As
+    rho < 2^-(work+1) r, it is below 2^-32 of r e' for an inexact input and
+    below 2^-16 of the final rounding cap for an exact one (unless r is
+    representable at precision_bits); the 8-bit round-up absorbs it.
     """
     check_precision(precision_bits)
-    if y.abs_error >= 1:
-        raise PrecisionError("exp input uncertainty must be below 1")
     work = _working_bits(precision_bits, y.abs_error)
-    halvings = 0
+    digits = work * 30103 // 100000 + 2
+    ctx = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN,
+                  Emax=MAX_EMAX)
     v = y.value
-    while abs(v) * 2 > (1 << halvings):
-        halvings += 1
-    z = BoundedReal(Fraction(v, 1 << halvings), Fraction(0),
-                    work + 2 * halvings)
-    z_up = abs(z.value)
-
-    total = BoundedReal.exact(1, work + 2 * halvings)
-    term = BoundedReal.exact(1, work + 2 * halvings)
-    k = 0
-    while not term.magnitude_at_most_pow2(-(work + 2 * halvings + 8)):
-        k += 1
-        if k > _MAX_SERIES_TERMS:
-            raise AssertionError("exponential series failed to converge")
-        term = term * z / k
-        total = total + term
-    # |z| <= 1/2 and k >= 1 make the omitted-terms ratio at most 1/2
-    remainder = 2 * term.magnitude_upper() * z_up / (k + 1)
-    total = BoundedReal(total.value, total.abs_error + remainder,
-                        total.precision_bits)
-    for _ in range(halvings):
-        total = total * total
-
-    input_err = Fraction(0)
-    if y.abs_error:
-        input_err = total.magnitude_upper() * y.abs_error / (1 - y.abs_error)
-    return real_from_rational(total.value, precision_bits,
-                              total.abs_error + input_err)
+    v_d = ctx.divide(Decimal(v.numerator), Decimal(v.denominator))
+    err = y.abs_error + abs(v - Fraction(v_d))
+    if err >= 1:
+        raise PrecisionError("exp input uncertainty must be below 1")
+    r = ctx.exp(v_d)
+    rho = Fraction(5) * Fraction(10) ** (r.adjusted() - digits)
+    r = Fraction(r)
+    return real_from_rational(r, precision_bits,
+                              rho + (r + rho) * err / (1 - err))
 
 
 # ----------------------------------------------------------------------

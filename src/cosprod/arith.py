@@ -15,7 +15,7 @@ A ball holds its value and its error each as a canonical integer triple
 e < 2**8.  A ball built from other rationals carries them exactly until
 an operation rounds.  The operators use integer multiplies, shifts and at
 most one divmod; only ``value``, ``abs_error`` and the interval view build
-Fractions.  No floating point is used anywhere; the rounding happens in
+Fractions.  No binary floating point is used; the rounding happens in
 one place, :func:`real_from_rational` (``_round`` on triples); precision
 is caller-specified per operation, with no global precision state.
 """

@@ -11,6 +11,7 @@ rejected so nothing is silently rounded at the API boundary.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from decimal import Decimal
@@ -85,6 +86,7 @@ def _precision(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosprod",

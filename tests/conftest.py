@@ -152,10 +152,11 @@ def neg_log_series_full_precision(x, order: int, precision_bits: int):
 
 
 def exp_full_precision(y, precision_bits: int):
-    """exp_approx with every ball operation at precision_bits + 16.
+    """exp by halving, Taylor and squaring, every ball at precision_bits + 16.
 
-    The reference for the working-precision cap: the same halving, Taylor
-    remainder and input factor e / (1 - e), with nothing fitted to e.
+    The independent reference for exp_approx, which takes decimal's exp:
+    the Taylor remainder 2 * (first omitted term) at |z| <= 1/2, the same
+    input factor e / (1 - e), and nothing fitted to e.
     """
     if y.abs_error >= 1:
         raise PrecisionError("exp input uncertainty must be below 1")

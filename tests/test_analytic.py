@@ -294,10 +294,26 @@ def ln_ball(y: F, bits: int) -> BoundedReal:
     return BoundedReal((lo + hi) / 2, (hi - lo) / 2, bits)
 
 
+# balls of verify_identity(n, 1000, 30, bits) that tightened when exp came
+# from decimal and the cosine cutoff dropped its extra 4^-h, as they were
+# before: (n, bits, route) -> (value, abs_error)
+OLD_ROWS = {
+    (F(10**6), 8, "log_series"): (F(1), F(129, 2**32)),
+    (F(10**6), 16, "log_series"): (F(1), F(97, 2**38)),
+    (F(3, 2), 128, "cosine"): (F(1, 2), F(43, 2**149)),
+}
+
+
 class TestExpLog:
     def test_exp_zero(self):
-        res = exp_approx(BoundedReal.exact(0, 128), 128)
-        assert res.value == 1
+        # exp(0) = 1 is exact, but the bound is still rho, half an ulp of
+        # 1 at d = 9 (8 bits) or 45 (128 bits) digits, rounded up to 8 bits
+        for bits, rho, bound in ((8, F(5, 10**9), F(43, 2**33)),
+                                 (128, F(5, 10**45), F(229, 2**155))):
+            res = exp_approx(BoundedReal.exact(0, bits), bits)
+            assert res.value == 1
+            assert res.abs_error == bound
+            assert rho <= bound <= rho * (1 + F(1, 2**7))
 
     def test_exp_one_against_digits(self):
         res = exp_approx(BoundedReal.exact(1, 192), 192)
@@ -320,11 +336,27 @@ class TestExpLog:
             assert contains(back, y)
             assert back.abs_error <= y * F(1, 2**100)
 
+    def test_exact_non_dyadic_arguments_of_large_magnitude(self):
+        # y = k + 1/3 has 6 integer digits of the d = 9..45 that the input
+        # rounds to, so |y - v_d| is a sizable share of the bound
+        rng = random.Random(1414)
+        for bits in (8, 16, 64, 128):
+            for _ in range(6):
+                y = BoundedReal.exact(F(3 * rng.randint(2**17, 2**19) + 1, 3), bits)
+                assert exp_approx(y, bits).overlaps(exp_full_precision(y, bits + 64)), (y, bits)
+
+    def test_tightened_rows_lie_inside_the_old_ones(self):
+        for (n, bits, route), (value, bound) in OLD_ROWS.items():
+            ball = dict(verify_identity(n, 1000, 30, bits).estimates())[route]
+            assert ball.abs_error < bound, (n, bits)
+            assert value - bound < ball.lower() <= ball.upper() < value + bound, (n, bits)
+
 
 class TestWorkingPrecision:
-    """The series and exp, run at the bits their inputs carry, against the
-    same algorithms run at full precision (``conftest``): the intervals
-    overlap, and the capped error is at most one 8-bit step wider."""
+    """The series and exp, run at the bits their inputs carry, against
+    full-precision references (``conftest``: the same series, and exp by
+    halving and Taylor): the intervals overlap, and the capped error is at
+    most one 8-bit step wider."""
 
     STEP = 1 + F(1, 2**7)
     BITS = (8, 16, 64, 128, 512, 1024, 4096)

@@ -5,7 +5,7 @@ Modules share only public names, the dyadic rounding of a result
 ``_err_up``) is done in ``arith`` alone, behind ``real_from_rational`` and
 the ``BoundedReal`` operators, every exported name and every public
 member of a class is used by the package itself or by the benchmark, and
-no floating point appears anywhere: no ``float`` name and no float
+no binary floating point appears anywhere: no ``float`` name and no float
 literal.  The coefficient oracles stay independent of the recurrence they
 check: ``series`` imports nothing from ``recurrence``, and neither the
 Bernoulli route nor the Picard fixed point reaches the recurrence's table.
