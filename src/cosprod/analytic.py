@@ -13,10 +13,11 @@ Everything here evaluates one of the three routes to the same number,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos and decimal's correctly rounded exp).  All heavy
-summations run in scaled-integer arithmetic with floor divisions, so every
-intermediate is exact and the accumulated rounding is counted in ulps; the
-product multiplies blocks of _PRODUCT_BLOCK factors exactly in small
-integers and floors once per block, so it counts one ulp per block.  Every
+summations, and the cosine's series and doublings, run in scaled-integer
+arithmetic with floor divisions, so every intermediate is exact and the
+accumulated rounding is counted in ulps; the product multiplies blocks of
+_PRODUCT_BLOCK factors exactly in small integers and floors once per
+block, so it counts one ulp per block.  Every
 tail is bounded by an integral or geometric comparison that is stated at
 the point of use; the series route takes its tail and its input slope from
 64-bit outward bounds on x and pi (``_series_bounds``), so no bound
@@ -36,7 +37,8 @@ of the error the result already carries, which the 8-bit round-up of that
 error absorbs.  The cosine route has to deliver every requested bit, so it
 works at precision_bits + 16 + 6: it halves its argument h times,
 2 h^2 >= work, so that its series is short, and doubles back through the
-versine, which keeps the relative error flat (``cos_approx``).
+versine on one fixed point of work + 2h + 8 bits, whose 2h bits absorb the
+4^h growth of the count (``cos_approx``).
 
 Tail-bound inventory (N terms kept, all terms positive and decreasing):
 
@@ -69,7 +71,6 @@ from .recurrence import lambda_coefficients
 _RationalLike = Union[Fraction, int]
 
 _GUARD_BITS = 32
-_MAX_SERIES_TERMS = 100_000
 # factors of the truncated product multiplied exactly before one floor
 _PRODUCT_BLOCK = 16
 # rearrangement_check refuses an n whose row 1 could cost more than
@@ -231,13 +232,15 @@ def _product_log_tail(n: Fraction, num_factors: int) -> Fraction:
     """Bound on sum_{k>N} -log(1 - a_k) with a_k = 1/((2k-1)^2 n^2).
 
     Uses -log(1-a) <= a/(1-a) <= a/(1 - a_first) and the odd-power tail
-    bound for sum a_k.  Requires n > 1 so that a_first < 1.
+    bound for sum a_k.  Requires n > 1 so that a_first < 1.  With
+    n = pn/qn and o = 2N + 1, sum a_k <= (qn^2 / pn^2)(1/o^2 + 1/(2o)) =
+    qn^2 (o + 2) / (2 o^2 pn^2) and 1 - a_first = (o^2 pn^2 - qn^2) /
+    (o^2 pn^2), so the bound is qn^2 (o + 2) / (2 (o^2 pn^2 - qn^2)),
+    built as one Fraction.
     """
     pn, qn = n.numerator, n.denominator
     odd = 2 * num_factors + 1
-    sum_a = Fraction(qn * qn, pn * pn) * _odd_tail_bound(num_factors, 2)
-    a_first = Fraction(qn * qn, (odd * pn) ** 2)
-    return sum_a / (1 - a_first)
+    return Fraction(qn * qn * (odd + 2), 2 * ((odd * pn) ** 2 - qn * qn))
 
 
 def product_trace(n: _RationalLike, num_factors: int,
@@ -398,74 +401,100 @@ def neg_log_product_series(x: BoundedReal, order: int,
 # elementary functions (cos, exp) with explicit remainders
 # ----------------------------------------------------------------------
 
-def _versine(y: Fraction, work: int, cutoff: int) -> BoundedReal:
-    """1 - cos y = y^2/2 - y^4/24 + ... at work bits, with its remainder.
+def _versine_series(x: Fraction, halvings: int, frac_bits: int,
+                    cutoff: int) -> tuple[int, int]:
+    """(S, e) with |(1 - cos y) - S / 2^F| <= e / 2^F, y = x / 2^halvings.
 
-    Terms are summed until the term ratio y^2 / ((2k+1)(2k+2)) has dropped
-    below 1 and the term is at most 2^cutoff; from there the terms
-    alternate and decrease, so the first omitted one bounds the rest.
+    F = frac_bits, and u = y^2 is floored once to U / 2^F.  In ulps of
+    2^-F the terms t_k = u^k / (2k)! of 1 - cos = t_1 - t_2 + ... become
+    T_k = floor(T_(k-1) U / (2^F (2k-1)(2k))), a shift and a small-integer
+    floor, and the deficit d_k of each, d_k < 1 + d_(k-1) U / (2^F (2k-1)
+    (2k)), is counted upward.  The sum stops once U / 2^F < (2k+1)(2k+2),
+    read off bit lengths, and T_k < 2^(F - cutoff) (F >= cutoff); from
+    there the terms alternate and decrease, so the first omitted one, at
+    most (T_k + d_k) U / (2^F (2k+1)(2k+2)) ulps, bounds the rest.
     """
-    y0 = BoundedReal(y, Fraction(0), work)
-    y2 = y0 * y0
-    y2_up = y2.upper()
-    total = BoundedReal.exact(0, work)
-    term = BoundedReal.exact(1, work)
+    u = (x.numerator ** 2 << (frac_bits - 2 * halvings)) // x.denominator ** 2
+    total, term, term_err = 0, 1 << frac_bits, 0
+    err = 1  # |d/du (1 - cos sqrt u)| <= 1/2, so U's floor moves it < 1/2 ulp
     k = 0
     while True:
         k += 1
-        if k > _MAX_SERIES_TERMS:
-            raise AssertionError("cosine series failed to converge")
-        term = term * y2 / ((2 * k - 1) * (2 * k))
-        total = total + term if k % 2 else total - term
-        ratio_den = (2 * k + 1) * (2 * k + 2)
-        if y2_up < ratio_den and term.magnitude_at_most_pow2(cutoff):
+        m = (2 * k - 1) * (2 * k)
+        term = (term * u >> frac_bits) // m
+        term_err = (term_err * u >> frac_bits) // m + 2
+        total += term if k % 2 else -term
+        err += term_err
+        m = (2 * k + 1) * (2 * k + 2)
+        if (u.bit_length() < frac_bits + m.bit_length()
+                and not term >> (frac_bits - cutoff)):
             break
-    remainder = term.magnitude_upper() * y2_up / ratio_den
-    return BoundedReal(total.value, total.abs_error + remainder, work)
+    return total, err + ((term + term_err) * u >> frac_bits) // m + 1
+
+
+def _versine_doubled(s: int, err: int, frac_bits: int,
+                     times: int) -> tuple[int, int]:
+    """(S, e) for 1 - cos(2^times y), given them for v = 1 - cos y.
+
+    Each step floors 1 - cos 2y = f(v) = 2 v (2 - v) at 2^-F, F = frac_bits.
+    As v lies in [0, 2] and f(v) - f(v - d) = 4 (1 - v) d + 2 d^2, a step
+    turns an error of e ulps into at most 4e + 2 e^2 / 2^F, and the floor
+    adds one.
+    """
+    two = 2 << frac_bits
+    for _ in range(times):
+        s = s * (two - s) >> (frac_bits - 1)
+        err = 4 * err + 1 - (-2 * err * err >> frac_bits)
+    return s, err
 
 
 def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     """cos by argument halving, the versine series, and doubling back.
 
-    With work = precision_bits + 16 + 6 (6 guard bits for the doublings),
-    h is the least integer with 2 h^2 >= work, which balances the terms
-    against the doublings (h = 46 at 4096 bits), and y = x.value / 2^h
-    exactly.  ``_versine`` sums s = 1 - cos y down to terms of at most
-    2^-(work + 8); its remainder, the last term times y^2 / ((2k+1)(2k+2)),
-    carries y^2 = x^2 / 4^h.  Then s <- 2 s (2 - s), the exact identity
-    1 - cos 2y = 2 sin^2 y, is applied h times, and c = 1 - s is rounded
-    at precision_bits + 16 before the final rounding, so that a cosine
-    which is a short dyadic (cos(pi/3) = 1/2) usually comes out exact.
-    Input uncertainty is folded in via the Lipschitz bound |cos'| <= 1.
+    All of it runs on one fixed point S / 2^F with an integer count e of
+    ulps 2^-F, as the other scaled-integer kernels do.  work =
+    precision_bits + 16 + 6; g = bitlen(floor |x|), so |x| < 2^g; h >= g is
+    the least integer with 2 h^2 >= work, which balances the terms against
+    the doublings (h = 46 at 4096 bits); F = work + 2h + 8.
+    ``_versine_series`` sums s = 1 - cos(x / 2^h): the one floor of
+    u = x^2 / 4^h moves s by less than half an ulp, as |ds/du| <= 1/2; the
+    floor of each term is counted; and once the terms decrease and fall
+    below 2^-(work+8) / 4^g, the first omitted one, at most that times
+    u / 12, bounds the rest.  ``_versine_doubled`` then applies
+    s <- f(s) = 2 s (2 - s), the exact identity 1 - cos 2y = 2 sin^2 y,
+    h times.  Every true s lies in [0, 2], where |f'| <= 4, so the count
+    goes e <- 4e + 1 plus the second-order term 2 e^2 / 2^F; none of this
+    asks |x| <= pi/2.  For K terms the count ends below (2K + 3) 4^h, so the
+    2h bits of F cancel the 4^h of the doublings: 1 - S / 2^F is exact and
+    within (2K + 3) 2^-(work+8) of c, and the remainder, grown by 4^h,
+    within 2^-(work+8) (x / 2^g)^2 / 12 < 2^-(work+8) / 12.  c is rounded
+    at precision_bits + 16 with that error, so that a cosine which is a
+    short dyadic (cos(pi/3) = 1/2) usually comes out exact, and then at
+    precision_bits with x's error, by |cos'| <= 1.
 
-    Every ball operation is sound at any precision, so soundness rests on
-    the series remainder alone; the working precision moves only the
-    width.  A doubling multiplies s by 2 (2 - s) and its error by 4, so the
-    absolute error grows by 4^h (the remainder ends at most
-    2^-(work + 8) x^2 / 12) but the relative error only by 2 / (2 - s) per
-    step, less than 1.25 in all for |x| <= pi/2, where each s before the
-    last doubling is at most 1 - cos(pi/4).  (With c <- 2 c^2 - 1 it would
-    grow by 4 per step.)  The K terms (a product, a division and a sum
-    each) and the h doublings (2 - s and a product; the factor 2 is exact)
-    make N = 3K + 2h roundings, each at most 2^-work of its result, so
-    together they add at most N 2^(1-work) s <= N 2^(-precision_bits-21)
-    for |x| <= pi/2, where s <= 1.  That is below 2^-7 of the final
-    rounding cap, at least c 2^(-precision_bits-1), when N <= c 2^13;
-    N <= 42 at 128 bits and 215 at 4096 bits, so for c >= 1/32 the 8-bit
-    round-up of the result absorbs it (at worst it grows the bound by one
-    2^-7 step).  Nearer pi/2 the subtraction 1 - s cancels, as the plain
-    Maclaurin sum of cos does, and the guard bits keep the bound no wider
-    than that sum gives at precision_bits + 16.
+    Soundness rests on the count alone, at any F; F moves only the width.
+    (2K + 3) 2^-(work+8) = (2K + 3) 2^-(precision_bits+30) is below 2^-7 of
+    the final rounding cap, at least c 2^-(precision_bits+1), when
+    2K + 3 <= c 2^22; K = 7 at 128 bits and 41 at 4096, so for c >= 2^-15
+    the 8-bit round-up of the result absorbs it.  Nearer pi/2 the
+    subtraction 1 - s cancels, as the plain Maclaurin sum of cos does, and
+    the guard bits keep the bound no wider than that sum gives at
+    precision_bits + 16.
     """
     check_precision(precision_bits)
     work = precision_bits + 16 + 6
-    halvings = 0
+    v = x.value
+    if not v:  # cos 0 = 1 exactly, where the count would not be 0
+        return real_from_rational(1, precision_bits, x.abs_error)
+    g = int(abs(v)).bit_length()
+    halvings = g
     while 2 * halvings * halvings < work:
         halvings += 1
-    s = _versine(x.value / (1 << halvings), work, -(work + 8))
-    for _ in range(halvings):
-        s = s * (2 - s) * 2
-    c = BoundedReal.exact(1, precision_bits + 16) - s
+    frac_bits = work + 2 * halvings + 8
+    s, err = _versine_series(v, halvings, frac_bits, work + 8 + 2 * g)
+    s, err = _versine_doubled(s, err, frac_bits, halvings)
+    one = 1 << frac_bits
+    c = real_from_rational(one - s, precision_bits + 16, err) * Fraction(1, one)
     return real_from_rational(c.value, precision_bits,
                               c.abs_error + x.abs_error)
 

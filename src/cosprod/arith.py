@@ -242,11 +242,6 @@ class BoundedReal:
         """Upper bound on |truth|."""
         return _fraction(_add(_abs(self._v), self._e))
 
-    def magnitude_at_most_pow2(self, exponent: int) -> bool:
-        """Whether magnitude_upper() <= 2**exponent, decided on integers."""
-        n, x, d = _add(_abs(self._v), self._e)
-        return n << max(x - exponent, 0) <= d << max(exponent - x, 0)
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: object) -> "BoundedReal":

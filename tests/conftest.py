@@ -113,6 +113,19 @@ def partial_products_exact(n: Fraction, counts) -> dict[int, Fraction]:
     return products
 
 
+def product_log_tail_reference(n: Fraction, num_factors: int) -> Fraction:
+    """The product's log-tail bound in three Fraction steps, as first written.
+
+    sum_{k>N} a_k <= (qn/pn)^2 (1/o^2 + 1/(2o)), o = 2N + 1, by the first
+    omitted term and the integral rest; divided by 1 - a_(N+1).
+    """
+    n = Fraction(n)
+    odd = 2 * num_factors + 1
+    sum_a = (1 / (n * n)) * (Fraction(1, odd**2) + Fraction(1, 2 * odd))
+    a_first = 1 / (odd * odd * n * n)
+    return sum_a / (1 - a_first)
+
+
 def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
     """(5/4) r^(M+1) / ((M+1)(1-r)), M = order, as an unreduced (num, den).
 
@@ -167,7 +180,7 @@ def exp_full_precision(y, precision_bits: int):
     z = BoundedReal(y.value / (1 << halvings), 0, work)
     total = term = BoundedReal.exact(1, work)
     k = 0
-    while not term.magnitude_at_most_pow2(-(work + 8)):
+    while term.magnitude_upper() > Fraction(1, 2 ** (work + 8)):
         k += 1
         term = term * z / k
         total = total + term
@@ -198,7 +211,8 @@ def cos_full_precision(x, precision_bits: int):
         term = term * x2 / ((2 * k - 1) * (2 * k))
         total = total - term if k % 2 else total + term
         ratio_den = (2 * k + 1) * (2 * k + 2)
-        if x2_up < ratio_den and term.magnitude_at_most_pow2(-(precision_bits + 8)):
+        if (x2_up < ratio_den
+                and term.magnitude_upper() <= Fraction(1, 2 ** (precision_bits + 8))):
             break
     remainder = term.magnitude_upper() * x2_up / ratio_den
     return real_from_rational(total.value, precision_bits,

@@ -8,9 +8,11 @@ from cosprod.analytic import (
     _ROW_PASS_BITS,
     DomainError,
     _coefficient_tail,
+    _product_log_tail,
     _row_one_steps,
     _series_bounds,
-    _versine,
+    _versine_doubled,
+    _versine_series,
     cos_approx,
     exp_approx,
     lambda_direct,
@@ -29,6 +31,7 @@ from conftest import (
     ln_bracket,
     neg_log_series_full_precision,
     partial_products_exact,
+    product_log_tail_reference,
     sqrt_bracket,
 )
 
@@ -133,6 +136,16 @@ class TestPartialProduct:
     def test_rejects_n_below_one(self):
         with pytest.raises(DomainError):
             product_trace(F(1, 2), 10, 64)
+
+    def test_log_tail_is_the_three_step_bound(self):
+        rng = random.Random(1513)
+        ns = [F(3), F(3, 2), F(11, 10), F(10**21 + 1, 10**21)]
+        while len(ns) < 40:
+            q = rng.randint(1, 10**6)
+            ns.append(F(rng.randint(q + 1, 50 * q), q))
+        for n in ns:
+            for count in (1, 2, 16, 1000, rng.randint(3, 10**6)):
+                assert _product_log_tail(n, count) == product_log_tail_reference(n, count)
 
     def test_blocks_against_the_exact_partial_products(self):
         # factor counts at the edges of the 16-factor blocks; at n = 1 +
@@ -271,14 +284,50 @@ class TestCosineHalving:
                     assert res.lower() <= lo and hi <= res.upper(), (n, bits)
 
     def test_versine_remainder_alone_covers_a_coarse_cutoff(self):
-        # at 512 bits the rounding is far below these cutoffs, so only the
-        # alternating-series remainder keeps the ball around 1 - cos y
+        # at 512 bits the floors are far below these cutoffs, so only the
+        # alternating-series remainder keeps the count around 1 - cos y
         for y in (F(1, 10), F(1, 2), F(1), F(3), F(5)):
             ref = cos_full_precision(BoundedReal.exact(y, 640), 640)
-            for cutoff in (-8, -20, -40):
-                s = _versine(y, 512, cutoff)
-                assert s.lower() <= 1 - ref.upper() and 1 - ref.lower() <= s.upper(), (y, cutoff)
-                assert s.abs_error <= F(1, 2 ** -cutoff), (y, cutoff)
+            for cutoff in (8, 20, 40):
+                s, err = _versine_series(y, 0, 512, cutoff)
+                assert F(s - err, 2**512) <= 1 - ref.upper(), (y, cutoff)
+                assert 1 - ref.lower() <= F(s + err, 2**512), (y, cutoff)
+                assert err <= 2 ** (512 - cutoff), (y, cutoff)
+
+    def test_rounding_dominates_at_a_narrow_fixed_point(self):
+        # at F = 24..40 bits the floors and their growth through the
+        # doublings make the width; F - 2h is cos_approx's cutoff for |x| < 1
+        for x in (F(1, 10), F(-1, 10), F(1), F(3), F(-5), F(10)):
+            for frac_bits in (24, 32, 40):
+                ref = cos_full_precision(BoundedReal.exact(x, 8), frac_bits + 64)
+                one = 2**frac_bits
+                for halvings in range(int(abs(x)).bit_length(), 7):
+                    s, err = _versine_series(x, halvings, frac_bits,
+                                             frac_bits - 2 * halvings)
+                    s, err = _versine_doubled(s, err, frac_bits, halvings)
+                    assert F(one - s - err, one) <= ref.lower(), (x, frac_bits, halvings)
+                    assert ref.upper() <= F(one - s + err, one), (x, frac_bits, halvings)
+
+    def test_doubling_an_exact_versine(self):
+        # from an error of 0 the count is the floors' alone
+        rng = random.Random(1515)
+        for frac_bits in (24, 32, 40):
+            one = 2**frac_bits
+            for _ in range(30):
+                s0, times = rng.randrange(1, 2 * one), rng.randint(1, 8)
+                exact = F(s0, one)
+                for _ in range(times):
+                    exact = 2 * exact * (2 - exact)
+                s, err = _versine_doubled(s0, 0, frac_bits, times)
+                assert abs(exact - F(s, one)) <= F(err, one), (s0, times)
+
+    def test_the_widest_fixed_point_against_square_roots(self):
+        # 16,384 bits: h = 91 and F = 16,596
+        for n, square in ((2, F(1, 2)), (3, F(3, 4))):
+            res = cos_approx(pi_constant(16400) * F(1, 2 * n), 16384)
+            lo, hi = sqrt_bracket(square, 16384 + 64)
+            assert res.lower() <= lo and hi <= res.upper(), n
+            assert res.abs_error < F(1, 2**16380), n
 
 
 def ln_ball(y: F, bits: int) -> BoundedReal:
@@ -540,6 +589,17 @@ class TestExtremeParameters:
         target = F("-0.80901699437494742410229341718281905886015458990")
         res = cos_approx(pi_constant(80) * F(12, 10), 64)
         assert res.lower() - self.SLACK <= target <= res.upper() + self.SLACK
+
+    def test_cos_of_large_arguments_by_periodicity(self):
+        # h grows with |x|, so that x / 2^h < 1; the reference reduces x by
+        # 2 pi k first, with pi to 320 bits
+        pi = pi_constant(320)
+        for x in (F(1000), F(-12345 * 7 + 1, 7), F(2**40 + 1, 3), F(-(10**15))):
+            k = round(x / (2 * pi.value))
+            ref = cos_full_precision(BoundedReal.exact(x, 320) - 2 * k * pi, 128)
+            res = cos_approx(BoundedReal.exact(x, 128), 128)
+            assert res.overlaps(ref), x
+            assert res.abs_error <= F(1, 2**125), x
 
     def test_rearrangement_near_one(self):
         target = F("4.16357812493601978035167932997590356560778217170")

@@ -238,21 +238,6 @@ class TestRoundingOracle:
         expected = round_reference(F(1, 9), 64, 2 * F(1, 3) * F(1, 7) + F(1, 49))
         assert (c.value, c.abs_error) == expected
 
-    def test_magnitude_test_matches_magnitude_upper(self):
-        rng = random.Random(2026)
-        for _ in range(500):
-            b = _random_operand(rng)
-            if not isinstance(b, BoundedReal):
-                b = BoundedReal.exact(b, 64)
-            mag = b.magnitude_upper()
-            if mag == 0:
-                continue
-            e = mag.numerator.bit_length() - mag.denominator.bit_length() + rng.randint(-1, 1)
-            assert b.magnitude_at_most_pow2(e) == (mag <= F(2) ** e)
-        # the boundary itself: 3/4 + 1/4 is exactly 2**0
-        assert BoundedReal(F(3, 4), F(1, 4), 64).magnitude_at_most_pow2(0)
-        assert not BoundedReal(F(-3, 4), F(1, 3), 64).magnitude_at_most_pow2(0)
-
     def test_immutable_and_hashable(self):
         b = real_from_rational(F(1, 3), 64)
         with pytest.raises(AttributeError):

@@ -47,6 +47,10 @@ README_COMMANDS = {
 # before the cosine halved its argument and doubled back
 OLD_COSINE_4096_3_2 = ("    cosine                  0.5  2.9e-1236"
                        "                  0.5                  0.5")
+# and as the versine in ball arithmetic printed it, before the cosine ran on
+# one scaled integer
+OLD_BALL_COSINE_4096_3_2 = ("    cosine                  0.5  3.3e-1238"
+                            "                  0.5                  0.5")
 
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
@@ -68,13 +72,24 @@ def test_readme_examples_are_what_the_package_does(capsys):
     assert shown == list(README_COMMANDS.values())[:5]
 
 
-def test_tightened_cosine_lies_inside_the_old_one(capsys):
-    def interval(row):
-        _, value, bound = row.split()[:3]
-        return Fraction(value) - Fraction(bound), Fraction(value) + Fraction(bound)
+def _interval(row):
+    _, value, bound = row.split()[:3]
+    return Fraction(value) - Fraction(bound), Fraction(value) + Fraction(bound)
 
+
+def _cosine_row_4096_3_2(capsys):
     assert cli.main(README_COMMANDS["verify-4096-3-2"]) == cli.EXIT_OK
-    row = next(line for line in capsys.readouterr().out.splitlines()
-               if line.split()[:1] == ["cosine"])
-    (lo, hi), (old_lo, old_hi) = interval(row), interval(OLD_COSINE_4096_3_2)
+    return next(line for line in capsys.readouterr().out.splitlines()
+                if line.split()[:1] == ["cosine"])
+
+
+def test_tightened_cosine_lies_inside_the_old_one(capsys):
+    (lo, hi), (old_lo, old_hi) = (_interval(_cosine_row_4096_3_2(capsys)),
+                                  _interval(OLD_COSINE_4096_3_2))
+    assert old_lo < lo <= hi < old_hi
+
+
+def test_fixed_point_cosine_lies_inside_the_ball_one(capsys):
+    (lo, hi), (old_lo, old_hi) = (_interval(_cosine_row_4096_3_2(capsys)),
+                                  _interval(OLD_BALL_COSINE_4096_3_2))
     assert old_lo < lo <= hi < old_hi
