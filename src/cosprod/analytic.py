@@ -13,11 +13,14 @@ Everything here evaluates one of the three routes to the same number,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos and decimal's correctly rounded exp).  All heavy
-summations, and the cosine's series and doublings, run in scaled-integer
-arithmetic with floor divisions, so every intermediate is exact and the
-accumulated rounding is counted in ulps; the product multiplies blocks of
-_PRODUCT_BLOCK factors exactly in small integers and floors once per
-block, so it counts one ulp per block.  Every
+summations, the coefficient series, and the cosine's series and doublings
+run in scaled-integer arithmetic with floor divisions, so every
+intermediate is exact and the accumulated rounding is counted in ulps
+(the coefficient series counts a constant 2 ulps per term); the product
+multiplies blocks of _PRODUCT_BLOCK factors exactly in small integers and
+floors once per block, so it counts one ulp per block.  The column order
+of the rearrangement is one exact rational sum.  No route adds, subtracts
+or divides balls, or multiplies two balls.  Every
 tail is bounded by an integral or geometric comparison that is stated at
 the point of use; the series route takes its tail and its input slope from
 64-bit outward bounds on x and pi (``_series_bounds``), so no bound
@@ -30,7 +33,7 @@ sound by construction.
 Precision follows accuracy: the series route needs only as many bits as
 its truncation tail leaves, and exp only as many as its input's error
 leaves, so both work at ``_working_bits``, at most _GUARD_BITS past that
-accuracy (Arb does the same, arXiv:1611.02831).  Every ball operation and
+accuracy (Arb does the same, arXiv:1611.02831).  The series' count and
 decimal's exp are sound at any precision, so the working precision moves
 only the width: the extra rounding is a small multiple of 2^-_GUARD_BITS
 of the error the result already carries, which the 8-bit round-up of that
@@ -355,6 +358,29 @@ def _series_bounds(x_up: Fraction, pi_low: Fraction,
     return tail, 10 * x_hi / (pi_lo * pi_lo * gap)
 
 
+def _coefficient_sum(x: Fraction, order: int, frac_bits: int) -> tuple[int, int]:
+    """(S, e) with 0 <= 2^F sum_{m=1..order} c_m x^(2m) / m - S < e = 2 order.
+
+    F = frac_bits and |x| < pi/2.  u = x^2 2^F is floored once, P_0 = 2^F and
+    P_m = floor(P_(m-1) u / 2^F) stand for x^(2m) 2^F, and term m is
+    floor(P_m c_m / m), taken from c_m's numerator and denominator.  P_m is
+    less than m x^(2m-2) + sum_(0<=i<m) x^(2i) ulps low: step m loses
+    less than x^(2m-2) to the floor of u and less than 1 to its own floor,
+    and multiplies what step m - 1 lost by at most x^2.  So term m is less
+    than c_m x^(2m-2) + (1/m) sum_(0<=i<m) c_m x^(2i) + 1 ulps low.  Here
+    c_m x^(2m-2) = lambda(2m) (4/pi^2) r^(m-1) <= 1/2, as lambda(2m) <=
+    pi^2/8 and r = (2x/pi)^2 < 1, and c_m <= 1/2, so each c_m x^(2i),
+    i < m, is at most 1/2 too: each term is under 2 ulps low, and none is
+    high.
+    """
+    u = (x.numerator ** 2 << frac_bits) // x.denominator ** 2
+    power, total = 1 << frac_bits, 0
+    for m, c in enumerate(lambda_coefficients(order).coeffs, start=1):
+        power = power * u >> frac_bits
+        total += power * c.numerator // (m * c.denominator)
+    return total, 2 * order
+
+
 def neg_log_product_series(x: BoundedReal, order: int,
                            precision_bits: int) -> BoundedReal:
     """Evaluate sum_{m=1..order} c_m x^(2m) / m with a rigorous tail.
@@ -369,32 +395,38 @@ def neg_log_product_series(x: BoundedReal, order: int,
     (``_series_bounds``); the domain check compares them exactly, with
     pi_low at the full precision_bits + 16.
 
-    The tail depends only on r and order, so it is known before the loop,
-    and the loop runs at work = ``_working_bits(precision_bits, tail)``
-    bits, which is at most G = _GUARD_BITS past floor(-log2 tail).  Every
-    ball operation is sound at any precision, so this moves only the
-    width.  Each rounding adds at most 2^(1-work) < 2^(2-G) tail of its
-    result; the powers of x^2 gain one rounding per step, so the loop adds
-    about (order + 2) 2^(2-G) S tail in all, S = -log cos x.  That is below
-    2^-21 of the tail for order 40 and S < 8, and the 8-bit round-up of
-    the result absorbs it (at worst it grows the bound by one 2^-7 step).
+    The tail depends only on r and order, so it is known before the sum,
+    which ``_coefficient_sum`` takes on one fixed point of F = work + 2z
+    bits: work = ``_working_bits(precision_bits, tail)`` is at most
+    G = _GUARD_BITS past floor(-log2 tail), and z = bitlen(den) -
+    bitlen(num) for x = num/den, or 0 if that is negative.  For |x| < 1
+    that counts the zero bits of |x| before its leading one, the units bit
+    included: 2^-z <= |x| for a dyadic x, as the verify route's is, and
+    2^-z < 2 |x| for any x.  The sum is less than 2 order ulps 2^-F low at
+    any F, so F moves only the width.  As S = -log cos x >= x^2 / 2, those
+    ulps are at most 16 order 2^-work S, and 4 order 2^-work S for a dyadic
+    x.  Where work is fitted to the tail, that is below order 2^(5-G) S
+    tail: under 2^-18 of the tail for order 40 and S < 8, which the 8-bit
+    round-up of the result absorbs (at worst it grows the bound by one 2^-7
+    step).  Where work is precision_bits + 16, it is below order 2^-13 of
+    the final rounding cap, at least S 2^-(precision_bits+1), for a dyadic
+    x: one 2^-7 step at most up to order 64.  At x = 0 the sum is exactly
+    0, as is the tail.
     """
     if order < 1:
         raise ValueError("order must be at least 1")
     check_precision(precision_bits)
     pi_low = pi_constant(precision_bits + 16).lower()
     tail, slope = _series_bounds(x.magnitude_upper(), pi_low, order)
-    work = _working_bits(precision_bits, tail)
-    x0 = BoundedReal(x.value, Fraction(0), work)
-    x2 = x0 * x0
-    power = BoundedReal.exact(1, work)
-    total = BoundedReal.exact(0, work)
-    for m, c in enumerate(lambda_coefficients(order).coeffs, start=1):
-        power = power * x2
-        total = total + power * (c / m)
-
-    return real_from_rational(total.value, precision_bits,
-                              total.abs_error + tail + slope * x.abs_error)
+    err = tail + slope * x.abs_error
+    v = x.value
+    if not v:  # the sum is exactly 0, where the count would not be
+        return real_from_rational(0, precision_bits, err)
+    zeros = max(v.denominator.bit_length() - abs(v.numerator).bit_length(), 0)
+    frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
+    total, ulps = _coefficient_sum(v, order, frac_bits)
+    return real_from_rational(Fraction(total, 1 << frac_bits), precision_bits,
+                              err + Fraction(ulps, 1 << frac_bits))
 
 
 # ----------------------------------------------------------------------
@@ -608,19 +640,17 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         Fraction((err_ulps << 16) + tail_units, one << 16) + rows_tail)
 
     # --- column order: m-th column is lambda(2m) / (m n^2m) -------------
+    # the columns' values and bounds (rounding plus tail), each weighted by
+    # qn^2m / (m pn^2m), summed exactly and rounded once
     work = precision_bits + 16
-    col = BoundedReal.exact(0, work)
-    n_pow = Fraction(1)
-    n_sq = Fraction(pn * pn, qn2)
+    col = col_err = Fraction(0)
     for m in range(1, series_order + 1):
-        n_pow *= n_sq
         est = lambda_direct(m, num_rows, work)
-        widened = BoundedReal(est.value.value,
-                              est.value.abs_error + est.tail_bound, work)
-        col = col + widened * Fraction(1, m) / n_pow
-    col_tail = _coefficient_tail(1 / n_sq, series_order)
-    col_sum = real_from_rational(col.value, precision_bits,
-                                 col.abs_error + col_tail)
+        weight = Fraction(qn2 ** m, m * pn ** (2 * m))
+        col += est.value.value * weight
+        col_err += (est.value.abs_error + est.tail_bound) * weight
+    col_tail = _coefficient_tail(Fraction(qn2, pn * pn), series_order)
+    col_sum = real_from_rational(col, precision_bits, col_err + col_tail)
 
     return RearrangementReport(
         row_sum=row_sum,

@@ -236,7 +236,9 @@ class BoundedReal:
         return _fraction(_add(self._v, self._e))
 
     def overlaps(self, other: "BoundedReal") -> bool:
-        return self.lower() <= other.upper() and other.lower() <= self.upper()
+        """Whether |v1 - v2| <= e1 + e2: the sign of one triple, no Fraction."""
+        gap = _add(_add(self._e, other._e), _neg(_abs(_add(self._v, _neg(other._v)))))
+        return gap[0] >= 0
 
     def magnitude_upper(self) -> Fraction:
         """Upper bound on |truth|."""

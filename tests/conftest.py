@@ -9,6 +9,7 @@ provably contains the target.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -96,6 +97,38 @@ def tangent_numbers(m_max: int) -> list[int]:
         for j in range(k, m_max + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
     return t[1:]
+
+
+@functools.lru_cache(maxsize=None)
+def _tangent_prefix(m_max: int) -> tuple[int, ...]:
+    return tuple(tangent_numbers(m_max))
+
+
+def coefficient_sums_exact(x: Fraction, orders) -> dict[int, tuple[int, int]]:
+    """sum_{m<=M} c_m x^(2m) / m for each M in orders, as unreduced (num, den).
+
+    c_m = T_m / (2 (2m-1)!) with T_m from ``tangent_numbers``, so no
+    coefficient comes from the recurrence under test.  With x = p/q and
+    K = (2M-1)! M, a multiple of every (2m-1)! m for m <= M, the sum is
+    sum_m T_m p^(2m) q^(2M-2m) K / ((2m-1)! m), over 2 K q^(2M), with no
+    gcd taken (as in ``coefficient_tail_exact``).
+    """
+    x = Fraction(x)
+    p2, q2 = x.numerator ** 2, x.denominator ** 2
+    tangents = _tangent_prefix(max(orders))
+    sums = {}
+    for order in orders:
+        k = math.factorial(2 * order - 1) * order
+        terms, fact = [], 1  # fact = (2m-1)!
+        for m, t in enumerate(tangents[:order], start=1):
+            terms.append(t * (k // (fact * m)))
+            fact *= 2 * m * (2 * m + 1)
+        num, q_pow = 0, 1  # Horner in p^2, from m = M down
+        for a in reversed(terms):
+            num = num * p2 + a * q_pow
+            q_pow *= q2
+        sums[order] = num * p2, 2 * k * q_pow
+    return sums
 
 
 def partial_products_exact(n: Fraction, counts) -> dict[int, Fraction]:

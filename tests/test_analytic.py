@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,6 +8,7 @@ from cosprod.analytic import (
     _MAX_ROW_WORK,
     _ROW_PASS_BITS,
     DomainError,
+    _coefficient_sum,
     _coefficient_tail,
     _product_log_tail,
     _row_one_steps,
@@ -24,6 +26,7 @@ from cosprod.analytic import (
 from cosprod.arith import BoundedReal, PrecisionError, WorkBudgetError, pi_constant
 from cosprod.recurrence import lambda_closed_form
 from conftest import (
+    coefficient_sums_exact,
     coefficient_tail_exact,
     contains,
     cos_full_precision,
@@ -31,6 +34,7 @@ from conftest import (
     ln_bracket,
     neg_log_series_full_precision,
     partial_products_exact,
+    pi_bracket,
     product_log_tail_reference,
     sqrt_bracket,
 )
@@ -202,6 +206,43 @@ class TestNegLogProductSeries:
         blurred = neg_log_product_series(wide, 30, 128)
         assert blurred.abs_error > F(1, 10**7)
         assert contains(blurred, narrow.value)
+
+
+class TestCoefficientSum:
+    """The series' fixed point against ``conftest.coefficient_sums_exact``:
+    0 <= 2^F sum - S < e, the count ``_coefficient_sum`` returns."""
+
+    FRAC_BITS = (8, 12, 16, 24, 32, 64)
+    ORDERS = (1, 2, 5, 20, 40, 100, 300)
+
+    def test_count_against_the_exact_partial_sums(self):
+        rng = random.Random(1616)
+        # pi/2 rounded down to 60 bits, from the oracle's own pi
+        half_pi = F(math.floor(pi_bracket()[0] * 2**59), 2**60)
+        general = [rng.choice((-1, 1)) * x for x in
+                   [F(rng.randrange(1, half_pi.numerator), 2**60) for _ in range(20)]
+                   + [F(rng.randint(10**6, 10**12), 10**18) for _ in range(6)]
+                   + [half_pi - F(rng.randint(0, 10**6), 10**12) for _ in range(6)]]
+        cases = [(x, self.FRAC_BITS) for x in general]
+        for frac_bits in self.FRAC_BITS:
+            # x^2 2^F just below an integer k, so the floor of u loses most of an ulp
+            s = frac_bits + 30
+            for _ in range(4):
+                k = rng.randint(2, math.floor(half_pi**2 * 2**frac_bits))
+                cases.append((F(math.isqrt(k << (2 * s - frac_bits)), 1 << s),
+                              (frac_bits,)))
+        count, worst = 0, 0  # worst: the largest low / ulps, in units of 2^-16
+        for x, frac_bits_list in cases:
+            sums = coefficient_sums_exact(x, self.ORDERS)
+            for frac_bits in frac_bits_list:
+                for order, (num, den) in sums.items():
+                    total, ulps = _coefficient_sum(x, order, frac_bits)
+                    low = (num << frac_bits) - total * den  # 2^F sum - S, times den
+                    assert 0 <= low < ulps * den, (x, frac_bits, order)
+                    worst = max(worst, (low << 16) // (ulps * den))
+                    count += 1
+        # the cases reach past half the count, so a count of order would not hold
+        assert count >= 1500 and worst >= 1 << 15
 
 
 class TestCoefficientTail:
@@ -554,6 +595,32 @@ class TestRearrangement:
         assert self.row_one_work(F(123, 122), shift) > _MAX_ROW_WORK
         assert self.row_one_work(F(100000001, 100000000), 40) > _MAX_ROW_WORK
         assert rearrangement_check(F(3, 2), 1, 1, 16384).overlap
+
+
+class TestNoBallArithmetic:
+    def test_the_routes_reach_no_ball_operator(self, monkeypatch):
+        # the series, both orders of rearrangement_check and the identity
+        # sum in scaled integers or exact rationals: no ball +, -, / and no
+        # ball-by-ball *; scaling a ball by an exact rational stays
+        def refuse(*args):
+            raise AssertionError("a ball operator was reached")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__truediv__"):
+            monkeypatch.setattr(BoundedReal, name, refuse)
+        scale = BoundedReal.__mul__
+
+        def scale_only(self, other):
+            if isinstance(other, BoundedReal):
+                refuse()
+            return scale(self, other)
+
+        monkeypatch.setattr(BoundedReal, "__mul__", scale_only)
+        for n in (F(11, 10), F(3, 2), F(3), F(1000)):
+            for bits in (8, 128, 1024):
+                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                assert neg_log_product_series(x, 30, bits).value > 0
+                assert rearrangement_check(n, 50, 10, bits).overlap
+                assert verify_identity(n, 100, 30, bits).verdict
 
 
 class TestExtremeParameters:

@@ -231,6 +231,38 @@ class TestRoundingOracle:
             assert (b.value, b.abs_error) == round_reference(r, 8, 0, True)
         assert real_from_rational(F(-256), 8, floor=True).abs_error == 0
 
+    def test_overlaps_against_the_interval_ends(self):
+        # overlaps reads the sign of e1 + e2 - |v1 - v2| off triples; it must
+        # give the verdict of the Fraction ends, lower() <= other.upper() and
+        # the other way round, also for touching and one-ulp-apart balls
+        rng = random.Random(1717)
+        verdicts = set()
+        for case in range(600):
+            a = _random_operand(rng)
+            if not isinstance(a, BoundedReal):
+                a = BoundedReal(a, F(1, 3), 64)
+            e = abs(_random_rational(rng, rng.random() < 0.5)) * rng.choice([0, 1])
+            top = a.upper()
+            # about one ulp of a's upper end at a's precision
+            ulp = F(2) ** (top.numerator.bit_length() - top.denominator.bit_length()
+                           - a.precision_bits)
+            kind = case % 3
+            if kind == 0:
+                b = _random_operand(rng)
+                if not isinstance(b, BoundedReal):
+                    b = BoundedReal(b, abs(_random_rational(rng, False)), 64)
+            elif kind == 1:  # b's lower end is a's upper end
+                b = BoundedReal(top + e, e, 64)
+            else:  # b's lower end one ulp above a's upper end
+                b = BoundedReal(top + ulp + e, e, 64)
+            ends = a.lower() <= b.upper() and b.lower() <= a.upper()
+            assert a.overlaps(b) == b.overlaps(a) == ends, (a, b)
+            if kind:
+                assert ends == (kind == 1), (a, b)
+            else:
+                verdicts.add(ends)
+        assert verdicts == {True, False}
+
     def test_non_dyadic_error_is_carried_exactly(self):
         b = BoundedReal(F(1, 3), F(1, 7), 64)
         assert (b.value, b.abs_error) == (F(1, 3), F(1, 7))

@@ -51,6 +51,12 @@ OLD_COSINE_4096_3_2 = ("    cosine                  0.5  2.9e-1236"
 # one scaled integer
 OLD_BALL_COSINE_4096_3_2 = ("    cosine                  0.5  3.3e-1238"
                             "                  0.5                  0.5")
+# the column_order rows of the two rearrange runs as the column order printed
+# them when it summed its columns in ball arithmetic, before one exact sum
+OLD_BALL_COLUMNS = {
+    "rearrange": "column_order  0.14381  3.1e-05  0.14378  0.14384",
+    "rearrange-1000": "column_order  1.1738  7.0e-04  1.1731  1.1745",
+}
 
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
@@ -77,19 +83,26 @@ def _interval(row):
     return Fraction(value) - Fraction(bound), Fraction(value) + Fraction(bound)
 
 
-def _cosine_row_4096_3_2(capsys):
-    assert cli.main(README_COMMANDS["verify-4096-3-2"]) == cli.EXIT_OK
+def _row(name, method, capsys):
+    assert cli.main(README_COMMANDS[name]) == cli.EXIT_OK
     return next(line for line in capsys.readouterr().out.splitlines()
-                if line.split()[:1] == ["cosine"])
+                if line.split()[:1] == [method])
 
 
 def test_tightened_cosine_lies_inside_the_old_one(capsys):
-    (lo, hi), (old_lo, old_hi) = (_interval(_cosine_row_4096_3_2(capsys)),
+    (lo, hi), (old_lo, old_hi) = (_interval(_row("verify-4096-3-2", "cosine", capsys)),
                                   _interval(OLD_COSINE_4096_3_2))
     assert old_lo < lo <= hi < old_hi
 
 
 def test_fixed_point_cosine_lies_inside_the_ball_one(capsys):
-    (lo, hi), (old_lo, old_hi) = (_interval(_cosine_row_4096_3_2(capsys)),
+    (lo, hi), (old_lo, old_hi) = (_interval(_row("verify-4096-3-2", "cosine", capsys)),
                                   _interval(OLD_BALL_COSINE_4096_3_2))
+    assert old_lo < lo <= hi < old_hi
+
+
+@pytest.mark.parametrize("name", sorted(OLD_BALL_COLUMNS))
+def test_exact_column_sum_lies_inside_the_ball_one(name, capsys):
+    (lo, hi), (old_lo, old_hi) = (_interval(_row(name, "column_order", capsys)),
+                                  _interval(OLD_BALL_COLUMNS[name]))
     assert old_lo < lo <= hi < old_hi
