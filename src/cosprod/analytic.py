@@ -22,9 +22,10 @@ floors once per block, so it counts one ulp per block.  The column order
 of the rearrangement is one exact rational sum.  No route adds, subtracts
 or divides balls, or multiplies two balls.  Every
 tail is bounded by an integral or geometric comparison that is stated at
-the point of use; the series route takes its tail and its input slope from
-64-bit outward bounds on x and pi (``_series_bounds``), so no bound
-multiplies or divides rationals of thousands of bits.  Each result is
+the point of use; the series route takes its tail at the exact ratio
+r = 1/n^2, as the rearrangement's column order does, and the step from its
+ball of pi/2n to the point itself from a 64-bit pi, so no bound multiplies
+or divides rationals of thousands of bits.  Each result is
 rounded to the requested precision by
 :func:`~cosprod.arith.real_from_rational`, which adds the carried error to
 the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals are
@@ -310,52 +311,19 @@ def product_trace(n: _RationalLike, num_factors: int,
 # the coefficient series for -log of the product
 # ----------------------------------------------------------------------
 
-def _coefficient_tail(r: Fraction, order: int,
-                      gap: Optional[Fraction] = None) -> Fraction:
-    """Bound on sum_{m>order} lambda(2m) s^m / m for 0 <= s <= r, s < 1.
+def _coefficient_tail(r: Fraction, order: int) -> Fraction:
+    """Bound on sum_{m>order} lambda(2m) r^m / m for 0 <= r < 1.
 
     lambda(2m) <= lambda(2) = pi^2/8 < 5/4 (since pi^2 < 10), and
     1/m <= 1/(order+1), so the sum is at most the geometric series
-    (5/4) s^(order+1) / ((order+1)(1-s)), increasing in s.  The power is
-    taken of r_up = real_from_rational(r, 64).upper() >= r, and 1 - s is
-    replaced by gap, a positive lower bound on 1 - s that defaults to the
-    exact 1 - r (for r < 1); with gap given, r may reach 1.
+    (5/4) r^(order+1) / ((order+1)(1-r)).  The power is taken of
+    r_up = real_from_rational(r, 64).upper() >= r, and 1 - r exactly, so
+    the bound holds however near 1 r is, though r_up reaches 1 there.
     r_up <= r (1 + 2^-62) loosens the bound by less than 2^-50 relative
     for order < 2047, far below the 8-bit round-up that follows.
     """
     r_up = real_from_rational(r, 64).upper()
-    if gap is None:
-        gap = 1 - r
-    return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * gap)
-
-
-def _series_bounds(x_up: Fraction, pi_low: Fraction,
-                   order: int) -> tuple[Fraction, Fraction]:
-    """(tail, slope) of the coefficient series for |x| <= x_up.
-
-    pi_low <= pi, so r = (2 x / pi)^2 <= (2 x_up / pi_low)^2, and the tail
-    is ``_coefficient_tail`` at that ratio; the slope bounds
-    |d/dx sum| <= 10 x_up / (pi_low^2 (1 - r)).  Both come from 64-bit
-    outward bounds, each within 2^-62 relative of its exact value:
-    x_hi >= x_up and pi_lo <= pi_low, so 4 x_hi^2 / pi_lo^2 >= r.  The
-    distance 1 - r must not come from that rounded ratio, which reaches 1
-    once r is within 2^-61 of it.  It comes from the exact gap
-    d = pi_low - 2 x_up instead: 1 - r = d (2 pi_low - d) / pi_low^2,
-    which grows with d and falls with pi_low (for pi_low > d), so d rounded
-    down and pi_low rounded up give a lower bound on it, loose by less
-    than 2^-60 relative, with no cancellation however near 1 r is.
-    Raises DomainError unless x_up < pi_low / 2.
-    """
-    d = pi_low - 2 * x_up
-    if d <= 0:
-        raise DomainError("the series requires |x| strictly below pi/2")
-    x_hi = real_from_rational(x_up, 64).upper()
-    pi64 = real_from_rational(pi_low, 64)
-    pi_lo, pi_hi = pi64.lower(), pi64.upper()
-    d_lo = real_from_rational(d, 64).lower()
-    gap = d_lo * (2 * pi_hi - d_lo) / (pi_hi * pi_hi)
-    tail = _coefficient_tail(4 * x_hi * x_hi / (pi_lo * pi_lo), order, gap)
-    return tail, 10 * x_hi / (pi_lo * pi_lo * gap)
+    return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * (1 - r))
 
 
 def _coefficient_sum(x: Fraction, order: int, frac_bits: int) -> tuple[int, int]:
@@ -381,52 +349,67 @@ def _coefficient_sum(x: Fraction, order: int, frac_bits: int) -> tuple[int, int]
     return total, 2 * order
 
 
-def neg_log_product_series(x: BoundedReal, order: int,
+def neg_log_product_series(n: _RationalLike, order: int,
                            precision_bits: int) -> BoundedReal:
-    """Evaluate sum_{m=1..order} c_m x^(2m) / m with a rigorous tail.
+    """Evaluate sum_{m=1..order} c_m x^(2m) / m at x = pi/(2n), with a bound.
 
-    This is the series whose exact sum is -log cos x for |x| < pi/2; the
-    domain check is performed against a certified lower bound on pi.  The
-    terms are c_m x^(2m) / m = lambda(2m) r^m / m with r = (2x/pi)^2, so the
-    truncation tail is ``_coefficient_tail``; when x carries
-    its own uncertainty, the derivative bound
-    |d/dx sum| <= 10 x_up / (pi^2 (1 - r)) converts it into output error.
-    Both bounds are taken from 64-bit outward bounds on x_up and pi_low
-    (``_series_bounds``); the domain check compares them exactly, with
-    pi_low at the full precision_bits + 16.
+    This is the series whose exact sum is -log cos(pi/2n), the -log of the
+    product, for n > 1; n <= 1 raises DomainError.  Its terms are
+    c_m x^(2m) / m = lambda(2m) r^m / m with r = (2x/pi)^2 = 1/n^2 exactly,
+    so the truncation tail is ``_coefficient_tail(1/n^2, order)``, the
+    column order's own call.
 
-    The tail depends only on r and order, so it is known before the sum,
+    The sum is taken at X = pi_constant(precision_bits + 16) / (2n), a ball
+    of radius E about pi/2n.  Every term of the truncated sum is even and
+    positive, so between X's value and pi/2n its derivative is at most
+    tan xi = sum_m 2 c_m xi^(2m-1) = (2/xi) sum_m lambda(2m) rho^m, for some
+    xi with |xi| <= pi/2n + E and rho = (2 xi/pi)^2; by lambda(2m) < 5/4
+    that is at most 10 xi / (pi^2 (1 - rho)).  With pi_lo =
+    pi_constant(64).lower() <= pi and s = 1/n + 2E/pi_lo, rho <= s^2 and
+    10 xi / pi^2 = (5/pi)(2 xi/pi) <= 5 s / pi_lo, so the step from X to
+    pi/2n moves the sum by at most E 5 s / (pi_lo (1 - s^2)).  1 - s^2 is
+    exact, as a 64-bit s would reach 1 for n within 2^-62 of 1.  Where
+    1 - s^2 <= 0 the ball of X may reach pi/2, and no bound follows: that is
+    a precision too low for an n so near 1, and raises PrecisionError.
+    s < 1 also keeps X's value below pi/2, as ``_coefficient_sum`` asks.
+
+    The tail depends only on n and order, so it is known before the sum,
     which ``_coefficient_sum`` takes on one fixed point of F = work + 2z
     bits: work = ``_working_bits(precision_bits, tail)`` is at most
     G = _GUARD_BITS past floor(-log2 tail), and z = bitlen(den) -
-    bitlen(num) for x = num/den, or 0 if that is negative.  For |x| < 1
-    that counts the zero bits of |x| before its leading one, the units bit
-    included: 2^-z <= |x| for a dyadic x, as the verify route's is, and
-    2^-z < 2 |x| for any x.  The sum is less than 2 order ulps 2^-F low at
-    any F, so F moves only the width.  As S = -log cos x >= x^2 / 2, those
-    ulps are at most 16 order 2^-work S, and 4 order 2^-work S for a dyadic
-    x.  Where work is fitted to the tail, that is below order 2^(5-G) S
-    tail: under 2^-18 of the tail for order 40 and S < 8, which the 8-bit
+    bitlen(num) for X's value num/den, or 0 if that is negative.  That
+    counts the zero bits of X before its leading one, the units bit
+    included, so 2^-z <= X for the dyadic X.  The sum is less than
+    2 order ulps 2^-F low at any F, so F moves only the width.  As
+    S = -log cos X >= X^2 / 2, those ulps are at most 4 order 2^-work S.
+    Where work is fitted to the tail, that is below order 2^(3-G) S tail:
+    under 2^-20 of the tail for order 40 and S < 8, which the 8-bit
     round-up of the result absorbs (at worst it grows the bound by one 2^-7
     step).  Where work is precision_bits + 16, it is below order 2^-13 of
-    the final rounding cap, at least S 2^-(precision_bits+1), for a dyadic
-    x: one 2^-7 step at most up to order 64.  At x = 0 the sum is exactly
-    0, as is the tail.
+    the final rounding cap, at least S 2^-(precision_bits+1): one 2^-7 step
+    at most up to order 64.
     """
+    n = Fraction(n)
     if order < 1:
         raise ValueError("order must be at least 1")
     check_precision(precision_bits)
-    pi_low = pi_constant(precision_bits + 16).lower()
-    tail, slope = _series_bounds(x.magnitude_upper(), pi_low, order)
-    err = tail + slope * x.abs_error
+    if n <= 1:
+        raise DomainError("the series requires n > 1")
+    pn, qn = n.numerator, n.denominator
+    x = pi_constant(precision_bits + 16) * Fraction(qn, 2 * pn)
+    pi_lo = pi_constant(64).lower()
+    s = Fraction(qn, pn) + 2 * x.abs_error / pi_lo
+    gap = 1 - s * s
+    if gap <= 0:
+        raise PrecisionError("pi/(2n) is not certified below pi/2")
+    tail = _coefficient_tail(Fraction(qn * qn, pn * pn), order)
+    step = x.abs_error * 5 * s / (pi_lo * gap)
     v = x.value
-    if not v:  # the sum is exactly 0, where the count would not be
-        return real_from_rational(0, precision_bits, err)
-    zeros = max(v.denominator.bit_length() - abs(v.numerator).bit_length(), 0)
+    zeros = max(v.denominator.bit_length() - v.numerator.bit_length(), 0)
     frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
     total, ulps = _coefficient_sum(v, order, frac_bits)
     return real_from_rational(Fraction(total, 1 << frac_bits), precision_bits,
-                              err + Fraction(ulps, 1 << frac_bits))
+                              tail + step + Fraction(ulps, 1 << frac_bits))
 
 
 # ----------------------------------------------------------------------
@@ -683,7 +666,7 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
                                  detail.total_bound())
     x = pi_constant(precision_bits + 16) * Fraction(n.denominator,
                                                     2 * n.numerator)
-    neg_log = neg_log_product_series(x, order, precision_bits + 8)
+    neg_log = neg_log_product_series(n, order, precision_bits + 8)
     log_series = exp_approx(-neg_log, precision_bits)
     cosine = cos_approx(x, precision_bits)
     verdict = (product.overlaps(log_series)

@@ -240,10 +240,6 @@ class BoundedReal:
         gap = _add(_add(self._e, other._e), _neg(_abs(_add(self._v, _neg(other._v)))))
         return gap[0] >= 0
 
-    def magnitude_upper(self) -> Fraction:
-        """Upper bound on |truth|."""
-        return _fraction(_add(_abs(self._v), self._e))
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: object) -> "BoundedReal":

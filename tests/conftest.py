@@ -213,15 +213,15 @@ def exp_full_precision(y, precision_bits: int):
     z = BoundedReal(y.value / (1 << halvings), 0, work)
     total = term = BoundedReal.exact(1, work)
     k = 0
-    while term.magnitude_upper() > Fraction(1, 2 ** (work + 8)):
+    while abs(term.value) + term.abs_error > Fraction(1, 2 ** (work + 8)):
         k += 1
         term = term * z / k
         total = total + term
-    remainder = 2 * term.magnitude_upper() * abs(z.value) / (k + 1)
+    remainder = 2 * (abs(term.value) + term.abs_error) * abs(z.value) / (k + 1)
     total = BoundedReal(total.value, total.abs_error + remainder, work)
     for _ in range(halvings):
         total = total * total
-    input_err = total.magnitude_upper() * y.abs_error / (1 - y.abs_error)
+    input_err = (abs(total.value) + total.abs_error) * y.abs_error / (1 - y.abs_error)
     return real_from_rational(total.value, precision_bits,
                               total.abs_error + input_err)
 
@@ -245,9 +245,10 @@ def cos_full_precision(x, precision_bits: int):
         total = total - term if k % 2 else total + term
         ratio_den = (2 * k + 1) * (2 * k + 2)
         if (x2_up < ratio_den
-                and term.magnitude_upper() <= Fraction(1, 2 ** (precision_bits + 8))):
+                and abs(term.value) + term.abs_error
+                <= Fraction(1, 2 ** (precision_bits + 8))):
             break
-    remainder = term.magnitude_upper() * x2_up / ratio_den
+    remainder = (abs(term.value) + term.abs_error) * x2_up / ratio_den
     return real_from_rational(total.value, precision_bits,
                               total.abs_error + remainder + x.abs_error)
 

@@ -12,7 +12,6 @@ from cosprod.analytic import (
     _coefficient_tail,
     _product_log_tail,
     _row_one_steps,
-    _series_bounds,
     _versine_doubled,
     _versine_series,
     cos_approx,
@@ -44,6 +43,34 @@ E_40 = F("2.7182818284590452353602874713526624977572")
 
 def pi_over(denom: int, bits: int = 192) -> BoundedReal:
     return pi_constant(bits) * F(1, denom)
+
+
+def neg_log_cos_bracket(n: F, bits: int, width: F) -> tuple[F, F]:
+    """(lo, hi) around -log cos(pi/2n), narrower than width by about 2^-24.
+
+    cos comes from ``cos_full_precision`` at bits + 64, and its ends are
+    rounded outward to P = floor(-log2 width) + 24 bits past c's scale.
+    ln c = ln(2^k c) - k ln 2, with k chosen so that 2^k c is near [1/2, 1]
+    and ``ln_bracket``'s u is at most about 1/3; each ``ln_bracket`` gets the
+    terms that leave its remainder below 2^-(P+2).
+    """
+    cos = cos_full_precision(pi_constant(bits + 80) * F(n.denominator, 2 * n.numerator),
+                             bits + 64)
+    c_lo, c_hi = cos.lower(), cos.upper()
+    assert c_lo > 0
+    k = max(0, c_hi.denominator.bit_length() - c_hi.numerator.bit_length() - 1)
+    p = max(0, width.denominator.bit_length() - width.numerator.bit_length()) + 24
+    scale = 1 << (p + k + 2)
+
+    def ln(r: F, extra: int = 0) -> tuple[F, F]:
+        u = (r - 1) / (r + 1)
+        g = max(1, u.denominator.bit_length() - abs(u.numerator).bit_length() - 1)
+        return ln_bracket(r, -(-(p + 3 + extra) // (2 * g)) + 1)
+
+    a_lo = F(math.floor(c_lo * scale) << k, scale)  # 2^k c_lo, rounded down
+    a_hi = F(-math.floor(-c_hi * scale) << k, scale)
+    ln2_lo, ln2_hi = ln(F(2), k.bit_length()) if k else (F(0), F(0))
+    return k * ln2_lo - ln(a_hi)[1], k * ln2_hi - ln(a_lo)[0]
 
 
 def pi_power_bracket(power: int, bits: int = 256) -> tuple[F, F]:
@@ -171,41 +198,55 @@ class TestPartialProduct:
 
 
 class TestNegLogProductSeries:
-    def test_zero_argument_is_exact_zero(self):
-        res = neg_log_product_series(BoundedReal.exact(0, 128), 10, 128)
-        assert res.value == 0
-        assert res.abs_error == 0
-
     def test_pi_sixth_matches_half_ln_four_thirds(self):
-        # -ln cos(pi/6) = -ln(sqrt(3)/2) = (1/2) ln(4/3)
-        res = neg_log_product_series(pi_over(6), 30, 128)
+        # n = 3: -ln cos(pi/6) = -ln(sqrt(3)/2) = (1/2) ln(4/3)
+        res = neg_log_product_series(3, 30, 128)
         lo, hi = ln_bracket(F(4, 3))
         assert res.lower() <= lo / 2 and hi / 2 <= res.upper()
         assert res.abs_error <= F(1, 10**8)
 
     def test_pi_quarter_matches_half_ln_two(self):
-        res = neg_log_product_series(pi_over(4), 60, 128)
+        # n = 2: -ln cos(pi/4) = (1/2) ln 2
+        res = neg_log_product_series(2, 60, 128)
         lo, hi = ln_bracket(F(2))
         assert res.lower() <= lo / 2 and hi / 2 <= res.upper()
 
     def test_rejects_at_and_beyond_half_pi(self):
+        # n = 1 puts x at pi/2, and n = 5/8 at 4 pi / 5
         with pytest.raises(DomainError):
-            neg_log_product_series(pi_over(2), 10, 128)
+            neg_log_product_series(1, 10, 128)
         with pytest.raises(DomainError):
-            neg_log_product_series(BoundedReal.exact(F(8, 5), 128), 10, 128)
+            neg_log_product_series(F(5, 8), 10, 128)
 
     def test_accepts_just_inside_domain(self):
-        x = pi_constant(192) * F(49, 100)
-        res = neg_log_product_series(x, 200, 64)
+        # x = pi/2n = 49 pi / 100
+        res = neg_log_product_series(F(50, 49), 200, 64)
         assert res.value > 0
 
-    def test_input_uncertainty_propagates(self):
-        x = pi_over(6)
-        wide = BoundedReal(x.value, x.abs_error + F(1, 10**6), x.precision_bits)
-        narrow = neg_log_product_series(x, 30, 128)
-        blurred = neg_log_product_series(wide, 30, 128)
-        assert blurred.abs_error > F(1, 10**7)
-        assert contains(blurred, narrow.value)
+    def test_contains_minus_log_cos_over_seeded_n(self):
+        # the truth oracle of the tail and the step from X to pi/2n: the
+        # interval holds a bracket of -log cos(pi/2n) itself.  Only an n so
+        # near 1 that X's ball reaches pi/2 may raise PrecisionError.
+        rng = random.Random(1717)
+        fixed = [1 + F(1, 10**4), 1 + F(1, 10**8), F(101, 100), F(11, 10),
+                 F(3, 2), F(2), F(3), F(7), F(100), F(10**6)]
+        cases = [(n, bits) for n in fixed for bits in (8, 16, 64, 128, 512, 1024)]
+        cases += [(rng.choice((1 + F(1, rng.randint(10, 10**4)),
+                               F(rng.randint(11, 400), 10),
+                               F(rng.randint(10**3, 10**6)))),
+                   rng.choice((8, 16, 64, 128, 512, 1024))) for _ in range(40)]
+        checked = 0
+        for n, bits in cases:
+            order = rng.randint(5, 40)
+            try:
+                res = neg_log_product_series(n, order, bits)
+            except PrecisionError:
+                assert n - 1 < F(1, 2**bits), (n, bits)
+                continue
+            lo, hi = neg_log_cos_bracket(n, bits, res.upper() - res.lower())
+            assert res.lower() <= lo and hi <= res.upper(), (n, order, bits)
+            checked += 1
+        assert checked >= 90
 
 
 class TestCoefficientSum:
@@ -250,9 +291,10 @@ class TestCoefficientTail:
         rng = random.Random(2024)
         ratios = [F(1, n * n) for n in [2, 3, 10**6] + [rng.randint(2, 10**6) for _ in range(5)]]
         ratios.append(1 - F(1, 2**70))
-        # (2x/pi)^2 as the 4096-bit verify at n = 11/10 bounds it
-        x_up = (pi_constant(4112) * F(10, 22)).magnitude_upper()
-        ratios.append(4 * x_up * x_up / pi_constant(4112).lower() ** 2)
+        # 1/n^2 as the series takes it at n = 11/10 and at n = 1 + 10^-21,
+        # where r rounds to 1 at 64 bits
+        ratios.append(F(100, 121))
+        ratios.append(1 / (1 + F(1, 10**21)) ** 2)
         for r in ratios:
             for order in (1, 5, 30, 40, 200, 400):
                 num, den = coefficient_tail_exact(r, order)
@@ -460,10 +502,11 @@ class TestWorkingPrecision:
         ns = [F(11, 10), F(3, 2), F(5)] + [F(rng.randint(21, 200), 20) for _ in range(3)]
         for n in ns:
             for bits in self.BITS:
-                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                # the ball X that the series takes at bits + 8
+                x = pi_constant(bits + 24) * F(n.denominator, 2 * n.numerator)
                 for order in (5, 30, 40):
                     full = neg_log_series_full_precision(x, order, bits + 8)
-                    self.assert_close(neg_log_product_series(x, order, bits + 8), full)
+                    self.assert_close(neg_log_product_series(n, order, bits + 8), full)
                     try:
                         full_exp = exp_full_precision(-full, bits)
                     except PrecisionError:
@@ -482,30 +525,26 @@ class TestWorkingPrecision:
 
 
     def test_series_prologue_near_and_far_from_half_pi(self):
-        # x_up and pi_low are rounded outward to 64 bits; at x within 2^-62
-        # of pi/2 the rounded ratio reaches 1, and 1 - r must still come
-        # from the exact gap
+        # the tail's power is of r = 1/n^2 rounded up to 64 bits; for n
+        # within 2^-62 of 1 that reaches 1, and 1 - r must still be exact
         rng = random.Random(3333)
         for case in range(32):
             bits = rng.choice((128, 512, 1024, 4096))
-            pi_low = pi_constant(bits + 16).lower()
             if case % 2:
-                value = pi_low / 2 - F(rng.randint(1, 2**20), 2 ** rng.randint(60, 120))
+                n = 1 + F(rng.randint(1, 2**20), 2 ** rng.randint(60, 120))
             else:
-                value = F(rng.randint(1, 2**20), 2**20)
-            x = BoundedReal(value, F(rng.randint(0, 3), 2 ** (bits + 8)), bits + 16)
+                n = 1 + F(rng.randint(1, 2**20), 2**14)
             order = rng.choice((5, 30, 40))
-            capped = neg_log_product_series(x, order, bits)
+            capped = neg_log_product_series(n, order, bits)
+            x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
             full = neg_log_series_full_precision(x, order, bits)
             assert contains(capped, full.value)
             self.assert_close(capped, full)
 
-            x_up = x.magnitude_upper()
-            r = 4 * x_up * x_up / (pi_low * pi_low)
-            tail, slope = _series_bounds(x_up, pi_low, order)
-            num, den = coefficient_tail_exact(r, order)
+            num, den = coefficient_tail_exact(1 / (n * n), order)
+            tail = _coefficient_tail(1 / (n * n), order)
             assert num * tail.denominator <= tail.numerator * den
-            assert slope >= 10 * x_up / (pi_low * pi_low * (1 - r))
+            assert num <= capped.abs_error * den
 
 
 class TestRearrangement:
@@ -617,8 +656,7 @@ class TestNoBallArithmetic:
         monkeypatch.setattr(BoundedReal, "__mul__", scale_only)
         for n in (F(11, 10), F(3, 2), F(3), F(1000)):
             for bits in (8, 128, 1024):
-                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
-                assert neg_log_product_series(x, 30, bits).value > 0
+                assert neg_log_product_series(n, 30, bits).value > 0
                 assert rearrangement_check(n, 50, 10, bits).overlap
                 assert verify_identity(n, 100, 30, bits).verdict
 
@@ -648,8 +686,8 @@ class TestExtremeParameters:
 
     def test_neg_log_series_near_domain_edge(self):
         target = F("3.46060479895733132454982463431309068033470981210")
-        x = pi_constant(80) * F(49, 100)
-        res = neg_log_product_series(x, 120, 64)
+        # x = pi/2n = 49 pi / 100
+        res = neg_log_product_series(F(50, 49), 120, 64)
         assert res.lower() - self.SLACK <= target <= res.upper() + self.SLACK
 
     def test_cos_beyond_half_pi(self):

@@ -217,6 +217,17 @@ class TestVerify:
         assert err == ("order or precision too low to decide (exp input "
                        "uncertainty must be below 1); raise --order or --precision\n")
 
+    def test_n_near_one_at_low_precision_is_usage_error(self, capsys):
+        # every n > 1 is in the domain: a ball of pi/2n that reaches pi/2
+        # is a precision too low to decide, not a domain error
+        for e in (4, 8, 21, 45):
+            for bits in (8, 16, 32, 128):
+                code, out, err = run(capsys, "verify", "--n", f"{10**e + 1}/{10**e}",
+                                     "--num-factors", "10", "--order", "5",
+                                     "--precision", str(bits))
+                assert (code, out) == (cli.EXIT_USAGE, ""), (e, bits, err)
+                assert err.startswith("order or precision too low to decide")
+
     def test_enough_order_near_one_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "101/100", "--order", "300")
         assert code == 0
