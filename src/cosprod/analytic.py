@@ -24,8 +24,9 @@ or divides balls, or multiplies two balls.  Every
 tail is bounded by an integral or geometric comparison that is stated at
 the point of use; the series route takes its tail at the exact ratio
 r = 1/n^2, as the rearrangement's column order does, and the step from its
-ball of pi/2n to the point itself from a 64-bit pi, so no bound multiplies
-or divides rationals of thousands of bits.  Each result is
+ball of pi/2n to the point itself from a 64-bit pi, in integers over
+unreduced denominators, so no bound takes a gcd of thousands of bits.
+Each result is
 rounded to the requested precision by
 :func:`~cosprod.arith.real_from_rational`, which adds the carried error to
 the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals are
@@ -65,6 +66,7 @@ from .arith import (
     BoundedReal,
     DomainError,
     PrecisionError,
+    Ratio,
     WorkBudgetError,
     check_precision,
     pi_constant,
@@ -148,9 +150,17 @@ class PartialProductResult:
         log_tail_bound, and 1 - exp(-tau) <= tau, so the tail contributes
         at most (partial upper bound) * log_tail_bound.
         """
-        if self.log_tail_bound is None:
-            return self.value.abs_error
-        return self.value.abs_error + self.value.upper() * self.log_tail_bound
+        return Fraction(*self._total_ratio())
+
+    def _total_ratio(self) -> Ratio:
+        """total_bound() over one unreduced denominator: no gcd of the upper end."""
+        e, t = self.value.abs_error, self.log_tail_bound
+        if t is None:
+            return Ratio(e.numerator, e.denominator)
+        u = self.value.ratio(1)
+        return Ratio(e.numerator * u.denominator * t.denominator
+                     + u.numerator * t.numerator * e.denominator,
+                     e.denominator * u.denominator * t.denominator)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         b = self.total_bound()
@@ -326,7 +336,8 @@ def _coefficient_tail(r: Fraction, order: int) -> Fraction:
     return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * (1 - r))
 
 
-def _coefficient_sum(x: Fraction, order: int, frac_bits: int) -> tuple[int, int]:
+def _coefficient_sum(x: Union[Fraction, Ratio], order: int,
+                     frac_bits: int) -> tuple[int, int]:
     """(S, e) with 0 <= 2^F sum_{m=1..order} c_m x^(2m) / m - S < e = 2 order.
 
     F = frac_bits and |x| < pi/2.  u = x^2 2^F is floored once, P_0 = 2^F and
@@ -368,7 +379,10 @@ def neg_log_product_series(n: _RationalLike, order: int,
     pi_constant(64).lower() <= pi and s = 1/n + 2E/pi_lo, rho <= s^2 and
     10 xi / pi^2 = (5/pi)(2 xi/pi) <= 5 s / pi_lo, so the step from X to
     pi/2n moves the sum by at most E 5 s / (pi_lo (1 - s^2)).  1 - s^2 is
-    exact, as a 64-bit s would reach 1 for n within 2^-62 of 1.  Where
+    exact, as a 64-bit s would reach 1 for n within 2^-62 of 1.  s, 1 - s^2,
+    the step and the error they add up to are held as integer numerators
+    over unreduced denominators, so no gcd of E's denominator, a power of
+    two as wide as X, is taken; nor is X's value reduced.  Where
     1 - s^2 <= 0 the ball of X may reach pi/2, and no bound follows: that is
     a precision too low for an n so near 1, and raises PrecisionError.
     s < 1 also keeps X's value below pi/2, as ``_coefficient_sum`` asks.
@@ -397,26 +411,33 @@ def neg_log_product_series(n: _RationalLike, order: int,
         raise DomainError("the series requires n > 1")
     pn, qn = n.numerator, n.denominator
     x = pi_constant(precision_bits + 16) * Fraction(qn, 2 * pn)
-    pi_lo = pi_constant(64).lower()
-    s = Fraction(qn, pn) + 2 * x.abs_error / pi_lo
-    gap = 1 - s * s
-    if gap <= 0:
+    # E = ee / ed and pi_lo = pl / pd are dyadics of 8 and 64 bits, read as
+    # Fractions at no wide gcd; s = s_num / s_den, and 1 - s^2 =
+    # (s_den - s_num)(s_den + s_num) / s_den^2
+    e, pi_lo = x.abs_error, pi_constant(64).lower()
+    ee, ed, pl, pd = e.numerator, e.denominator, pi_lo.numerator, pi_lo.denominator
+    s_num, s_den = qn * ed * pl + 2 * ee * pd * pn, pn * ed * pl
+    if s_num >= s_den:
         raise PrecisionError("pi/(2n) is not certified below pi/2")
     tail = _coefficient_tail(Fraction(qn * qn, pn * pn), order)
-    step = x.abs_error * 5 * s / (pi_lo * gap)
-    v = x.value
+    step_num = 5 * ee * pd * s_num * s_den
+    step_den = ed * pl * (s_den - s_num) * (s_den + s_num)
+    v = x.ratio()
     zeros = max(v.denominator.bit_length() - v.numerator.bit_length(), 0)
     frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
     total, ulps = _coefficient_sum(v, order, frac_bits)
-    return real_from_rational(Fraction(total, 1 << frac_bits), precision_bits,
-                              tail + step + Fraction(ulps, 1 << frac_bits))
+    # tail + step + ulps / 2^F over one unreduced denominator
+    den = tail.denominator * step_den
+    err = Ratio(((tail.numerator * step_den + step_num * tail.denominator)
+                 << frac_bits) + ulps * den, den << frac_bits)
+    return real_from_rational(Ratio(total, 1 << frac_bits), precision_bits, err)
 
 
 # ----------------------------------------------------------------------
 # elementary functions (cos, exp) with explicit remainders
 # ----------------------------------------------------------------------
 
-def _versine_series(x: Fraction, halvings: int, frac_bits: int,
+def _versine_series(x: Union[Fraction, Ratio], halvings: int, frac_bits: int,
                     cutoff: int) -> tuple[int, int]:
     """(S, e) with |(1 - cos y) - S / 2^F| <= e / 2^F, y = x / 2^halvings.
 
@@ -498,10 +519,10 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     """
     check_precision(precision_bits)
     work = precision_bits + 16 + 6
-    v = x.value
-    if not v:  # cos 0 = 1 exactly, where the count would not be 0
+    v = x.ratio()
+    if not v.numerator:  # cos 0 = 1 exactly, where the count would not be 0
         return real_from_rational(1, precision_bits, x.abs_error)
-    g = int(abs(v)).bit_length()
+    g = (abs(v.numerator) // v.denominator).bit_length()
     halvings = g
     while 2 * halvings * halvings < work:
         halvings += 1
@@ -510,7 +531,7 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     s, err = _versine_doubled(s, err, frac_bits, halvings)
     one = 1 << frac_bits
     c = real_from_rational(one - s, precision_bits + 16, err) * Fraction(1, one)
-    return real_from_rational(c.value, precision_bits,
+    return real_from_rational(c.ratio(), precision_bits,
                               c.abs_error + x.abs_error)
 
 
@@ -662,8 +683,8 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
             "exactly 0 = cos(pi/2) but the log-based route is undefined")
     detail = product_trace(n, num_factors, precision_bits)[-1]
     # the value is already dyadic at this precision, so only the bound moves
-    product = real_from_rational(detail.value.value, precision_bits,
-                                 detail.total_bound())
+    product = real_from_rational(detail.value.ratio(), precision_bits,
+                                 detail._total_ratio())
     x = pi_constant(precision_bits + 16) * Fraction(n.denominator,
                                                     2 * n.numerator)
     neg_log = neg_log_product_series(n, order, precision_bits + 8)

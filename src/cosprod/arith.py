@@ -15,7 +15,11 @@ A ball holds its value and its error each as a canonical integer triple
 e < 2**8.  A ball built from other rationals carries them exactly until
 an operation rounds.  The operators use integer multiplies, shifts and at
 most one divmod; only ``value``, ``abs_error`` and the interval view build
-Fractions.  No binary floating point is used; the rounding happens in
+Fractions, each reduced by a gcd.  ``BoundedReal.ratio`` reads the same
+numbers as unreduced ``Ratio`` pairs, with no gcd, for the reads that only
+round, compare or print a ball of thousands of bits; the formatters and
+:func:`real_from_rational` take them as they take Fractions.  No binary
+floating point is used; the rounding happens in
 one place, :func:`real_from_rational` (``_round`` on triples); precision
 is caller-specified per operation, with no global precision state.
 """
@@ -26,9 +30,22 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .output import format_bound, format_decimal
+
+
+class Ratio(NamedTuple):
+    """numerator / denominator, denominator > 0, in whatever terms it was built.
+
+    A pair, not a number: it has no arithmetic and compares as a tuple.  It
+    is read, as a Fraction is, through its two fields, by the formatters and
+    by :func:`real_from_rational`, neither of which needs lowest terms.
+    """
+
+    numerator: int
+    denominator: int
+
 
 _RationalLike = Union[Fraction, int]
 
@@ -71,16 +88,23 @@ def _canon(n: int, x: int, d: int = 1) -> _Triple:
     return n >> k, x + k, d
 
 
-def _triple(r: _RationalLike) -> _Triple:
-    """The canonical triple of an int or Fraction (which is in lowest terms)."""
+def _triple(r: Union[_RationalLike, Ratio]) -> _Triple:
+    """The canonical triple of an int, Fraction or Ratio.
+
+    n and d share no odd factor when r is in lowest terms, as a Fraction is.
+    """
     n, d = r.numerator, r.denominator
     k = (d & -d).bit_length() - 1
     return _canon(n, -k, d >> k)
 
 
-def _fraction(t: _Triple) -> Fraction:
+def _ratio(t: _Triple) -> Ratio:
     n, x, d = t
-    return Fraction(n << x, d) if x >= 0 else Fraction(n, d << -x)
+    return Ratio(n << x, d) if x >= 0 else Ratio(n, d << -x)
+
+
+def _fraction(t: _Triple) -> Fraction:
+    return Fraction(*_ratio(t))
 
 
 def _add(a: _Triple, b: _Triple) -> _Triple:
@@ -235,6 +259,16 @@ class BoundedReal:
     def upper(self) -> Fraction:
         return _fraction(_add(self._v, self._e))
 
+    def ratio(self, side: int = 0) -> Ratio:
+        """value + side * abs_error, side -1, 0 or 1, as a Ratio.
+
+        value, lower() and upper() without the gcd that reduces them to a
+        Fraction, which at thousands of bits costs more than the reads do.
+        """
+        if not side:
+            return _ratio(self._v)
+        return _ratio(_add(self._v, self._e if side > 0 else _neg(self._e)))
+
     def overlaps(self, other: "BoundedReal") -> bool:
         """Whether |v1 - v2| <= e1 + e2: the sign of one triple, no Fraction."""
         gap = _add(_add(self._e, other._e), _neg(_abs(_add(self._v, _neg(other._v)))))
@@ -293,12 +327,13 @@ class BoundedReal:
         return NotImplemented
 
     def __str__(self) -> str:
-        return (f"{format_decimal(self.value, self.abs_error)} ± "
+        return (f"{format_decimal(self.ratio(), self.abs_error)} ± "
                 f"{format_bound(self.abs_error)}")
 
 
-def real_from_rational(r: _RationalLike, precision_bits: int,
-                       err: _RationalLike = 0, floor: bool = False) -> BoundedReal:
+def real_from_rational(r: Union[_RationalLike, Ratio], precision_bits: int,
+                       err: Union[_RationalLike, Ratio] = 0,
+                       floor: bool = False) -> BoundedReal:
     """Round r to `precision_bits` significant bits, carrying error `err`.
 
     This is the only place where an exact rational becomes a BoundedReal
@@ -308,7 +343,8 @@ def real_from_rational(r: _RationalLike, precision_bits: int,
     Rounding is to nearest (ties to even), or downward (value <= r) with
     `floor`.  With err = 0 and nearest rounding, |value - r| <= abs_error
     <= 2**(1-precision_bits) * |r|, and abs_error = 0 whenever r is
-    representable at that precision.
+    representable at that precision.  r and err may be unreduced Ratios:
+    the rounding reads only their values.
     """
     return _round(_triple(r), precision_bits, _triple(err), floor)
 

@@ -136,12 +136,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
+    # each end read once, unreduced: a gcd of a 4096-bit ball end costs more
+    # than printing it
+    bound = est.abs_error
     return {
         "method": method,
-        "value": format_decimal(est.value, est.abs_error),
-        "bound": format_bound(est.abs_error),
-        "low": format_decimal(est.lower(), est.abs_error),
-        "high": format_decimal(est.upper(), est.abs_error),
+        "value": format_decimal(est.ratio(), bound),
+        "bound": format_bound(bound),
+        "low": format_decimal(est.ratio(-1), bound),
+        "high": format_decimal(est.ratio(1), bound),
     }
 
 

@@ -5,14 +5,22 @@ Inexact values are printed to as many significant digits as their error
 bound certifies, plus two guard digits; the bound itself always travels in
 the same record, rounded upward so the printed bound is still a bound.
 
-Each rounding is one stdlib ``decimal`` division p/q at k significant
-digits, with an exponent range no result can leave.  That division is
-correctly rounded in the context's rounding mode (General Decimal
-Arithmetic; IEEE 754-2008 decimal), so every printed digit is a digit of
-the exact rational: a value is rounded half-up, a bound is rounded up
-(ceiling) and so stays a bound, and the count of certified digits is the
-decimal exponent of |value|/bound rounded down (floor).  ``decimal`` reads
-and prints integers of any length, where ``str()`` of an int stops at
+A rational here is anything with an integer ``numerator`` and a positive
+integer ``denominator``, in lowest terms or not: a Fraction, an int, or the
+``Ratio`` a ball reads without a gcd.  No rendering needs lowest terms.
+
+Each rounding of p/q to k significant digits is one stdlib ``decimal``
+division, with an exponent range no result can leave, correctly rounded in
+the context's rounding mode (General Decimal Arithmetic; IEEE 754-2008
+decimal): a value is rounded half-up, a bound is rounded up (ceiling) and
+so stays a bound, and the count of certified digits is the decimal
+exponent of |value|/bound rounded down (floor).  So every printed digit is
+a digit of the exact rational.  The division is not taken of p and q
+themselves, which may have thousands of digits: p/q is first scaled in
+integers to a = floor(|p| 10^s / q) >= 10^k, and where that leaves a
+remainder decimal rounds the sticky half (a + 1/2) 10^-s, which rounds as
+p/q does (``_to_digits``).  ``decimal`` reads and prints integers of any
+length, where ``str()`` of an int stops at
 ``sys.get_int_max_str_digits()`` digits.
 """
 
@@ -25,7 +33,11 @@ from dataclasses import dataclass, field
 from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
                      ROUND_HALF_UP, Context, Decimal, Rounded)
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Union
+
+# a rational as the formatters read it: a numerator and a positive
+# denominator, in any terms (arith's Ratio has the same two attributes)
+_Rational = Union[Fraction, int]
 
 # significant digits printed for a value: exact ones that need more are rounded
 MAX_DIGITS = 36
@@ -49,40 +61,68 @@ def format_rational(f: Fraction) -> str:
     return f"{Decimal(f.numerator):f}/{Decimal(f.denominator):f}"
 
 
-def _to_digits(x: Fraction, digits: int, rounding: str) -> tuple[Decimal, bool]:
-    """x rounded to `digits` significant digits, and whether it was rounded.
+def _to_digits(p: int, q: int, digits: int, rounding: str) -> tuple[Decimal, bool]:
+    """p/q (q > 0) rounded to `digits` significant digits, and whether it was rounded.
 
-    The quotient is correctly rounded in `rounding`; the result carries no
-    trailing zeros.
+    The result is correctly rounded in `rounding` and carries no trailing
+    zeros.  For p != 0, with t = bitlen(|p|) - bitlen(q) - 1, 2^t < |p|/q;
+    e = floor(t c) with c = 0.30102 <= log10 2 for t >= 0 and c = 0.30103
+    >= log10 2 for t < 0 has e <= t log10 2 at either sign, so 10^e < |p|/q
+    and, at s = digits - e, a = floor(|p| 10^s / q) >= 10^digits.  In units
+    of 10^-s every rounding boundary at `digits` digits, a multiple of half
+    a unit in the last place, is then an integer.  If the remainder r of
+    that division is not 0, |p| 10^s / q lies strictly between a and a + 1,
+    as the sticky half a + 1/2 does, and no boundary lies between them.  So
+    (a + 1/2) 10^-s, signed as p and written exactly as (10a + 5)
+    10^-(s+1), rounds as p/q does in every mode when ``scaleb`` fits it to
+    the context; and p/q was rounded, as it needs more than `digits`
+    digits.  If r = 0, p/q = a 10^-s exactly, and decimal divides p by q
+    itself, as it does for p = 0, so that the flag is decimal's: an exact
+    10^40 counts as rounded at 36 digits.
     """
     ctx = Context(prec=digits, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
-    quotient = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    if p:
+        t = abs(p).bit_length() - q.bit_length() - 1
+        s = digits - t * (30102 if t >= 0 else 30103) // 100000
+        a, r = (divmod(abs(p) * 10 ** s, q) if s >= 0
+                else divmod(abs(p), q * 10 ** -s))
+        if r:
+            half = ctx.scaleb(Decimal(10 * a + 5 if p > 0 else -10 * a - 5), -s - 1)
+            return ctx.normalize(half), True
+    quotient = ctx.divide(Decimal(p), Decimal(q))
     return ctx.normalize(quotient), bool(ctx.flags[Rounded])
 
 
-def format_decimal(value: Fraction, bound: Fraction) -> str:
+def format_decimal(value: _Rational, bound: _Rational) -> str:
     """Render `value` to the certainty implied by `bound`, plus two guards."""
-    if bound == 0:
+    p, q = value.numerator, value.denominator
+    bp, bq = bound.numerator, bound.denominator
+    # for p, bp != 0, |value| / bound > 2^(t - 2) off bit lengths: at
+    # t > 4 MAX_DIGITS that is over 10^MAX_DIGITS, and every digit is
+    # certain, with no wide product
+    t = abs(p).bit_length() + bq.bit_length() - q.bit_length() - bp.bit_length()
+    if not bp or (p and t > 4 * MAX_DIGITS):
         digits = MAX_DIGITS
-    elif bound >= abs(value):
+    elif bp * q >= abs(p) * bq:  # bound >= |value|
         digits = 1
     else:
-        certain = _to_digits(abs(value) / bound, 1, ROUND_FLOOR)[0].adjusted()
+        certain = _to_digits(abs(p) * bq, q * bp, 1, ROUND_FLOOR)[0].adjusted()
         digits = min(certain + 2, MAX_DIGITS)
-    d, rounded = _to_digits(value, digits, ROUND_HALF_UP)
+    d, rounded = _to_digits(p, q, digits, ROUND_HALF_UP)
     e10 = d.adjusted()
     # an exact value that fits in MAX_DIGITS prints in full, without exponent
-    if (bound == 0 and not rounded) or (-4 <= e10 <= 15 and e10 < digits):
+    if (not bp and not rounded) or (-4 <= e10 <= 15 and e10 < digits):
         return f"{d:f}"
     mantissa = f"{d:e}".partition("e")[0]
     return f"{mantissa}e{e10:+03d}"
 
 
-def format_bound(bound: Fraction) -> str:
+def format_bound(bound: _Rational) -> str:
     """Two-significant-digit scientific rendering, rounded upward."""
-    if bound == 0:
+    if not bound.numerator:
         return "0"
-    d, _ = _to_digits(bound, 2, ROUND_CEILING)  # ceiling keeps it a bound
+    # ceiling keeps it a bound
+    d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_CEILING)
     mantissa = f"{d:.1e}".partition("e")[0]
     return f"{mantissa}e{d.adjusted():+03d}"
 

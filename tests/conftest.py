@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Rounded
 from fractions import Fraction
 
 from cosprod.analytic import DomainError, _coefficient_tail
@@ -322,3 +323,15 @@ def decimal_digits(num: int, den: int, places: int) -> str:
         digits.append(str(rem // den))
         rem %= den
     return "".join(digits)
+
+
+def to_digits_reference(p: int, q: int, digits: int,
+                        rounding: str) -> tuple[Decimal, bool]:
+    """p/q rounded to `digits` significant digits, and decimal's Rounded flag.
+
+    The renderer as first written: one decimal division of the whole
+    numerator by the whole denominator, with no pre-scaling.
+    """
+    ctx = Context(prec=digits, rounding=rounding, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    quotient = ctx.divide(Decimal(p), Decimal(q))
+    return ctx.normalize(quotient), bool(ctx.flags[Rounded])

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from cosprod import analytic
 from cosprod.analytic import (
     _MAX_ROW_WORK,
     _ROW_PASS_BITS,
@@ -22,7 +23,8 @@ from cosprod.analytic import (
     rearrangement_check,
     verify_identity,
 )
-from cosprod.arith import BoundedReal, PrecisionError, WorkBudgetError, pi_constant
+from cosprod.arith import (BoundedReal, PrecisionError, WorkBudgetError, pi_constant,
+                           real_from_rational)
 from cosprod.recurrence import lambda_closed_form
 from conftest import (
     coefficient_sums_exact,
@@ -578,6 +580,41 @@ class TestRearrangement:
         lo, hi = ln_bracket(F(2))
         assert rep.row_sum.lower() <= hi and lo <= rep.row_sum.upper()
         assert rep.column_sum.lower() <= hi and lo <= rep.column_sum.upper()
+
+    def test_column_bound_carries_every_column_rounding(self, monkeypatch):
+        # The column order rounds the exact sum of its columns once, carrying
+        # sum_m (rounding_m + tail_m) qn^2m / (m pn^2m) plus the column tail,
+        # both recomputed here from lambda_direct at precision_bits + 16 and
+        # _coefficient_tail.  The final abs_error alone cannot show a
+        # column's rounding term dropped: that term is below 2^-14 of the
+        # final rounding cap, which covers it.  So the error carried into
+        # that last rounding is read too.
+        carried = []
+
+        def spy(r, bits, err=0, floor=False):
+            carried.append((F(r.numerator, r.denominator),
+                            F(err.numerator, err.denominator)))
+            return real_from_rational(r, bits, err, floor)
+
+        monkeypatch.setattr(analytic, "real_from_rational", spy)
+        rng = random.Random(1818)
+        for i in range(40):
+            n = F(rng.randint(3, 80), rng.choice((1, 2)))
+            rows, order = rng.randint(20, 300), rng.randint(1, 30)
+            bits = rng.choice((8, 16, 64, 256))
+            carried.clear()
+            rep = rearrangement_check(n, rows, order, bits)
+            pn, qn = n.numerator, n.denominator
+            col = err = F(0)
+            for m in range(1, order + 1):
+                est = lambda_direct(m, rows, bits + 16)
+                weight = F(qn ** (2 * m), m * pn ** (2 * m))
+                col += est.value.value * weight
+                err += (est.value.abs_error + est.tail_bound) * weight
+            err += _coefficient_tail(F(qn * qn, pn * pn), order)
+            (col_err,) = [e for r, e in carried if r == col]
+            assert col_err >= err, i
+            assert rep.column_sum.abs_error >= err, i
 
     def test_rejects_n_at_or_below_one(self):
         with pytest.raises(DomainError):

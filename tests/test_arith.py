@@ -6,6 +6,7 @@ import pytest
 from cosprod.analytic import cos_approx
 from cosprod.arith import (
     BoundedReal,
+    Ratio,
     pi_constant,
     real_from_rational,
 )
@@ -262,6 +263,27 @@ class TestRoundingOracle:
             else:
                 verdicts.add(ends)
         assert verdicts == {True, False}
+
+    def test_ratio_is_the_interval_view_unreduced(self):
+        # ratio(side) reads value, lower() and upper() with no gcd: as
+        # Fractions they are the same numbers.  real_from_rational rounds a
+        # Ratio with any common factor left in as it rounds the Fraction.
+        rng = random.Random(1818)
+        for _ in range(600):
+            a = _random_operand(rng)
+            if not isinstance(a, BoundedReal):
+                a = BoundedReal(a, abs(_random_rational(rng, False)), 64)
+            assert ([F(*a.ratio(side)) for side in (-1, 0, 1)]
+                    == [a.lower(), a.value, a.upper()]), a
+            bits = rng.choice([8, 53, 128, 4096])
+            r = _random_rational(rng, rng.random() < 0.5)
+            err = abs(_random_rational(rng, rng.random() < 0.5)) * rng.choice([0, 1])
+            g, h = (rng.choice((1, 1 << rng.randint(1, 300), rng.getrandbits(200) | 1))
+                    for _ in range(2))
+            floor = rng.random() < 0.5
+            b = real_from_rational(Ratio(r.numerator * g, r.denominator * g), bits,
+                                   Ratio(err.numerator * h, err.denominator * h), floor)
+            assert (b.value, b.abs_error) == round_reference(r, bits, err, floor)
 
     def test_non_dyadic_error_is_carried_exactly(self):
         b = BoundedReal(F(1, 3), F(1, 7), 64)

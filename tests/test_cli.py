@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from cosprod import cli
+from cosprod.analytic import rearrangement_check, verify_identity
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
 from test_golden import README_COMMANDS
@@ -84,6 +85,21 @@ class TestFormatting:
         assert format_decimal(F(10**35), F(0)) == "1" + "0" * 35
         assert format_decimal(F(10**36), F(0)) == "1e+36"
         assert format_decimal(-F(10**40), F(0)) == "-1e+40"
+
+    def test_interval_rows_print_the_ends_of_each_ball(self):
+        # a row reads each end of a ball unreduced, as a Ratio; it prints what
+        # the reduced Fractions print, the lower end as low
+        for n, bits in ((F(11, 10), 4096), (F(3), 128), (F(7), 16)):
+            report = verify_identity(n, 100, 20, bits)
+            rep = rearrangement_check(n, 50, 10, bits)
+            estimates = report.estimates() + [("row_order", rep.row_sum),
+                                               ("column_order", rep.column_sum)]
+            for name, est in estimates:
+                b = est.abs_error
+                assert cli._interval_row(name, est) == {
+                    "method": name, "value": format_decimal(est.value, b),
+                    "bound": format_bound(b), "low": format_decimal(est.lower(), b),
+                    "high": format_decimal(est.upper(), b)}, (n, bits, name)
 
     def test_exact_value_prints_at_most_36_significant_digits(self):
         text = format_decimal(F(1, 2**200), F(0))

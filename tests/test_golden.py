@@ -1,11 +1,13 @@
-"""Byte-exact output of the five README commands and five high-precision runs.
+"""Byte-exact output of the five README commands and six high-precision runs.
 
 The files under ``tests/golden/`` hold the standard output of each README
-command at its documented defaults (with ``--n 3``), and of five commands
+command at its documented defaults (with ``--n 3``), and of six commands
 that take the ``BoundedReal`` arithmetic to hundreds or thousands of bits.
 The three 4096-bit ``verify`` runs differ in how many bits their series
 route carries (about 17, 54 and 196), so each tests the working precision
-of ``exp`` and of the series at a different depth.
+of ``exp`` and of the series at a different depth.  The 16,384-bit
+``verify``, the widest precision CI runs, pins the rows printed from the
+widest numbers any check reads.
 A refactor that leaves the numbers alone must leave these bytes alone; a
 change that deliberately tightens a bound regenerates them, says so, and
 keeps the old row here to show that the new interval lies inside it.
@@ -41,6 +43,8 @@ README_COMMANDS = {
                        "--format", "csv"],
     "rearrange-1000": ["rearrange", "--n", "5/4", "--rows", "300",
                        "--order", "40", "--precision", "1000"],
+    "verify-16384-7": ["verify", "--n", "7", "--num-factors", "10",
+                       "--order", "5", "--precision", "16384"],
 }
 
 # the cosine row of verify-4096-3-2 as the plain Maclaurin cosine printed it,

@@ -8,10 +8,12 @@ exact values on both sides of the 36-digit limit.
 """
 
 import random
+from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP
 from fractions import Fraction as F
 
-from conftest import floor_log10, round_half_up
-from cosprod.output import format_bound, format_decimal, format_rational
+from conftest import floor_log10, round_half_up, to_digits_reference
+from cosprod.arith import Ratio
+from cosprod.output import _to_digits, format_bound, format_decimal, format_rational
 
 CASES = 2000
 
@@ -78,6 +80,17 @@ def test_bound_is_rounded_up_by_less_than_a_unit_in_its_second_digit():
         assert bound <= printed < bound + F(10) ** (floor_log10(printed) - 1), i
 
 
+def test_unreduced_ratios_print_as_their_fractions():
+    rng = random.Random(6)
+    for i, (value, bound) in enumerate(_cases(6)):
+        g, h = (rng.choice((1, 1 << rng.randint(1, 300), rng.getrandbits(200) | 1))
+                for _ in range(2))
+        v = Ratio(value.numerator * g, value.denominator * g)
+        b = Ratio(bound.numerator * h, bound.denominator * h)
+        assert format_decimal(v, b) == format_decimal(value, bound), i
+        assert format_bound(b) == format_bound(bound), i
+
+
 def test_exact_values_of_at_most_36_digits_print_exactly():
     rng = random.Random(3)
     for i in range(CASES):
@@ -94,3 +107,57 @@ def test_rational_past_the_int_to_str_digit_limit():
     text = format_rational(F(10**4400 + 1, 3))
     assert len(text) == 4403
     assert text == "1" + "0" * 4399 + "1/3"
+
+
+def _ratio(rng):
+    """An unreduced p/q of one of the kinds the pre-scaling has to get right.
+
+    Values past binary exponent 2^18 have their own test below.
+    """
+    kind = rng.randrange(6)
+    if kind == 0:  # a 4,100-bit dyadic ball end
+        p, q = rng.getrandbits(4100) | 1, 1 << rng.randint(0, 4200)
+    elif kind == 1:  # exact, with zeros past the digits kept: 10^40 is one
+        p, q = rng.randrange(1, 10 ** rng.randint(1, 37)) * 10 ** rng.randint(0, 60), 1
+        if rng.random() < 0.5:
+            q = 10 ** rng.randint(0, 120)
+    elif kind == 2:  # an exact tie at some digit, above and below 1
+        k = rng.randint(1, 36)
+        p = 10 * rng.randrange(10 ** (k - 1), 10 ** k) + 5
+        p, q = (p * 10 ** rng.randint(0, 40), 1) if rng.random() < 0.5 else (p, 10 ** rng.randint(0, 80))
+    elif kind == 3:  # wide numerator and denominator, neither a power of two
+        p, q = rng.getrandbits(rng.randint(1, 4200)) | 1, rng.getrandbits(rng.randint(1, 4200)) | 1
+    elif kind == 4:  # zero, over any denominator
+        p, q = 0, rng.randint(1, 10 ** 6)
+    else:  # small, with a common factor left in
+        g = rng.randint(1, 10 ** 6)
+        p, q = rng.randint(1, 10 ** 9) * g, rng.randint(1, 10 ** 9) * g
+    return (p if rng.random() < 0.5 else -p), q
+
+
+def test_pre_scaled_digits_and_flag_match_one_full_division():
+    rng = random.Random(4)
+    for i in range(CASES):
+        p, q = _ratio(rng)
+        digits = rng.choice((1, 2, rng.randint(1, 36), 36))
+        for rounding in (ROUND_HALF_UP, ROUND_FLOOR, ROUND_CEILING):
+            want = to_digits_reference(p, q, digits, rounding)
+            got = _to_digits(p, q, digits, rounding)
+            assert (got, str(got[0])) == (want, str(want[0])), (i, p, q, digits, rounding)
+
+
+def test_pre_scaling_past_binary_exponent_two_to_the_18():
+    # 0.30102 bounds t log10 2 from below only for t >= 0; at t = -2^18 it
+    # would put e two or three digits too high.  The reference converts numbers of
+    # 80,000 digits, so these cases are few.
+    rng = random.Random(5)
+    for i in range(3):
+        e = rng.randint(2 ** 18, 2 ** 18 + 2 ** 12)
+        m = rng.getrandbits(rng.randint(8, 64)) | 1
+        p, q = (m, 1 << e) if i < 2 else (m << e, 1)
+        p = -p if i == 1 else p
+        for rounding in (ROUND_HALF_UP, ROUND_FLOOR, ROUND_CEILING):
+            want = to_digits_reference(p, q, 36, rounding)
+            got = _to_digits(p, q, 36, rounding)
+            assert (got, str(got[0])) == (want, str(want[0])), (i, e, rounding)
+
