@@ -32,10 +32,13 @@ rounded to the requested precision by
 the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals are
 sound by construction.
 
-Precision follows accuracy: the series route needs only as many bits as
-its truncation tail leaves, and exp only as many as its input's error
-leaves, so both work at ``_working_bits``, at most _GUARD_BITS past that
-accuracy (Arb does the same, arXiv:1611.02831).  The series' count and
+Precision follows accuracy: the product and series routes need only as
+many bits as their truncation tails leave, and exp only as many as its
+input's error leaves, so all three work at ``_working_bits``, at most
+_GUARD_BITS past that accuracy (Arb does the same, arXiv:1611.02831).
+``verify_identity`` takes the product once, at its last factor, and caps
+its bits at the requested precision; ``product_trace`` keeps every
+snapshot at full precision.  The product's and the series' counts and
 decimal's exp are sound at any precision, so the working precision moves
 only the width: the extra rounding is a small multiple of 2^-_GUARD_BITS
 of the error the result already carries, which the 8-bit round-up of that
@@ -150,9 +153,9 @@ class PartialProductResult:
         log_tail_bound, and 1 - exp(-tau) <= tau, so the tail contributes
         at most (partial upper bound) * log_tail_bound.
         """
-        return Fraction(*self._total_ratio())
+        return Fraction(*self.total_ratio())
 
-    def _total_ratio(self) -> Ratio:
+    def total_ratio(self) -> Ratio:
         """total_bound() over one unreduced denominator: no gcd of the upper end."""
         e, t = self.value.abs_error, self.log_tail_bound
         if t is None:
@@ -262,16 +265,7 @@ def product_trace(n: _RationalLike, num_factors: int,
     """One left-to-right product pass, snapshotted after 1, 2, 4, ... factors.
 
     Snapshots double from 1 below num_factors; the last one is always at
-    num_factors.  With a = (2k-1) pn for n = pn/qn, the factor
-    1 - 1/((2k-1)^2 n^2) is the integer ratio (a^2 - qn^2) / a^2.  The
-    factors are taken in blocks of up to _PRODUCT_BLOCK consecutive ones,
-    each ending at a snapshot at the latest: the numerators and the
-    denominators of a block are multiplied exactly, and the block is
-    applied to the running value with a single floor division.  The
-    running value therefore undershoots the exact partial product by at
-    most one ulp per block (each block's ratio is at most 1, so floor
-    errors never amplify), and every block holds at least one factor, so
-    after k factors it is at most k ulps low.
+    num_factors.  The pass is ``_partial_products`` over those marks.
     """
     n = Fraction(n)
     if n < 1:
@@ -290,7 +284,26 @@ def product_trace(n: _RationalLike, num_factors: int,
         # first factor is exactly zero; every partial product is exactly 0
         zero = BoundedReal(Fraction(0), Fraction(0), precision_bits)
         return [PartialProductResult(mark, zero, None) for mark in marks]
+    return _partial_products(n, marks, precision_bits)
 
+
+def _partial_products(n: Fraction, marks: list[int],
+                      precision_bits: int) -> list[PartialProductResult]:
+    """The partial products at each of the increasing marks, for n > 1.
+
+    With a = (2k-1) pn for n = pn/qn, the factor 1 - 1/((2k-1)^2 n^2) is the
+    integer ratio (a^2 - qn^2) / a^2.  The factors are taken in blocks of
+    up to _PRODUCT_BLOCK consecutive ones, each ending at a mark at the
+    latest: the numerators and the denominators of a block are multiplied
+    exactly, and the block is applied to the running value, scaled by
+    2^(precision_bits + _GUARD_BITS), with a single floor division.  The
+    running value therefore undershoots the exact partial product by at
+    most one ulp per block (each block's ratio is at most 1, so floor
+    errors never amplify), and every block holds at least one factor, so
+    after k factors it is at most k ulps low.  At each mark it is floored
+    to precision_bits with that count as its error, so the count is sound
+    at any precision and however the marks group the blocks.
+    """
     shift = precision_bits + _GUARD_BITS
     pn2, qn2 = n.numerator ** 2, n.denominator ** 2
     acc = 1 << shift
@@ -675,16 +688,37 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
     pairwise intervals overlap.  Requires n > 1: at n = 1 the product is
     exactly zero (equal to cos(pi/2)) but the logarithmic route is
     undefined, so callers must handle that boundary separately.
+
+    The product's width is set by its log tail t = ``_product_log_tail``
+    at num_factors = N, so only its final value is taken, by
+    ``_partial_products`` at bits = min(precision_bits, work), work =
+    ``_working_bits(precision_bits, t)``.  Its count is sound at any
+    precision, so the bits move only the width.  Below precision_bits,
+    bits = a + G with a = floor(-log2 t) and G = _GUARD_BITS, so
+    t > 2^-(a+1); with U the product's upper end, the bound is e + U t, and
+    the final floor adds at most 2^(1-bits) U < 2^(2-G) U t = 2^-30 U t to
+    e, the N ulps of 2^-(bits+G) at most N 2^(1-2G) t = (N 2^-63 / U) U t:
+    together under 2^-28 of U t while U >= N 2^-34 (U >= 2^-17 at 10^5
+    factors, for n - 1 > 10^-5 or so), which the 8-bit round-up of the
+    result absorbs, as it does the series' ulps.  The cap keeps the
+    product's integers no longer than ``product_trace``'s; where it binds,
+    as at low precision, where work reaches precision_bits + 16, the
+    arithmetic is that of its last snapshot, with the blocks grouped for
+    one mark, and the bound stays that snapshot's rather than tightening.
     """
     n = Fraction(n)
     if n <= 1:
         raise DomainError(
             "identity verification requires n > 1; at n = 1 the product is "
             "exactly 0 = cos(pi/2) but the log-based route is undefined")
-    detail = product_trace(n, num_factors, precision_bits)[-1]
+    if num_factors < 1:
+        raise ValueError("num_factors must be at least 1")
+    bits = min(precision_bits,
+               _working_bits(precision_bits, _product_log_tail(n, num_factors)))
+    detail = _partial_products(n, [num_factors], bits)[0]
     # the value is already dyadic at this precision, so only the bound moves
     product = real_from_rational(detail.value.ratio(), precision_bits,
-                                 detail._total_ratio())
+                                 detail.total_ratio())
     x = pi_constant(precision_bits + 16) * Fraction(n.denominator,
                                                     2 * n.numerator)
     neg_log = neg_log_product_series(n, order, precision_bits + 8)

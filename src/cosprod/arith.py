@@ -208,15 +208,19 @@ class BoundedReal:
     ``|value - truth| <= abs_error`` for the real number the instance
     stands for.  Both are read out of canonical triples (module docstring),
     so equal balls have equal fields.  Instances are immutable and hashable.
+    The constructor also takes either as an unreduced ``Ratio``, for a ball
+    that is only compared: its triples may then keep an odd common factor,
+    so its fields need not equal those of an equal ball.
     """
 
     _v: _Triple
     _e: _Triple
     precision_bits: int
 
-    def __init__(self, value: _RationalLike, abs_error: _RationalLike,
+    def __init__(self, value: Union[_RationalLike, Ratio],
+                 abs_error: Union[_RationalLike, Ratio],
                  precision_bits: int) -> None:
-        if abs_error < 0:
+        if abs_error.numerator < 0:
             raise ValueError("abs_error must be nonnegative")
         if precision_bits < 1:
             raise ValueError("precision_bits must be positive")

@@ -11,6 +11,7 @@ from cosprod.analytic import (
     DomainError,
     _coefficient_sum,
     _coefficient_tail,
+    _partial_products,
     _product_log_tail,
     _row_one_steps,
     _versine_doubled,
@@ -197,6 +198,28 @@ class TestPartialProduct:
                         value = snap.value
                         assert value.value <= exact[snap.num_factors]
                         assert exact[snap.num_factors] - value.value <= value.abs_error
+
+    def test_one_mark_against_the_exact_partial_products(self):
+        # the single mark verify uses groups the blocks from the first
+        # factor on; the value is floored at 2^-shift and once more to bits
+        rng = random.Random(1919)
+        for _ in range(10):
+            q = rng.randint(1, 40)
+            n = F(rng.randint(q + 1, 10 * q), q)
+            counts = [rng.randint(1, 2000) for _ in range(3)] + [1, 16, 17]
+            exact = partial_products_exact(n, counts)
+            for count in counts:
+                bits = rng.choice((8, 24, 64, 128, 1024))
+                (res,) = _partial_products(n, [count], bits)
+                value = res.value.value
+                top = value.numerator.bit_length() - value.denominator.bit_length()
+                top -= F(2) ** top > value  # 2^top <= value < 2^(top+1)
+                quantum = F(2) ** (top - bits + 1)
+                low_by = exact[count] - value
+                assert res.num_factors == count
+                assert 0 <= low_by <= F(count, 2 ** (bits + analytic._GUARD_BITS)) + quantum
+                assert low_by <= res.value.abs_error
+                assert res.log_tail_bound == _product_log_tail(n, count)
 
 
 class TestNegLogProductSeries:
@@ -499,10 +522,42 @@ class TestWorkingPrecision:
         assert capped.overlaps(full)
         assert capped.abs_error <= full.abs_error * self.STEP
 
-    def test_series_and_exp_on_the_verify_route(self):
+    @staticmethod
+    def verify_ns():
         rng = random.Random(1111)
-        ns = [F(11, 10), F(3, 2), F(5)] + [F(rng.randint(21, 200), 20) for _ in range(3)]
-        for n in ns:
+        return [F(11, 10), F(3, 2), F(5)] + [F(rng.randint(21, 200), 20) for _ in range(3)]
+
+    def test_product_on_the_verify_route(self):
+        # verify takes one product at the bits its log tail leaves, capped at
+        # bits; product_trace's last snapshot takes it at bits + 32.  The
+        # floor leaves the value with at most the fitted bits, and where the
+        # cap binds the ball is the snapshot's (the blocks, grouped for one
+        # mark, floor to the same value here)
+        fitted_bits_reached = False
+        for n in self.verify_ns():
+            for bits in self.BITS:
+                for factors in (10, 1000, 100_000):
+                    if factors == 100_000 and bits > 256:
+                        continue
+                    case = n, bits, factors
+                    capped = verify_identity(n, factors, 40, bits).product
+                    full = product_trace(n, factors, bits)[-1]
+                    lo, hi = full.interval()
+                    assert capped.lower() <= hi and lo <= capped.upper(), case
+                    assert capped.abs_error <= full.total_bound() * self.STEP, case
+                    work = analytic._working_bits(bits, _product_log_tail(n, factors))
+                    if work >= bits:
+                        assert capped == real_from_rational(
+                            full.value.value, bits, full.total_bound()), case
+                        continue
+                    num = capped.value.numerator
+                    significant = (num >> (num & -num).bit_length() - 1).bit_length()
+                    assert significant <= work, case
+                    fitted_bits_reached |= significant == work
+        assert fitted_bits_reached
+
+    def test_series_and_exp_on_the_verify_route(self):
+        for n in self.verify_ns():
             for bits in self.BITS:
                 # the ball X that the series takes at bits + 8
                 x = pi_constant(bits + 24) * F(n.denominator, 2 * n.numerator)
@@ -794,3 +849,9 @@ class TestVerifyIdentity:
             verify_identity(1, 10, 5, 64)
         with pytest.raises(DomainError):
             verify_identity(F(1, 2), 10, 5, 64)
+
+    def test_rejects_no_factors_and_too_little_precision(self):
+        with pytest.raises(ValueError):
+            verify_identity(3, 0, 5, 64)
+        with pytest.raises(ValueError):
+            verify_identity(3, 10, 5, 7)

@@ -285,6 +285,30 @@ class TestRoundingOracle:
                                    Ratio(err.numerator * h, err.denominator * h), floor)
             assert (b.value, b.abs_error) == round_reference(r, bits, err, floor)
 
+    def test_a_ball_of_unreduced_ratios_is_the_reduced_ball(self):
+        # the constructor takes value and error as Ratios with any common
+        # factor left in, and the ball reads and compares as the Fraction one
+        rng = random.Random(1919)
+        verdicts = set()
+        for _ in range(400):
+            value = _random_rational(rng, rng.random() < 0.5)
+            err = abs(_random_rational(rng, rng.random() < 0.5))
+            g, h = (rng.choice((1, 1 << rng.randint(1, 300), rng.getrandbits(200) | 1))
+                    for _ in range(2))
+            bits = rng.choice([8, 64, 4096])
+            ball = BoundedReal(Ratio(value.numerator * g, value.denominator * g),
+                               Ratio(err.numerator * h, err.denominator * h), bits)
+            reduced = BoundedReal(value, err, bits)
+            assert (ball.value, ball.abs_error) == (value, err)
+            other = _random_operand(rng)
+            if not isinstance(other, BoundedReal):
+                other = BoundedReal(other, abs(_random_rational(rng, False)), 64)
+            verdicts.add(ball.overlaps(other))
+            assert ball.overlaps(other) == reduced.overlaps(other) == other.overlaps(ball)
+        assert verdicts == {True, False}
+        with pytest.raises(ValueError):
+            BoundedReal(Ratio(1, 3), Ratio(-1, 10), 64)
+
     def test_non_dyadic_error_is_carried_exactly(self):
         b = BoundedReal(F(1, 3), F(1, 7), 64)
         assert (b.value, b.abs_error) == (F(1, 3), F(1, 7))

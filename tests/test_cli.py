@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from cosprod import cli
-from cosprod.analytic import rearrangement_check, verify_identity
+from cosprod.analytic import product_trace, rearrangement_check, verify_identity
+from cosprod.arith import pi_constant, real_from_rational
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
 from test_golden import README_COMMANDS
@@ -175,6 +177,54 @@ class TestProduct:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert rows[-1]["num_factors"] == "8"
         assert all(r["contained"] == "PASS" for r in rows)
+
+    def test_rows_against_fraction_arithmetic(self, capsys, monkeypatch):
+        # each row as Fractions give it: the value to the digits its total
+        # bound certifies, and contained iff |value - cosine| <= total + the
+        # cosine's error; the cosine is moved off cos(pi/2n) by about one
+        # snapshot's total, so that some rows fail, and some pass only by
+        # the cosine's error
+        rng = random.Random(2020)
+        true_cos = cli.cos_approx
+        verdicts = set()
+        for _ in range(16):
+            n = F(rng.randint(21, 200), rng.choice((1, 20)))
+            bits = rng.choice((8, 64, 128, 4096))
+            factors = rng.randint(1, 3000)
+            trace = product_trace(n, factors, bits)
+            bound = rng.choice(trace).total_bound()
+            shift = bound * F(rng.randint(-12, 12), 8)
+            err = bound * F(rng.randint(0, 4), 8)
+
+            def moved(x, precision_bits):
+                c = true_cos(x, precision_bits)
+                return real_from_rational(c.value + shift, precision_bits,
+                                          c.abs_error + err)
+
+            monkeypatch.setattr(cli, "cos_approx", moved)
+            code, out, _ = run(capsys, "product", "--n", str(n), "--num-factors",
+                               str(factors), "--precision", str(bits), "--format", "json")
+            target = moved(pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator), bits)
+            expected = []
+            for snap in trace:
+                total = snap.total_bound()
+                deviation = abs(snap.value.value - target.value)
+                ok = deviation <= total + target.abs_error
+                verdicts.add(ok)
+                expected.append({
+                    "num_factors": str(snap.num_factors),
+                    "value": format_decimal(snap.value.value, total),
+                    "round_bound": format_bound(snap.value.abs_error),
+                    "log_tail_bound": format_bound(snap.log_tail_bound),
+                    "total_bound": format_bound(total),
+                    "cosine": format_decimal(target.value, target.abs_error),
+                    "deviation": format_bound(deviation) if deviation else "0",
+                    "contained": "PASS" if ok else "FAIL",
+                })
+            assert json.loads(out)["rows"] == expected, (n, bits, factors)
+            all_pass = all(row["contained"] == "PASS" for row in expected)
+            assert code == (cli.EXIT_OK if all_pass else cli.EXIT_FAIL)
+        assert verdicts == {True, False}
 
     def test_domain_error_below_one(self, capsys):
         code, _, err = run(capsys, "product", "--n", "1/2", "--num-factors", "8")

@@ -1,13 +1,15 @@
-"""Byte-exact output of the five README commands and six high-precision runs.
+"""Byte-exact output of the five README commands and seven high-precision runs.
 
 The files under ``tests/golden/`` hold the standard output of each README
-command at its documented defaults (with ``--n 3``), and of six commands
+command at its documented defaults (with ``--n 3``), and of seven commands
 that take the ``BoundedReal`` arithmetic to hundreds or thousands of bits.
 The three 4096-bit ``verify`` runs differ in how many bits their series
 route carries (about 17, 54 and 196), so each tests the working precision
 of ``exp`` and of the series at a different depth.  The 16,384-bit
 ``verify``, the widest precision CI runs, pins the rows printed from the
-widest numbers any check reads.
+widest numbers any check reads.  The 256-bit ``verify`` at 100,000 factors
+takes its product at about 51 bits, fitted to the product's log tail, with
+its blocks grouped for one mark rather than the 18 of ``product_trace``.
 A refactor that leaves the numbers alone must leave these bytes alone; a
 change that deliberately tightens a bound regenerates them, says so, and
 keeps the old row here to show that the new interval lies inside it.
@@ -45,6 +47,8 @@ README_COMMANDS = {
                        "--order", "40", "--precision", "1000"],
     "verify-16384-7": ["verify", "--n", "7", "--num-factors", "10",
                        "--order", "5", "--precision", "16384"],
+    "verify-256-31-20": ["verify", "--n", "31/20", "--num-factors", "100000",
+                         "--order", "30", "--precision", "256"],
 }
 
 # the cosine row of verify-4096-3-2 as the plain Maclaurin cosine printed it,
