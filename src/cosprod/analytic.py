@@ -19,18 +19,18 @@ intermediate is exact and the accumulated rounding is counted in ulps
 (the coefficient series counts a constant 2 ulps per term); the product
 multiplies blocks of _PRODUCT_BLOCK factors exactly in small integers and
 floors once per block, so it counts one ulp per block.  The column order
-of the rearrangement is one exact rational sum.  No route adds, subtracts
-or divides balls, or multiplies two balls.  Every
-tail is bounded by an integral or geometric comparison that is stated at
-the point of use; the series route takes its tail at the exact ratio
-r = 1/n^2, as the rearrangement's column order does, and the step from its
-ball of pi/2n to the point itself from a 64-bit pi, in integers over
-unreduced denominators, so no bound takes a gcd of thousands of bits.
-Each result is
-rounded to the requested precision by
-:func:`~cosprod.arith.real_from_rational`, which adds the carried error to
-the rounding cap, so the :class:`~cosprod.arith.BoundedReal` intervals are
-sound by construction.
+of the rearrangement is one exact rational sum.  Every tail is bounded by
+an integral or geometric comparison that is stated at the point of use;
+the series route takes its tail at the exact ratio r = 1/n^2, as the
+rearrangement's column order does, and encloses its sum at pi/2n between
+its sums at the two ends of pi's ball, read as unreduced ratios, so no
+bound takes a gcd of thousands of bits.  Each result is built from its
+scaled integer or exact rational by
+:func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
+precision and adds the carried error to the rounding cap, so the
+:class:`~cosprod.arith.BoundedReal` intervals are sound by construction.
+No route reaches a ball operator; ``verify_identity`` alone scales pi's
+ball to pi/2n for the cosine and negates the series for exp.
 
 Precision follows accuracy: the product and series routes need only as
 many bits as their truncation tails leave, and exp only as many as its
@@ -320,11 +320,10 @@ def _partial_products(n: Fraction, marks: list[int],
                 den *= a2
             acc = acc * num // den
             k = end
-        # acc / 2^shift floored to precision_bits, with mark ulps of error:
-        # rounded as an integer, then scaled exactly, as a Fraction of acc
-        # would cost a gcd of shift bits
-        value = (real_from_rational(acc, precision_bits, mark, floor=True)
-                 * Fraction(1, 1 << shift))
+        # acc / 2^shift floored to precision_bits, with mark ulps of error,
+        # read as Ratios: a Fraction of acc would cost a gcd of shift bits
+        value = real_from_rational(Ratio(acc, 1 << shift), precision_bits,
+                                   Ratio(mark, 1 << shift), floor=True)
         results.append(PartialProductResult(mark, value,
                                             _product_log_tail(n, mark)))
     return results
@@ -383,38 +382,33 @@ def neg_log_product_series(n: _RationalLike, order: int,
     so the truncation tail is ``_coefficient_tail(1/n^2, order)``, the
     column order's own call.
 
-    The sum is taken at X = pi_constant(precision_bits + 16) / (2n), a ball
-    of radius E about pi/2n.  Every term of the truncated sum is even and
-    positive, so between X's value and pi/2n its derivative is at most
-    tan xi = sum_m 2 c_m xi^(2m-1) = (2/xi) sum_m lambda(2m) rho^m, for some
-    xi with |xi| <= pi/2n + E and rho = (2 xi/pi)^2; by lambda(2m) < 5/4
-    that is at most 10 xi / (pi^2 (1 - rho)).  With pi_lo =
-    pi_constant(64).lower() <= pi and s = 1/n + 2E/pi_lo, rho <= s^2 and
-    10 xi / pi^2 = (5/pi)(2 xi/pi) <= 5 s / pi_lo, so the step from X to
-    pi/2n moves the sum by at most E 5 s / (pi_lo (1 - s^2)).  1 - s^2 is
-    exact, as a 64-bit s would reach 1 for n within 2^-62 of 1.  s, 1 - s^2,
-    the step and the error they add up to are held as integer numerators
-    over unreduced denominators, so no gcd of E's denominator, a power of
-    two as wide as X, is taken; nor is X's value reduced.  Where
-    1 - s^2 <= 0 the ball of X may reach pi/2, and no bound follows: that is
-    a precision too low for an n so near 1, and raises PrecisionError.
-    s < 1 also keeps X's value below pi/2, as ``_coefficient_sum`` asks.
+    Every term of the truncated sum increases with x >= 0, so the sum at
+    pi/2n lies between its sums at lo and hi, the ends of the ball
+    pi_constant(precision_bits + 16) times qn / (2 pn), n = pn/qn: the
+    interval enclosure of a monotone function (Moore, Interval Analysis,
+    1966).  lo and hi are unreduced Ratios, so no gcd of pi's ends is taken.
+    ``_coefficient_sum`` asks x < pi/2: hi < pi_lo / 2 <= pi/2 is checked
+    as an integer comparison, and where it fails the ball of pi/2n may
+    reach pi/2 and no bound follows: that is a precision too low for an n
+    so near 1, and raises PrecisionError.  With S_lo and S_hi the two
+    sums, each at most 2 order ulps 2^-F low, the truncated sum lies in
+    [S_lo, S_hi + 2 order] ulps; the result is that interval's centre, with
+    half its width plus the tail as its error.
 
-    The tail depends only on n and order, so it is known before the sum,
+    The tail depends only on n and order, so it is known before the sums,
     which ``_coefficient_sum`` takes on one fixed point of F = work + 2z
     bits: work = ``_working_bits(precision_bits, tail)`` is at most
     G = _GUARD_BITS past floor(-log2 tail), and z = bitlen(den) -
-    bitlen(num) for X's value num/den, or 0 if that is negative.  That
-    counts the zero bits of X before its leading one, the units bit
-    included, so 2^-z <= X for the dyadic X.  The sum is less than
-    2 order ulps 2^-F low at any F, so F moves only the width.  As
-    S = -log cos X >= X^2 / 2, those ulps are at most 4 order 2^-work S.
-    Where work is fitted to the tail, that is below order 2^(3-G) S tail:
-    under 2^-20 of the tail for order 40 and S < 8, which the 8-bit
+    bitlen(num) for lo = num/den, or 0 if that is negative, so
+    2^-z < 2 lo.  The sums are less than 2 order ulps 2^-F low at any F, so
+    F moves only the width.  Those ulps add order 2^-F to the error, and as
+    S = -log cos(pi/2n) >= lo^2 / 2, that is below 8 order 2^-work S.
+    Where work is fitted to the tail, it is below order 2^(4-G) S tail:
+    under 2^-19 of the tail for order 40 and S < 8, which the 8-bit
     round-up of the result absorbs (at worst it grows the bound by one 2^-7
-    step).  Where work is precision_bits + 16, it is below order 2^-13 of
+    step).  Where work is precision_bits + 16, it is below order 2^-12 of
     the final rounding cap, at least S 2^-(precision_bits+1): one 2^-7 step
-    at most up to order 64.
+    at most up to order 32.
     """
     n = Fraction(n)
     if order < 1:
@@ -423,27 +417,22 @@ def neg_log_product_series(n: _RationalLike, order: int,
     if n <= 1:
         raise DomainError("the series requires n > 1")
     pn, qn = n.numerator, n.denominator
-    x = pi_constant(precision_bits + 16) * Fraction(qn, 2 * pn)
-    # E = ee / ed and pi_lo = pl / pd are dyadics of 8 and 64 bits, read as
-    # Fractions at no wide gcd; s = s_num / s_den, and 1 - s^2 =
-    # (s_den - s_num)(s_den + s_num) / s_den^2
-    e, pi_lo = x.abs_error, pi_constant(64).lower()
-    ee, ed, pl, pd = e.numerator, e.denominator, pi_lo.numerator, pi_lo.denominator
-    s_num, s_den = qn * ed * pl + 2 * ee * pd * pn, pn * ed * pl
-    if s_num >= s_den:
+    pi = pi_constant(precision_bits + 16)
+    (lp, lq), (hp, hq) = pi.ratio(-1), pi.ratio(1)
+    if hp * qn * lq >= lp * pn * hq:  # hi >= pi_lo / 2
         raise PrecisionError("pi/(2n) is not certified below pi/2")
+    lo, hi = Ratio(lp * qn, 2 * pn * lq), Ratio(hp * qn, 2 * pn * hq)
     tail = _coefficient_tail(Fraction(qn * qn, pn * pn), order)
-    step_num = 5 * ee * pd * s_num * s_den
-    step_den = ed * pl * (s_den - s_num) * (s_den + s_num)
-    v = x.ratio()
-    zeros = max(v.denominator.bit_length() - v.numerator.bit_length(), 0)
+    zeros = max(lo.denominator.bit_length() - lo.numerator.bit_length(), 0)
     frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
-    total, ulps = _coefficient_sum(v, order, frac_bits)
-    # tail + step + ulps / 2^F over one unreduced denominator
-    den = tail.denominator * step_den
-    err = Ratio(((tail.numerator * step_den + step_num * tail.denominator)
-                 << frac_bits) + ulps * den, den << frac_bits)
-    return real_from_rational(Ratio(total, 1 << frac_bits), precision_bits, err)
+    s_lo, ulps = _coefficient_sum(lo, order, frac_bits)
+    s_hi, _ = _coefficient_sum(hi, order, frac_bits)
+    # [s_lo, s_hi + ulps] / 2^F: centre and half width, tail over 2^(F+1)
+    den = tail.denominator << (frac_bits + 1)
+    err = Ratio((tail.numerator << (frac_bits + 1))
+                + (s_hi + ulps - s_lo) * tail.denominator, den)
+    return real_from_rational(Ratio(s_lo + s_hi + ulps, 2 << frac_bits),
+                              precision_bits, err)
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +532,7 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     s, err = _versine_series(v, halvings, frac_bits, work + 8 + 2 * g)
     s, err = _versine_doubled(s, err, frac_bits, halvings)
     one = 1 << frac_bits
-    c = real_from_rational(one - s, precision_bits + 16, err) * Fraction(1, one)
+    c = real_from_rational(Ratio(one - s, one), precision_bits + 16, Ratio(err, one))
     return real_from_rational(c.ratio(), precision_bits,
                               c.abs_error + x.abs_error)
 

@@ -175,10 +175,14 @@ def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
 def neg_log_series_full_precision(x, order: int, precision_bits: int):
     """neg_log_product_series with every ball operation at precision_bits + 16.
 
-    The reference for the working-precision cap: the same sum, domain
-    check, tail (the package's ``_coefficient_tail``, which
-    ``TestCoefficientTail`` checks against ``coefficient_tail_exact``) and
-    input term, with nothing fitted to the accuracy of the tail.
+    The reference for the working-precision cap: the same truncated sum
+    and tail function (the package's ``_coefficient_tail``, which
+    ``TestCoefficientTail`` checks against ``coefficient_tail_exact``), with
+    nothing fitted to the accuracy of the tail.  It sums once, at the value
+    of the ball x, and its domain check and input term are its own
+    derivative bound: tan xi <= 10 xi / (pi^2 (1 - rho)) for |xi| <= x_up,
+    rho = (2 x_up / pi)^2.  That is independent of the package, which
+    brackets the sum between its values at the two ends of pi's ball.
     """
     work = precision_bits + 16
     pi_low = pi_constant(work).lower()

@@ -76,6 +76,19 @@ def neg_log_cos_bracket(n: F, bits: int, width: F) -> tuple[F, F]:
     return k * ln2_lo - ln(a_hi)[1], k * ln2_hi - ln(a_lo)[0]
 
 
+def spy_on_rounding(monkeypatch) -> list[tuple[F, F]]:
+    """(r, err) of every call to ``analytic.real_from_rational``, as Fractions."""
+    carried = []
+
+    def spy(r, bits, err=0, floor=False):
+        carried.append((F(r.numerator, r.denominator),
+                        F(err.numerator, err.denominator)))
+        return real_from_rational(r, bits, err, floor)
+
+    monkeypatch.setattr(analytic, "real_from_rational", spy)
+    return carried
+
+
 def pi_power_bracket(power: int, bits: int = 256) -> tuple[F, F]:
     p = pi_constant(bits)
     return p.lower() ** power, p.upper() ** power
@@ -249,9 +262,10 @@ class TestNegLogProductSeries:
         assert res.value > 0
 
     def test_contains_minus_log_cos_over_seeded_n(self):
-        # the truth oracle of the tail and the step from X to pi/2n: the
-        # interval holds a bracket of -log cos(pi/2n) itself.  Only an n so
-        # near 1 that X's ball reaches pi/2 may raise PrecisionError.
+        # the truth oracle of the tail and of the bracket between the sums
+        # at the two ends of pi/2n's ball: the interval holds a bracket of
+        # -log cos(pi/2n) itself.  Only an n so near 1 that the ball's high
+        # end is not certified below pi/2 may raise PrecisionError.
         rng = random.Random(1717)
         fixed = [1 + F(1, 10**4), 1 + F(1, 10**8), F(101, 100), F(11, 10),
                  F(3, 2), F(2), F(3), F(7), F(100), F(10**6)]
@@ -272,6 +286,39 @@ class TestNegLogProductSeries:
             assert res.lower() <= lo and hi <= res.upper(), (n, order, bits)
             checked += 1
         assert checked >= 90
+
+    def test_a_wide_pi_ball_is_enclosed_by_the_sums_at_its_ends(self, monkeypatch):
+        # pi with an error of 2^-20, still around conftest's pi: at n = 3 and
+        # 3/2 pi's error, not the tail, sets the width, so a sum taken at one
+        # end of the ball alone misses -log cos(pi/2n).  The 8-bit round-up
+        # of the error would hide the high end's 2 order ulps, so the spy
+        # also reads the interval handed to the final rounding: it must hold
+        # [T(lo), T(hi) + tail] exactly, T the truncated sum from conftest's
+        # tangent numbers and lo, hi the ends of pi/2n
+        pi_lo, pi_hi = pi_bracket()
+        wide = BoundedReal(pi_constant(1024).value, F(1, 2**20), 1024)
+        assert wide.lower() <= pi_lo and pi_hi <= wide.upper()
+        monkeypatch.setattr(analytic, "pi_constant", lambda bits: wide)
+        carried = spy_on_rounding(monkeypatch)
+        order = 40
+        for n in (F(3), F(3, 2), F(11, 10)):
+            res = neg_log_product_series(n, order, 1024)
+            value, err = carried[-1]
+            lo, hi = neg_log_cos_bracket(n, 1024, res.upper() - res.lower())
+            assert res.lower() <= lo and hi <= res.upper(), n
+            tail = _coefficient_tail(1 / (n * n), order)
+            if n >= F(3, 2):
+                assert tail < res.abs_error / 2**16, n
+            scale = F(n.denominator, 2 * n.numerator)
+            t_lo, d_lo = coefficient_sums_exact(wide.lower() * scale, (order,))[order]
+            t_hi, d_hi = coefficient_sums_exact(wide.upper() * scale, (order,))[order]
+            low, high = value - err, value + err - tail
+            assert low.numerator * d_lo <= t_lo * low.denominator, n
+            assert t_hi * high.denominator <= high.numerator * d_hi, n
+            # centred: the error is half the spread plus the tail, up to the
+            # 8-bit round-up, not the whole spread from the low end
+            half = F(t_hi * d_lo - t_lo * d_hi, 2 * d_lo * d_hi)
+            assert res.abs_error <= (half + tail) * (1 + F(1, 2**6)), n
 
 
 class TestCoefficientSum:
@@ -559,7 +606,7 @@ class TestWorkingPrecision:
     def test_series_and_exp_on_the_verify_route(self):
         for n in self.verify_ns():
             for bits in self.BITS:
-                # the ball X that the series takes at bits + 8
+                # pi/2n from the ball of pi whose ends the series reads at bits + 8
                 x = pi_constant(bits + 24) * F(n.denominator, 2 * n.numerator)
                 for order in (5, 30, 40):
                     full = neg_log_series_full_precision(x, order, bits + 8)
@@ -644,14 +691,7 @@ class TestRearrangement:
         # column's rounding term dropped: that term is below 2^-14 of the
         # final rounding cap, which covers it.  So the error carried into
         # that last rounding is read too.
-        carried = []
-
-        def spy(r, bits, err=0, floor=False):
-            carried.append((F(r.numerator, r.denominator),
-                            F(err.numerator, err.denominator)))
-            return real_from_rational(r, bits, err, floor)
-
-        monkeypatch.setattr(analytic, "real_from_rational", spy)
+        carried = spy_on_rounding(monkeypatch)
         rng = random.Random(1818)
         for i in range(40):
             n = F(rng.randint(3, 80), rng.choice((1, 2)))
@@ -729,27 +769,52 @@ class TestRearrangement:
 
 
 class TestNoBallArithmetic:
-    def test_the_routes_reach_no_ball_operator(self, monkeypatch):
-        # the series, both orders of rearrangement_check and the identity
-        # sum in scaled integers or exact rationals: no ball +, -, / and no
-        # ball-by-ball *; scaling a ball by an exact rational stays
-        def refuse(*args):
-            raise AssertionError("a ball operator was reached")
+    OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__neg__")
+    NS = (F(11, 10), F(3, 2), F(3), F(1000))
+    BITS = (8, 128, 1024)
 
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__truediv__"):
-            monkeypatch.setattr(BoundedReal, name, refuse)
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("a ball operator was reached")
+
+    def test_the_routes_reach_no_ball_operator(self, monkeypatch):
+        # every route sums in scaled integers or exact rationals and builds
+        # its balls through real_from_rational: no ball operator at all, not
+        # even a scaling or a negation.  The inputs of cos and exp are built
+        # before the operators are refused
+        inputs = {(n, bits): (pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator),
+                              -neg_log_product_series(n, 30, bits + 8))
+                  for n in self.NS for bits in self.BITS}
+        for name in self.OPERATORS:
+            monkeypatch.setattr(BoundedReal, name, self.refuse)
+        for bits in self.BITS:
+            assert lambda_direct(3, 100, bits).value.value > 0
+            assert product_trace(1, 100, bits)[-1].value.value == 0
+            for n in self.NS:
+                x, y = inputs[n, bits]
+                assert neg_log_product_series(n, 30, bits).value > 0
+                assert product_trace(n, 100, bits)[-1].value.value > 0
+                assert cos_approx(x, bits).value > 0
+                assert exp_approx(y, bits).value > 0
+                assert rearrangement_check(n, 50, 10, bits).overlap
+
+    def test_verify_only_scales_pi_and_negates_the_series(self, monkeypatch):
+        # verify_identity scales pi to pi/2n for the cosine and negates the
+        # series for exp: a ball times an exact rational and -ball, no more
+        for name in self.OPERATORS:
+            if name not in ("__mul__", "__neg__"):
+                monkeypatch.setattr(BoundedReal, name, self.refuse)
         scale = BoundedReal.__mul__
 
         def scale_only(self, other):
             if isinstance(other, BoundedReal):
-                refuse()
+                TestNoBallArithmetic.refuse()
             return scale(self, other)
 
         monkeypatch.setattr(BoundedReal, "__mul__", scale_only)
-        for n in (F(11, 10), F(3, 2), F(3), F(1000)):
-            for bits in (8, 128, 1024):
-                assert neg_log_product_series(n, 30, bits).value > 0
-                assert rearrangement_check(n, 50, 10, bits).overlap
+        for n in self.NS:
+            for bits in self.BITS:
                 assert verify_identity(n, 100, 30, bits).verdict
 
 

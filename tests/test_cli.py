@@ -294,6 +294,15 @@ class TestVerify:
                 assert (code, out) == (cli.EXIT_USAGE, ""), (e, bits, err)
                 assert err.startswith("order or precision too low to decide")
 
+    def test_pi_ball_reaching_half_pi_is_the_series_usage_error(self, capsys):
+        # at 8 bits the ball of pi/2n, n = 1 + 2^-32, is not certified below
+        # pi/2: the series says so itself, before exp is reached
+        code, out, err = run(capsys, "verify", "--n", "4294967297/4294967296",
+                             "--num-factors", "10", "--order", "5", "--precision", "8")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == ("order or precision too low to decide (pi/(2n) is not "
+                       "certified below pi/2); raise --order or --precision\n")
+
     def test_enough_order_near_one_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "101/100", "--order", "300")
         assert code == 0
