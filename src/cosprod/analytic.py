@@ -248,16 +248,13 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
 def _product_log_tail(n: Fraction, num_factors: int) -> Fraction:
     """Bound on sum_{k>N} -log(1 - a_k) with a_k = 1/((2k-1)^2 n^2).
 
-    Uses -log(1-a) <= a/(1-a) <= a/(1 - a_first) and the odd-power tail
-    bound for sum a_k.  Requires n > 1 so that a_first < 1.  With
-    n = pn/qn and o = 2N + 1, sum a_k <= (qn^2 / pn^2)(1/o^2 + 1/(2o)) =
-    qn^2 (o + 2) / (2 o^2 pn^2) and 1 - a_first = (o^2 pn^2 - qn^2) /
-    (o^2 pn^2), so the bound is qn^2 (o + 2) / (2 (o^2 pn^2 - qn^2)),
-    built as one Fraction.
+    Uses -log(1-a) <= a/(1-a) <= a/(1 - a_first), a_first = 1/(o^2 n^2)
+    with o = 2N + 1, and sum a_k <= ``_odd_tail_bound(N, 2)`` / n^2, so the
+    bound is ``_odd_tail_bound(N, 2)`` / (n^2 - 1/o^2).  Requires n > 1 so
+    that a_first < 1.
     """
-    pn, qn = n.numerator, n.denominator
     odd = 2 * num_factors + 1
-    return Fraction(qn * qn * (odd + 2), 2 * ((odd * pn) ** 2 - qn * qn))
+    return _odd_tail_bound(num_factors, 2) / (n * n - Fraction(1, odd * odd))
 
 
 def product_trace(n: _RationalLike, num_factors: int,
@@ -338,14 +335,9 @@ def _coefficient_tail(r: Fraction, order: int) -> Fraction:
 
     lambda(2m) <= lambda(2) = pi^2/8 < 5/4 (since pi^2 < 10), and
     1/m <= 1/(order+1), so the sum is at most the geometric series
-    (5/4) r^(order+1) / ((order+1)(1-r)).  The power is taken of
-    r_up = real_from_rational(r, 64).upper() >= r, and 1 - r exactly, so
-    the bound holds however near 1 r is, though r_up reaches 1 there.
-    r_up <= r (1 + 2^-62) loosens the bound by less than 2^-50 relative
-    for order < 2047, far below the 8-bit round-up that follows.
+    (5/4) r^(order+1) / ((order+1)(1-r)), taken exactly.
     """
-    r_up = real_from_rational(r, 64).upper()
-    return Fraction(5, 4) * r_up ** (order + 1) / ((order + 1) * (1 - r))
+    return Fraction(5, 4) * r ** (order + 1) / ((order + 1) * (1 - r))
 
 
 def _coefficient_sum(x: Union[Fraction, Ratio], order: int,

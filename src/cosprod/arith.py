@@ -20,8 +20,10 @@ numbers as unreduced ``Ratio`` pairs, with no gcd, for the reads that only
 round, compare or print a ball of thousands of bits; the formatters and
 :func:`real_from_rational` take them as they take Fractions.  No binary
 floating point is used; the rounding happens in
-one place, :func:`real_from_rational` (``_round`` on triples); precision
-is caller-specified per operation, with no global precision state.
+one place, :func:`real_from_rational` (``_round`` on triples), whose one
+quantizer ``_round_sig`` rounds the value and, as -floor(-t), the error;
+division by a rational multiplies by its reciprocal.  Precision is
+caller-specified per operation, with no global precision state.
 """
 
 from __future__ import annotations
@@ -131,12 +133,6 @@ def _neg(t: _Triple) -> _Triple:
     return -t[0], t[1], t[2]
 
 
-def _inv(t: _Triple) -> _Triple:
-    """1 / t for a nonzero canonical t."""
-    n, x, d = t
-    return (d if n > 0 else -d), -x, abs(n)
-
-
 def _floor_log2(t: _Triple) -> int:
     """Largest e with 2**e <= |t|, for t != 0."""
     n, x, d = t
@@ -176,16 +172,10 @@ def _round_sig(t: _Triple, bits: int, floor: bool = False) -> tuple[_Triple, _Tr
 
 
 def _err_up(t: _Triple) -> _Triple:
-    """Round an error bound up to 8 significant bits (keeps bounds tidy)."""
-    n, x, d = t
-    if not n:
-        return _ZERO
-    if n < 0:
+    """Round an error bound up to 8 significant bits: -floor(-t), by ``_round_sig``."""
+    if t[0] < 0:
         raise ValueError("error bounds must be nonnegative")
-    q = _floor_log2(t) - 7
-    s = x - q  # ceil(t / 2**q) = ceil(n * 2**s / d)
-    num, den = (n << s, d) if s >= 0 else (n, d << -s)
-    return _canon(-(-num // den), q)
+    return _neg(_round_sig(_neg(t), 8, floor=True)[0])
 
 
 def _round(value: _Triple, bits: int, err: _Triple,
@@ -325,9 +315,7 @@ class BoundedReal:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a BoundedReal by zero")
-            r = _inv(_triple(other))
-            return _round(_mul(self._v, r), self.precision_bits,
-                          _mul(self._e, _abs(r)))
+            return self.__mul__(1 / Fraction(other))
         return NotImplemented
 
     def __str__(self) -> str:

@@ -33,6 +33,7 @@ from .arith import (
     Ratio,
     WorkBudgetError,
     pi_constant,
+    real_from_rational,
 )
 from .output import (
     OutputRecord,
@@ -151,17 +152,28 @@ def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
 
 def _closed_forms(coeffs: tuple[Fraction, ...],
                   precision_bits: int) -> list[BoundedReal]:
-    """lambda(2m) = c_m (pi/2)^2m = q_m pi^2m for c_1..c_M in `coeffs`.
+    """lambda(2m) = c_m (pi/2)^2m for c_1..c_M in `coeffs`.
 
-    The two products agree bit for bit: q_m = c_m / 4^m, and scaling by a
-    power of two commutes with the dyadic rounding of every step.
+    (pi/2)^2m increases with pi, so it lies between its powers lo_m and
+    hi_m at the ends of pi_constant(work), work = precision_bits + 16
+    (Moore, Interval Analysis, 1966).  Both chains run on one fixed point of
+    S = precision_bits + 48 bits, the low one floored, the high one raised.
+    Each result is c_m times their centre, with c_m times half their spread
+    as its error, rounded at work bits.
     """
-    half_pi = pi_constant(precision_bits + 16) * Fraction(1, 2)
-    step = half_pi * half_pi
-    powers = [step]
-    while len(powers) < len(coeffs):
-        powers.append(powers[-1] * step)
-    return [power * c for power, c in zip(powers, coeffs)]
+    work, shift = precision_bits + 16, precision_bits + 48
+    (lp, lq), (hp, hq) = (pi_constant(work).ratio(side) for side in (-1, 1))
+    lo_step = (lp * lp << shift) // (4 * lq * lq)
+    hi_step = -(-(hp * hp << shift) // (4 * hq * hq))
+    lo = hi = 1 << shift
+    forms = []
+    for c in coeffs:
+        lo = lo * lo_step >> shift
+        hi = -(-hi * hi_step >> shift)
+        den = c.denominator << (shift + 1)
+        forms.append(real_from_rational(Ratio(c.numerator * (lo + hi), den), work,
+                                        Ratio(c.numerator * (hi - lo), den)))
+    return forms
 
 
 # a command's rows, and its verdict (None for a command with no check)
@@ -290,15 +302,21 @@ def main(argv: Optional[list[str]] = None) -> int:
         verdict=None if verdict is None else ("PASS" if verdict else "FAIL"),
     )
     text = render(record, args.format)
-    if args.out:
-        try:
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
-        except OSError as exc:
-            print(f"cannot write --out: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        where = "--out" if args.out else "standard output"
+        print(f"cannot write {where}: {exc}", file=sys.stderr)
+        if not args.out:
+            # drop what stays buffered, which the interpreter would flush
+            # again at exit, fail, and exit 120
+            sys.stdout = None
+        return EXIT_USAGE
     return EXIT_FAIL if verdict is False else EXIT_OK
 
 

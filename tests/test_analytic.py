@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cosprod import analytic
+from cosprod import analytic, cli
 from cosprod.analytic import (
     _MAX_ROW_WORK,
     _ROW_PASS_BITS,
@@ -40,6 +40,7 @@ from conftest import (
     product_log_tail_reference,
     sqrt_bracket,
 )
+from test_golden import README_COMMANDS
 
 E_40 = F("2.7182818284590452353602874713526624977572")
 
@@ -76,8 +77,8 @@ def neg_log_cos_bracket(n: F, bits: int, width: F) -> tuple[F, F]:
     return k * ln2_lo - ln(a_hi)[1], k * ln2_hi - ln(a_lo)[0]
 
 
-def spy_on_rounding(monkeypatch) -> list[tuple[F, F]]:
-    """(r, err) of every call to ``analytic.real_from_rational``, as Fractions."""
+def spy_on_rounding(monkeypatch, module=analytic) -> list[tuple[F, F]]:
+    """(r, err) of every call to ``module.real_from_rational``, as Fractions."""
     carried = []
 
     def spy(r, bits, err=0, floor=False):
@@ -85,7 +86,7 @@ def spy_on_rounding(monkeypatch) -> list[tuple[F, F]]:
                         F(err.numerator, err.denominator)))
         return real_from_rational(r, bits, err, floor)
 
-    monkeypatch.setattr(analytic, "real_from_rational", spy)
+    monkeypatch.setattr(module, "real_from_rational", spy)
     return carried
 
 
@@ -360,21 +361,19 @@ class TestCoefficientSum:
 
 class TestCoefficientTail:
     def test_within_two_to_minus_50_above_the_exact_geometric_bound(self):
+        # the tail is now taken at r itself, so "within" is equality
         rng = random.Random(2024)
         ratios = [F(1, n * n) for n in [2, 3, 10**6] + [rng.randint(2, 10**6) for _ in range(5)]]
         ratios.append(1 - F(1, 2**70))
         # 1/n^2 as the series takes it at n = 11/10 and at n = 1 + 10^-21,
-        # where r rounds to 1 at 64 bits
+        # where r is within 2^-69 of 1
         ratios.append(F(100, 121))
         ratios.append(1 / (1 + F(1, 10**21)) ** 2)
         for r in ratios:
             for order in (1, 5, 30, 40, 200, 400):
                 num, den = coefficient_tail_exact(r, order)
                 tail = _coefficient_tail(r, order)
-                # num/den <= tail <= num/den * (1 + 2^-50), cross-multiplied
-                exact, bound = num * tail.denominator, tail.numerator * den
-                assert exact <= bound, (r, order)
-                assert bound << 50 <= exact * ((1 << 50) + 1), (r, order)
+                assert num * tail.denominator == tail.numerator * den, (r, order)
 
 
 class TestCosApprox:
@@ -799,23 +798,41 @@ class TestNoBallArithmetic:
                 assert exp_approx(y, bits).value > 0
                 assert rearrangement_check(n, 50, 10, bits).overlap
 
-    def test_verify_only_scales_pi_and_negates_the_series(self, monkeypatch):
-        # verify_identity scales pi to pi/2n for the cosine and negates the
-        # series for exp: a ball times an exact rational and -ball, no more
-        for name in self.OPERATORS:
-            if name not in ("__mul__", "__neg__"):
-                monkeypatch.setattr(BoundedReal, name, self.refuse)
+    def allow_only_scaling_and_negation(self, monkeypatch):
+        # a ball times an exact rational and -ball, no more
         scale = BoundedReal.__mul__
 
-        def scale_only(self, other):
+        def scale_only(ball, other):
             if isinstance(other, BoundedReal):
-                TestNoBallArithmetic.refuse()
-            return scale(self, other)
+                self.refuse()
+            return scale(ball, other)
 
+        for name in self.OPERATORS:
+            if name != "__neg__":
+                monkeypatch.setattr(BoundedReal, name, self.refuse)
         monkeypatch.setattr(BoundedReal, "__mul__", scale_only)
+
+    def test_verify_only_scales_pi_and_negates_the_series(self, monkeypatch):
+        # verify_identity scales pi to pi/2n for the cosine and negates the
+        # series for exp
+        self.allow_only_scaling_and_negation(monkeypatch)
         for n in self.NS:
             for bits in self.BITS:
                 assert verify_identity(n, 100, 30, bits).verdict
+
+    def test_no_command_multiplies_two_balls(self, monkeypatch, capsys):
+        # coeffs, lambda and rearrange reach no operator at all, and product
+        # and verify only scale pi to pi/2n and negate the series
+        for name in self.OPERATORS:
+            monkeypatch.setattr(BoundedReal, name, self.refuse)
+        for argv in (README_COMMANDS["coeffs"], README_COMMANDS["lambda"],
+                     README_COMMANDS["rearrange"],
+                     ["coeffs", "--m-max", "40", "--precision", "300"]):
+            assert cli.main(argv) == cli.EXIT_OK, argv
+        monkeypatch.undo()
+        self.allow_only_scaling_and_negation(monkeypatch)
+        for name in ("product", "verify"):
+            assert cli.main(README_COMMANDS[name]) == cli.EXIT_OK, name
 
 
 class TestExtremeParameters:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -16,6 +17,8 @@ from cosprod.analytic import product_trace, rearrangement_check, verify_identity
 from cosprod.arith import pi_constant, real_from_rational
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
+from conftest import pi_bracket
+from test_analytic import spy_on_rounding
 from test_golden import README_COMMANDS
 
 
@@ -137,6 +140,69 @@ class TestCoeffs:
         finally:
             sys.set_int_max_str_digits(limit)
         assert printed == list(lambda_coefficients(250).coeffs)
+
+
+class TestClosedForms:
+    """``cli._closed_forms`` against a narrow bracket of pi, the ends of
+    pi's ball and the ball products that computed the closed forms before."""
+
+    BITS = (8, 64, 128, 300, 1024)
+
+    @staticmethod
+    def ball_chain(coeffs, bits):
+        half_pi = pi_constant(bits + 16) * F(1, 2)
+        step = power = half_pi * half_pi
+        forms = []
+        for c in coeffs:
+            forms.append(power * c)
+            power = power * step
+        return forms
+
+    def test_between_a_narrow_bracket_of_pi_and_inside_the_ball_products(self):
+        # [L, H] from conftest's pi, rounded outward to k = bits + 64 bits,
+        # far narrower than pi's ball: c_m (a/2^(k+1))^2m <= lambda(2m) <=
+        # c_m (b/2^(k+1))^2m, compared on integers.  The ball products
+        # enclose the same powers, rounded another way, so nesting is checked
+        # at BITS alone: it is no theorem, and fails at 113 of the 148,250
+        # pairs for m <= 250 at 8 to 600 bits, all at m <= 3, by about 1.3
+        # units in the last place at precision_bits + 16
+        rng = random.Random(2121)
+        coeffs = lambda_coefficients(250).coeffs
+        pi_lo, pi_hi = pi_bracket(700)
+        for bits in (*self.BITS, *rng.sample(range(9, 600), 3)):
+            k = bits + 64
+            a, b = math.floor(pi_lo * 2**k), -math.floor(-pi_hi * 2**k)
+            assert (b - a) << (bits + 32) < 1 << k
+            forms = cli._closed_forms(coeffs, bits)
+            low = high = 1
+            for m, (c, form, ball) in enumerate(
+                    zip(coeffs, forms, self.ball_chain(coeffs, bits)), start=1):
+                low, high, e = low * a * a, high * b * b, m * (2 * k + 2)
+                lo, hi = form.lower(), form.upper()
+                assert lo.numerator * c.denominator << e <= c.numerator * low * lo.denominator
+                assert c.numerator * high * hi.denominator <= hi.numerator * c.denominator << e
+                if bits in self.BITS:
+                    assert ball.lower() <= lo and hi <= ball.upper(), (bits, m)
+
+    def test_rounded_from_the_powers_at_the_ends_of_pi(self, monkeypatch):
+        # the 8-bit round-up of the error hides a chain rounded the wrong
+        # way, so the spy reads what reaches the final rounding: it must hold
+        # c_m (pi_lo/2)^2m .. c_m (pi_hi/2)^2m exactly, at the ends of the
+        # ball the chains start from, with c_m times half that spread as its
+        # error, up to the floors of the chains.  A chain rounded the wrong
+        # way falls short at about one precision in ten
+        carried = spy_on_rounding(monkeypatch, cli)
+        coeffs = lambda_coefficients(16).coeffs
+        for bits in range(8, 301):
+            carried.clear()
+            cli._closed_forms(coeffs, bits)
+            pi = pi_constant(bits + 16)
+            low_step, high_step = (pi.lower() / 2) ** 2, (pi.upper() / 2) ** 2
+            low = high = F(1)
+            for c, (value, err) in zip(coeffs, carried, strict=True):
+                low, high = low * low_step, high * high_step
+                assert value - err <= c * low and c * high <= value + err, bits
+                assert err <= c * (high - low) / 2 * (1 + F(1, 2**20)), bits
 
 
 class TestLambda:
@@ -383,6 +449,34 @@ class TestOutputContracts:
         assert code == cli.EXIT_USAGE
         assert out == ""
         assert len(err.splitlines()) == 1 and "x.txt" in err
+
+    def test_unwritable_stdout_is_usage_error(self, capsys, monkeypatch):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = cli.main(["coeffs", "--m-max", "2"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "cannot write standard output: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_stdout_on_a_full_device_is_usage_error(self):
+        # with stdout buffered, as from a shell, so that the flush at exit,
+        # which fails again unless the buffer is dropped, is reached too
+        src = Path(cli.__file__).parents[1]
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cosprod", "verify", "--n", "3",
+                 "--num-factors", "100", "--order", "5"],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=20,
+                env={**env, "PYTHONPATH": str(src)})
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr.startswith("cannot write standard output: ")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_exit_code_constants_are_distinct(self):
         codes = {cli.EXIT_OK, cli.EXIT_FAIL, cli.EXIT_USAGE, cli.EXIT_DOMAIN}

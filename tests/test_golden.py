@@ -65,6 +65,23 @@ OLD_BALL_COLUMNS = {
     "rearrange": "column_order  0.14381  3.1e-05  0.14378  0.14384",
     "rearrange-1000": "column_order  1.1738  7.0e-04  1.1731  1.1745",
 }
+# rows of the closed forms as the ball products printed them, before the
+# closed forms were enclosed between the powers at the two ends of pi's ball,
+# with the index of the closed form's value (its bound follows)
+OLD_BALL_CLOSED_FORMS = {
+    "coeffs": ("10  221930581/1856156927625  443861162/1856156927625"
+               "   1.0000000002868076974555819972982049       1.4e-42", 3),
+    "lambda": ("10   1.0000000002868076974555819972982049       6.0e-39"
+               "  221930581/1946321606541312000   1.0000000002868076974555819972982049"
+               "       1.4e-42     PASS", 4),
+    "coeffs-300-csv": (
+        "40,312223940197672457663787850505582669911118882046722901861343195814"
+        "110016561779/15277643179255766378780293372939789914315654478635611480"
+        "13214536238736772346159023284912109375,624447880395344915327575701011"
+        "165339822237764093445803722686391628220033123558/15277643179255766378"
+        "78029337293978991431565447863561148013214536238736772346159023284912"
+        "109375,1,9.0e-94", 3),
+}
 
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
@@ -86,15 +103,15 @@ def test_readme_examples_are_what_the_package_does(capsys):
     assert shown == list(README_COMMANDS.values())[:5]
 
 
-def _interval(row):
-    _, value, bound = row.split()[:3]
+def _interval(row, at=1, sep=None):
+    value, bound = row.split(sep)[at:at + 2]
     return Fraction(value) - Fraction(bound), Fraction(value) + Fraction(bound)
 
 
-def _row(name, method, capsys):
+def _row(name, first, capsys, sep=None):
     assert cli.main(README_COMMANDS[name]) == cli.EXIT_OK
     return next(line for line in capsys.readouterr().out.splitlines()
-                if line.split()[:1] == [method])
+                if line.split(sep)[:1] == [first])
 
 
 def test_tightened_cosine_lies_inside_the_old_one(capsys):
@@ -113,4 +130,14 @@ def test_fixed_point_cosine_lies_inside_the_ball_one(capsys):
 def test_exact_column_sum_lies_inside_the_ball_one(name, capsys):
     (lo, hi), (old_lo, old_hi) = (_interval(_row(name, "column_order", capsys)),
                                   _interval(OLD_BALL_COLUMNS[name]))
+    assert old_lo < lo <= hi < old_hi
+
+
+@pytest.mark.parametrize("name", sorted(OLD_BALL_CLOSED_FORMS))
+def test_enclosed_closed_form_lies_inside_the_ball_one(name, capsys):
+    old, at = OLD_BALL_CLOSED_FORMS[name]
+    sep = "," if name.endswith("csv") else None
+    m = old.split(sep)[0]
+    (lo, hi), (old_lo, old_hi) = (_interval(_row(name, m, capsys, sep), at, sep),
+                                  _interval(old, at, sep))
     assert old_lo < lo <= hi < old_hi
