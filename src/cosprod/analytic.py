@@ -15,8 +15,10 @@ or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos and decimal's correctly rounded exp).  All heavy
 summations, the coefficient series, and the cosine's series and doublings
 run in scaled-integer arithmetic with floor divisions, so every
-intermediate is exact and the accumulated rounding is counted in ulps
-(the coefficient series counts a constant 2 ulps per term); the product
+intermediate is exact and the accumulated rounding is counted in ulps,
+except the powers c_m x^(2m) behind the series and the closed forms
+lambda(2m) = c_m (pi/2)^(2m), which one chain rounds down at the low end
+of x and up at the high end, so they need no count; the product
 multiplies blocks of _PRODUCT_BLOCK factors exactly in small integers and
 floors once per block, so it counts one ulp per block.  The column order
 of the rearrangement is one exact rational sum.  Every tail is bounded by
@@ -63,7 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .arith import (
     BoundedReal,
@@ -241,6 +243,22 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
     )
 
 
+def closed_forms(m_max: int, precision_bits: int) -> list[BoundedReal]:
+    """lambda(2m) = c_m (pi/2)^(2m) for m = 1..m_max, rounded at precision_bits + 16.
+
+    c_m (pi/2)^(2m) increases with pi, so it lies between A_m and B_m of
+    ``_coefficient_powers`` at the two ends of pi_constant(work) halved,
+    work = precision_bits + 16, on one fixed point of S = precision_bits + 48
+    bits.  Each result is their centre, with half their spread as its error.
+    """
+    work, shift = precision_bits + 16, precision_bits + 48
+    (lp, lq), (hp, hq) = (pi_constant(work).ratio(side) for side in (-1, 1))
+    den = 2 << shift
+    return [real_from_rational(Ratio(low + high, den), work, Ratio(high - low, den))
+            for low, high in _coefficient_powers(Ratio(lp, 2 * lq), Ratio(hp, 2 * hq),
+                                                 m_max, shift)]
+
+
 # ----------------------------------------------------------------------
 # the truncated product
 # ----------------------------------------------------------------------
@@ -340,28 +358,29 @@ def _coefficient_tail(r: Fraction, order: int) -> Fraction:
     return Fraction(5, 4) * r ** (order + 1) / ((order + 1) * (1 - r))
 
 
-def _coefficient_sum(x: Union[Fraction, Ratio], order: int,
-                     frac_bits: int) -> tuple[int, int]:
-    """(S, e) with 0 <= 2^F sum_{m=1..order} c_m x^(2m) / m - S < e = 2 order.
+def _coefficient_powers(lo: Ratio, hi: Ratio, order: int,
+                        frac_bits: int) -> Iterator[tuple[int, int]]:
+    """(A_m, B_m), m <= order: A_m <= 2^F c_m lo^(2m) and 2^F c_m hi^(2m) <= B_m.
 
-    F = frac_bits and |x| < pi/2.  u = x^2 2^F is floored once, P_0 = 2^F and
-    P_m = floor(P_(m-1) u / 2^F) stand for x^(2m) 2^F, and term m is
-    floor(P_m c_m / m), taken from c_m's numerator and denominator.  P_m is
-    less than m x^(2m-2) + sum_(0<=i<m) x^(2i) ulps low: step m loses
-    less than x^(2m-2) to the floor of u and less than 1 to its own floor,
-    and multiplies what step m - 1 lost by at most x^2.  So term m is less
-    than c_m x^(2m-2) + (1/m) sum_(0<=i<m) c_m x^(2i) + 1 ulps low.  Here
-    c_m x^(2m-2) = lambda(2m) (4/pi^2) r^(m-1) <= 1/2, as lambda(2m) <=
-    pi^2/8 and r = (2x/pi)^2 < 1, and c_m <= 1/2, so each c_m x^(2i),
-    i < m, is at most 1/2 too: each term is under 2 ulps low, and none is
-    high.
+    F = frac_bits.  By directed rounding (Moore, Interval Analysis, 1966)
+    the low step floor(lo^2 2^F), chain P_m = floor(P_(m-1) step / 2^F) from
+    P_0 = 2^F and term floor(P_m c_m) round down and the high ones up, so the
+    bounds hold at any lo, hi and F.  The width: for x = lo or hi and y the
+    larger of x^2 and its step over 2^F, each link's rounding moves the
+    chain by under an ulp, which later links multiply by at most y, and the
+    step, within 2^-F of x^2, moves 2^F x^(2m) by under m y^(m-1); so
+    floor(A_m / m) and ceil(B_m / m) are less than c_m y^(m-1) + (1/m)
+    sum_(i<m) c_m y^i + 1 ulps from 2^F c_m x^(2m) / m.  As c_m <= 1/2 and
+    c_m (pi/2)^(2m-2) = lambda(2m) (2/pi)^2 <= 1/2, that is under 2 while
+    y <= (pi/2)^2, and at lo = hi = x their sums are under 4 order ulps apart.
     """
-    u = (x.numerator ** 2 << frac_bits) // x.denominator ** 2
-    power, total = 1 << frac_bits, 0
-    for m, c in enumerate(lambda_coefficients(order).coeffs, start=1):
-        power = power * u >> frac_bits
-        total += power * c.numerator // (m * c.denominator)
-    return total, 2 * order
+    lo_step = (lo.numerator ** 2 << frac_bits) // lo.denominator ** 2
+    hi_step = -(-(hi.numerator ** 2 << frac_bits) // hi.denominator ** 2)
+    low = high = 1 << frac_bits
+    for c in lambda_coefficients(order).coeffs:
+        low = low * lo_step >> frac_bits
+        high = -(-high * hi_step >> frac_bits)
+        yield low * c.numerator // c.denominator, -(-high * c.numerator // c.denominator)
 
 
 def neg_log_product_series(n: _RationalLike, order: int,
@@ -374,33 +393,29 @@ def neg_log_product_series(n: _RationalLike, order: int,
     so the truncation tail is ``_coefficient_tail(1/n^2, order)``, the
     column order's own call.
 
-    Every term of the truncated sum increases with x >= 0, so the sum at
-    pi/2n lies between its sums at lo and hi, the ends of the ball
-    pi_constant(precision_bits + 16) times qn / (2 pn), n = pn/qn: the
-    interval enclosure of a monotone function (Moore, Interval Analysis,
-    1966).  lo and hi are unreduced Ratios, so no gcd of pi's ends is taken.
-    ``_coefficient_sum`` asks x < pi/2: hi < pi_lo / 2 <= pi/2 is checked
-    as an integer comparison, and where it fails the ball of pi/2n may
-    reach pi/2 and no bound follows: that is a precision too low for an n
-    so near 1, and raises PrecisionError.  With S_lo and S_hi the two
-    sums, each at most 2 order ulps 2^-F low, the truncated sum lies in
-    [S_lo, S_hi + 2 order] ulps; the result is that interval's centre, with
-    half its width plus the tail as its error.
+    Every term increases with x >= 0, so the truncated sum at pi/2n lies
+    between S_lo, the sum of floor(A_m / m), and S_hi, that of
+    ceil(B_m / m), ``_coefficient_powers`` at lo and hi, in ulps 2^-F: the
+    ends of pi_constant(precision_bits + 16) times qn / (2 pn), n = pn/qn,
+    read down and up at F + 64 bits, so that no square is of pi's width.
+    The result is the centre of [S_lo, S_hi], with half its width plus the
+    tail as its error.  This needs no bound on x; where hi reaches
+    pi_lo / 2 (an integer comparison), PrecisionError "pi/(2n) is not
+    certified below pi/2" is raised only to keep that usage error of the
+    CLI and its message, which the CLI's tests pin.
 
-    The tail depends only on n and order, so it is known before the sums,
-    which ``_coefficient_sum`` takes on one fixed point of F = work + 2z
-    bits: work = ``_working_bits(precision_bits, tail)`` is at most
-    G = _GUARD_BITS past floor(-log2 tail), and z = bitlen(den) -
-    bitlen(num) for lo = num/den, or 0 if that is negative, so
-    2^-z < 2 lo.  The sums are less than 2 order ulps 2^-F low at any F, so
-    F moves only the width.  Those ulps add order 2^-F to the error, and as
-    S = -log cos(pi/2n) >= lo^2 / 2, that is below 8 order 2^-work S.
-    Where work is fitted to the tail, it is below order 2^(4-G) S tail:
-    under 2^-19 of the tail for order 40 and S < 8, which the 8-bit
-    round-up of the result absorbs (at worst it grows the bound by one 2^-7
-    step).  Where work is precision_bits + 16, it is below order 2^-12 of
-    the final rounding cap, at least S 2^-(precision_bits+1): one 2^-7 step
-    at most up to order 32.
+    The tail is known before the sums, which run on F = work + 2z bits:
+    work = ``_working_bits(precision_bits, tail)``, at most G = _GUARD_BITS
+    past floor(-log2 tail), and z = max(bitlen(den) - bitlen(num), 0) for
+    lo = num/den before its reading, so 2^-z < 2 lo.  F moves only the
+    width: the rounding, under 2 ulps a term per side while the high step
+    is below (pi/2)^2 2^F, adds under 2 order 2^-F < 16 order 2^-work S to
+    the error, as S = -log cos(pi/2n) >= lo^2 / 2.  Fitted to the tail,
+    that is below order 2^(5-G) S tail, under 2^-18 of the tail for order
+    40 and S < 8; at work = precision_bits + 16, below order 2^-11 of the
+    final rounding cap, S 2^-(precision_bits+1) or more.  The 8-bit
+    round-up of the result absorbs the first, growing the bound by one 2^-7
+    step at most, and the second likewise up to order 16.
     """
     n = Fraction(n)
     if order < 1:
@@ -413,17 +428,20 @@ def neg_log_product_series(n: _RationalLike, order: int,
     (lp, lq), (hp, hq) = pi.ratio(-1), pi.ratio(1)
     if hp * qn * lq >= lp * pn * hq:  # hi >= pi_lo / 2
         raise PrecisionError("pi/(2n) is not certified below pi/2")
-    lo, hi = Ratio(lp * qn, 2 * pn * lq), Ratio(hp * qn, 2 * pn * hq)
     tail = _coefficient_tail(Fraction(qn * qn, pn * pn), order)
-    zeros = max(lo.denominator.bit_length() - lo.numerator.bit_length(), 0)
+    zeros = max((2 * pn * lq).bit_length() - (lp * qn).bit_length(), 0)
     frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
-    s_lo, ulps = _coefficient_sum(lo, order, frac_bits)
-    s_hi, _ = _coefficient_sum(hi, order, frac_bits)
-    # [s_lo, s_hi + ulps] / 2^F: centre and half width, tail over 2^(F+1)
+    read = frac_bits + 64
+    lo = Ratio((lp * qn << read) // (2 * pn * lq), 1 << read)
+    hi = Ratio(-(-(hp * qn << read) // (2 * pn * hq)), 1 << read)
+    terms = list(enumerate(_coefficient_powers(lo, hi, order, frac_bits), start=1))
+    s_lo = sum(low // m for m, (low, _) in terms)
+    s_hi = -sum(-high // m for m, (_, high) in terms)
+    # [s_lo, s_hi] / 2^F: centre and half width, tail over 2^(F+1)
     den = tail.denominator << (frac_bits + 1)
     err = Ratio((tail.numerator << (frac_bits + 1))
-                + (s_hi + ulps - s_lo) * tail.denominator, den)
-    return real_from_rational(Ratio(s_lo + s_hi + ulps, 2 << frac_bits),
+                + (s_hi - s_lo) * tail.denominator, den)
+    return real_from_rational(Ratio(s_lo + s_hi, 2 << frac_bits),
                               precision_bits, err)
 
 

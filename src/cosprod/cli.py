@@ -20,6 +20,7 @@ from typing import Optional
 
 from .analytic import (
     DomainError,
+    closed_forms,
     cos_approx,
     lambda_direct,
     product_trace,
@@ -33,7 +34,6 @@ from .arith import (
     Ratio,
     WorkBudgetError,
     pi_constant,
-    real_from_rational,
 )
 from .output import (
     OutputRecord,
@@ -49,11 +49,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits only: \d and int() also read other Unicode digits, int()
+# also "_" and surrounding spaces, and $ also matches before a final newline
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an exact rational; write an integer or p/q "
             "(decimal input is rejected)")
@@ -67,21 +70,24 @@ def _rational(text: str) -> Fraction:
             f"{text!r} has a zero denominator") from None
 
 
-def _positive(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if _INTEGER_RE.fullmatch(text):
+            return int(text)
+    except ValueError:  # past the int-to-str digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _positive(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("value must be at least 1")
     return value
 
 
 def _precision(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    value = _integer(text)
     if value < MIN_PRECISION_BITS:
         raise argparse.ArgumentTypeError(
             f"precision must be at least {MIN_PRECISION_BITS} bits")
@@ -150,41 +156,15 @@ def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
     }
 
 
-def _closed_forms(coeffs: tuple[Fraction, ...],
-                  precision_bits: int) -> list[BoundedReal]:
-    """lambda(2m) = c_m (pi/2)^2m for c_1..c_M in `coeffs`.
-
-    (pi/2)^2m increases with pi, so it lies between its powers lo_m and
-    hi_m at the ends of pi_constant(work), work = precision_bits + 16
-    (Moore, Interval Analysis, 1966).  Both chains run on one fixed point of
-    S = precision_bits + 48 bits, the low one floored, the high one raised.
-    Each result is c_m times their centre, with c_m times half their spread
-    as its error, rounded at work bits.
-    """
-    work, shift = precision_bits + 16, precision_bits + 48
-    (lp, lq), (hp, hq) = (pi_constant(work).ratio(side) for side in (-1, 1))
-    lo_step = (lp * lp << shift) // (4 * lq * lq)
-    hi_step = -(-(hp * hp << shift) // (4 * hq * hq))
-    lo = hi = 1 << shift
-    forms = []
-    for c in coeffs:
-        lo = lo * lo_step >> shift
-        hi = -(-hi * hi_step >> shift)
-        den = c.denominator << (shift + 1)
-        forms.append(real_from_rational(Ratio(c.numerator * (lo + hi), den), work,
-                                        Ratio(c.numerator * (hi - lo), den)))
-    return forms
-
-
 # a command's rows, and its verdict (None for a command with no check)
 _Result = tuple[list[dict[str, str]], Optional[bool]]
 
 
 def cmd_coeffs(args: argparse.Namespace) -> _Result:
     coeffs = lambda_coefficients(args.m_max).coeffs
-    closed_forms = _closed_forms(coeffs, args.precision)
     rows = []
-    for m, (c, lam) in enumerate(zip(coeffs, closed_forms), start=1):
+    for m, (c, lam) in enumerate(zip(coeffs, closed_forms(args.m_max, args.precision)),
+                                 start=1):
         rows.append({
             "m": str(m),
             "c_m": format_rational(c),
@@ -196,10 +176,9 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
 
 
 def cmd_lambda(args: argparse.Namespace) -> _Result:
-    closed_forms = _closed_forms(lambda_coefficients(args.m_max).coeffs, args.precision)
     rows = []
     all_pass = True
-    for m, closed in enumerate(closed_forms, start=1):
+    for m, closed in enumerate(closed_forms(args.m_max, args.precision), start=1):
         est = lambda_direct(m, args.num_terms, args.precision)
         lo, hi = est.bracket()
         ok = lo <= closed.upper() and closed.lower() <= hi

@@ -9,7 +9,7 @@ from cosprod.analytic import (
     _MAX_ROW_WORK,
     _ROW_PASS_BITS,
     DomainError,
-    _coefficient_sum,
+    _coefficient_powers,
     _coefficient_tail,
     _partial_products,
     _product_log_tail,
@@ -322,17 +322,21 @@ class TestNegLogProductSeries:
             assert res.abs_error <= (half + tail) * (1 + F(1, 2**6)), n
 
 
-class TestCoefficientSum:
-    """The series' fixed point against ``conftest.coefficient_sums_exact``:
-    0 <= 2^F sum - S < e, the count ``_coefficient_sum`` returns."""
+class TestCoefficientPowers:
+    """The one chain of ``_coefficient_powers`` against
+    ``conftest.coefficient_sums_exact``, and the series' use of it."""
 
     FRAC_BITS = (8, 12, 16, 24, 32, 64)
     ORDERS = (1, 2, 5, 20, 40, 100, 300)
 
-    def test_count_against_the_exact_partial_sums(self):
+    def test_sums_at_one_point_bracket_the_exact_partial_sums(self):
+        # at lo = hi = x the sums of floor(A_m/m) and ceil(B_m/m) hold 2^F
+        # times the exact sum, and lie under 4 order ulps apart while the
+        # raised step is at most (pi/2)^2 2^F, as the docstring proves
         rng = random.Random(1616)
         # pi/2 rounded down to 60 bits, from the oracle's own pi
-        half_pi = F(math.floor(pi_bracket()[0] * 2**59), 2**60)
+        pi_lo = pi_bracket()[0]
+        half_pi = F(math.floor(pi_lo * 2**59), 2**60)
         general = [rng.choice((-1, 1)) * x for x in
                    [F(rng.randrange(1, half_pi.numerator), 2**60) for _ in range(20)]
                    + [F(rng.randint(10**6, 10**12), 10**18) for _ in range(6)]
@@ -345,18 +349,73 @@ class TestCoefficientSum:
                 k = rng.randint(2, math.floor(half_pi**2 * 2**frac_bits))
                 cases.append((F(math.isqrt(k << (2 * s - frac_bits)), 1 << s),
                               (frac_bits,)))
-        count, worst = 0, 0  # worst: the largest low / ulps, in units of 2^-16
+        count, spreads, worst = 0, 0, 0  # worst: the larger side per term, in 2^-16 ulp
         for x, frac_bits_list in cases:
             sums = coefficient_sums_exact(x, self.ORDERS)
             for frac_bits in frac_bits_list:
-                for order, (num, den) in sums.items():
-                    total, ulps = _coefficient_sum(x, order, frac_bits)
-                    low = (num << frac_bits) - total * den  # 2^F sum - S, times den
-                    assert 0 <= low < ulps * den, (x, frac_bits, order)
-                    worst = max(worst, (low << 16) // (ulps * den))
+                step = -(-(x.numerator ** 2 << frac_bits) // x.denominator ** 2)
+                within = step <= (pi_lo / 2) ** 2 * 2**frac_bits
+                s_lo = s_hi = 0
+                for m, (low, high) in enumerate(
+                        _coefficient_powers(x, x, max(self.ORDERS), frac_bits), start=1):
+                    s_lo += low // m
+                    s_hi -= -high // m
+                    if m not in sums:
+                        continue
+                    num, den = sums[m]
+                    exact = num << frac_bits  # 2^F sum, times den
+                    assert s_lo * den <= exact <= s_hi * den, (x, frac_bits, m)
                     count += 1
-        # the cases reach past half the count, so a count of order would not hold
-        assert count >= 1500 and worst >= 1 << 15
+                    if within:
+                        assert s_hi - s_lo < 4 * m, (x, frac_bits, m)
+                        side = max(exact - s_lo * den, s_hi * den - exact)
+                        worst = max(worst, (side << 16) // (m * den))
+                        spreads += 1
+        # a side passes one ulp a term, so a count of order per side would not hold
+        assert count >= 1500 and spreads >= 1300 and worst > 1 << 16
+
+    def test_the_series_reads_its_ends_and_divides_by_m_outward(self, monkeypatch):
+        # the ends handed to the chain enclose pi's ball times qn/(2pn),
+        # compared on integers, with at most F + 64 fraction bits; and the
+        # interval handed to the final rounding, less the tail, holds the
+        # exact sums of A_m/m and B_m/m.  The 8-bit round-up of the error
+        # hides an end read the wrong way or a quotient rounded inward from
+        # every output-level check
+        calls = []
+
+        def spy(lo, hi, order, frac_bits):
+            pairs = list(_coefficient_powers(lo, hi, order, frac_bits))
+            calls.append((lo, hi, frac_bits, pairs))
+            return iter(pairs)
+
+        monkeypatch.setattr(analytic, "_coefficient_powers", spy)
+        carried = spy_on_rounding(monkeypatch)
+        rng = random.Random(2323)
+        ns = [F(11, 10), F(81, 64), F(3, 2), F(5), 1 + F(1, 10**6), F(10**16)]
+        ns += [F(rng.randint(11, 4000), 10) for _ in range(6)]
+        checked = 0
+        for n in ns:
+            pn, qn = n.numerator, n.denominator
+            for bits in (8, 16, 64, 128, 1024, 4096):
+                order = rng.randint(1, 60)
+                calls.clear()
+                try:
+                    neg_log_product_series(n, order, bits)
+                except PrecisionError:
+                    continue
+                (lo, hi, frac_bits, pairs), = calls
+                (lp, lq), (hp, hq) = (pi_constant(bits + 16).ratio(side) for side in (-1, 1))
+                assert lo.numerator * 2 * pn * lq <= lp * qn * lo.denominator, (n, bits)
+                assert hp * qn * hi.denominator <= hi.numerator * 2 * pn * hq, (n, bits)
+                assert max(lo.denominator, hi.denominator).bit_length() <= frac_bits + 65
+                value, err = carried[-1]
+                err -= _coefficient_tail(1 / (n * n), order)
+                low = sum(F(a, m) for m, (a, _) in enumerate(pairs, start=1))
+                high = sum(F(b, m) for m, (_, b) in enumerate(pairs, start=1))
+                assert (value - err) * 2**frac_bits <= low, (n, bits, order)
+                assert high <= (value + err) * 2**frac_bits, (n, bits, order)
+                checked += 1
+        assert checked >= 60
 
 
 class TestCoefficientTail:
@@ -628,8 +687,8 @@ class TestWorkingPrecision:
 
 
     def test_series_prologue_near_and_far_from_half_pi(self):
-        # the tail's power is of r = 1/n^2 rounded up to 64 bits; for n
-        # within 2^-62 of 1 that reaches 1, and 1 - r must still be exact
+        # the tail is taken at the exact r = 1/n^2; for n within 2^-62 of 1,
+        # r is within 2^-61 of 1, and 1 - r must still be exact
         rng = random.Random(3333)
         for case in range(32):
             bits = rng.choice((128, 512, 1024, 4096))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cosprod import cli
+from cosprod import analytic, cli
 from cosprod.analytic import product_trace, rearrangement_check, verify_identity
 from cosprod.arith import pi_constant, real_from_rational
 from cosprod.recurrence import lambda_coefficients
@@ -143,7 +143,7 @@ class TestCoeffs:
 
 
 class TestClosedForms:
-    """``cli._closed_forms`` against a narrow bracket of pi, the ends of
+    """``analytic.closed_forms`` against a narrow bracket of pi, the ends of
     pi's ball and the ball products that computed the closed forms before."""
 
     BITS = (8, 64, 128, 300, 1024)
@@ -173,7 +173,7 @@ class TestClosedForms:
             k = bits + 64
             a, b = math.floor(pi_lo * 2**k), -math.floor(-pi_hi * 2**k)
             assert (b - a) << (bits + 32) < 1 << k
-            forms = cli._closed_forms(coeffs, bits)
+            forms = analytic.closed_forms(250, bits)
             low = high = 1
             for m, (c, form, ball) in enumerate(
                     zip(coeffs, forms, self.ball_chain(coeffs, bits)), start=1):
@@ -191,11 +191,11 @@ class TestClosedForms:
         # ball the chains start from, with c_m times half that spread as its
         # error, up to the floors of the chains.  A chain rounded the wrong
         # way falls short at about one precision in ten
-        carried = spy_on_rounding(monkeypatch, cli)
+        carried = spy_on_rounding(monkeypatch, analytic)
         coeffs = lambda_coefficients(16).coeffs
         for bits in range(8, 301):
             carried.clear()
-            cli._closed_forms(coeffs, bits)
+            analytic.closed_forms(16, bits)
             pi = pi_constant(bits + 16)
             low_step, high_step = (pi.lower() / 2) ** 2, (pi.upper() / 2) ** 2
             low = high = F(1)
@@ -341,7 +341,7 @@ class TestVerify:
         assert "--order" in err and "--precision" in err
 
     def test_n_within_1e_minus_21_of_one_is_usage_error(self, capsys):
-        # the series ratio r = 1/n^2 rounds to 1 at 64 bits; its tail bound
+        # the series ratio r = 1/n^2 is within 2^-68 of 1; its tail bound
         # must still divide by the exact 1 - r
         code, out, err = run(capsys, "verify", "--n",
                              "1000000000000000000001/1000000000000000000000")
@@ -410,6 +410,36 @@ class TestRearrange:
     def test_n_near_one_at_high_precision_is_refused_by_its_bits(self):
         # about 700,000 passes, admitted at 128 bits, but each of 16,416 bits
         self.assert_refused_at_once("123/122", "16384")
+
+
+class TestNumericFlags:
+    """Every numeric flag reads an optional sign and ASCII digits, and --n
+    also /digits: nothing int() or \\d reads beyond that."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "--n", "٣"), "'٣' is not an exact rational"),
+        (("verify", "--n", "3\n"), "'3\\n' is not an exact rational"),
+        (("verify", "--n", "3/٤"), "'3/٤' is not an exact rational"),
+        (("verify", "--n", " 3"), "' 3' is not an exact rational"),
+        (("verify", "--n", "3", "--num-factors", "1_0"), "'1_0' is not an integer"),
+        (("verify", "--n", "3", "--order", "٣"), "'٣' is not an integer"),
+        (("verify", "--n", "3", "--precision", " 128"), "' 128' is not an integer"),
+        (("coeffs", "--m-max", "5\n"), "'5\\n' is not an integer"),
+    ])
+    def test_other_digits_underscores_spaces_and_newlines_are_usage_errors(
+            self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (cli.EXIT_USAGE, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and message in errors[0]
+
+    def test_a_plus_sign_is_read(self, capsys):
+        code, out, _ = run(capsys, "verify", "--n", "+5", "--num-factors", "+100",
+                           "--order", "+5", "--precision", "+64")
+        assert code == 0
+        assert "# n = 5\n# num_factors = 100\n# order = 5\n# precision = 64\n" in out
 
 
 class TestOutputContracts:
