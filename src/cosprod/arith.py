@@ -9,7 +9,9 @@ here ``|b.value - truth| <= b.abs_error`` holds as a theorem.
 
 A ball holds its value and its error each as a canonical integer triple
 (n, x, d) for n * 2**x / d: d odd and positive, n odd or the triple
-(0, 0, 1).  Every rounded result (each operator but the exact negation, and
+(0, 0, 1).  The operators combine a ball with an exact int or Fraction
+only, never with another ball: they scale, shift, divide and negate it.
+Every rounded result (each operator but the exact negation, and
 :func:`real_from_rational`) is dyadic: its value is m * 2**q with
 |m| < 2**precision_bits, and its error is an 8-bit dyadic e * 2**r with
 e < 2**8.  A ball built from other rationals carries them exactly until
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple, Union
 
 from .output import format_bound, format_decimal
@@ -198,9 +201,9 @@ class BoundedReal:
     ``|value - truth| <= abs_error`` for the real number the instance
     stands for.  Both are read out of canonical triples (module docstring),
     so equal balls have equal fields.  Instances are immutable and hashable.
-    The constructor also takes either as an unreduced ``Ratio``, for a ball
-    that is only compared: its triples may then keep an odd common factor,
-    so its fields need not equal those of an equal ball.
+    The constructor also takes either as an unreduced ``Ratio``.  The
+    operators take an exact int or Fraction as the other operand; a ball
+    and a ball do not combine (TypeError).
     """
 
     _v: _Triple
@@ -214,8 +217,12 @@ class BoundedReal:
             raise ValueError("abs_error must be nonnegative")
         if precision_bits < 1:
             raise ValueError("precision_bits must be positive")
-        # a frozen dataclass: fields are written once, through __dict__
-        self.__dict__.update(_v=_triple(value), _e=_triple(abs_error),
+        # an unreduced Ratio may leave an odd factor in n and d; one gcd
+        # each makes the triples canonical.  A frozen dataclass: fields are
+        # written once, through __dict__
+        (n, x, d), (m, y, c) = _triple(value), _triple(abs_error)
+        g, h = gcd(n, d), gcd(m, c)
+        self.__dict__.update(_v=(n // g, x, d // g), _e=(m // h, y, c // h),
                              precision_bits=precision_bits)
 
     @classmethod
@@ -271,10 +278,6 @@ class BoundedReal:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: object) -> "BoundedReal":
-        if isinstance(other, BoundedReal):
-            return _round(_add(self._v, other._v),
-                          min(self.precision_bits, other.precision_bits),
-                          _add(self._e, other._e))
         if isinstance(other, (int, Fraction)):
             return _round(_add(self._v, _triple(other)), self.precision_bits,
                           self._e)
@@ -286,7 +289,7 @@ class BoundedReal:
         return BoundedReal._make(_neg(self._v), self._e, self.precision_bits)
 
     def __sub__(self, other: object) -> "BoundedReal":
-        if isinstance(other, (BoundedReal, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
             return self.__add__(-other)
         return NotImplemented
 
@@ -295,12 +298,6 @@ class BoundedReal:
         return neg.__add__(other)
 
     def __mul__(self, other: object) -> "BoundedReal":
-        if isinstance(other, BoundedReal):
-            a, b = self._v, other._v
-            err = _add(_add(_mul(_abs(a), other._e), _mul(_abs(b), self._e)),
-                       _mul(self._e, other._e))
-            return _round(_mul(a, b),
-                          min(self.precision_bits, other.precision_bits), err)
         if isinstance(other, (int, Fraction)):
             r = _triple(other)
             return _round(_mul(self._v, r), self.precision_bits,
@@ -310,8 +307,6 @@ class BoundedReal:
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "BoundedReal":
-        # division by exact rationals only; no BoundedReal divisor is needed
-        # anywhere in this package
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division of a BoundedReal by zero")

@@ -4,6 +4,10 @@ Numbers are rendered from exact rationals with no float round-trip.
 Inexact values are printed to as many significant digits as their error
 bound certifies, plus two guard digits; the bound itself always travels in
 the same record, rounded upward so the printed bound is still a bound.
+What a printed record certifies is that the truth lies within value ±
+(bound + half a unit in the value's last printed digit): the bound covers
+the ball, and the rounding of its value to the printed digits adds up to
+that half unit, which the bound alone need not cover.
 
 A rational here is anything with an integer ``numerator`` and a positive
 integer ``denominator``, in lowest terms or not: a Fraction, an int, or the
@@ -94,7 +98,13 @@ def _to_digits(p: int, q: int, digits: int, rounding: str) -> tuple[Decimal, boo
 
 
 def format_decimal(value: _Rational, bound: _Rational) -> str:
-    """Render `value` to the certainty implied by `bound`, plus two guards."""
+    """Render `value` to the certainty implied by `bound`, plus two guards.
+
+    The printed value is `value` rounded half-up, so it lies within half a
+    unit in its last printed digit of `value`: a truth within `bound` of
+    `value` lies within the printed value ± (the printed bound + that half
+    unit), though not always within the printed value ± the printed bound.
+    """
     p, q = value.numerator, value.denominator
     bp, bq = bound.numerator, bound.denominator
     # for p, bp != 0, |value| / bound > 2^(t - 2) off bit lengths: at

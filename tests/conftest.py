@@ -16,7 +16,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Rounded
 from fractions import Fraction
 
 from cosprod.analytic import DomainError, _coefficient_tail
-from cosprod.arith import BoundedReal, PrecisionError, pi_constant, real_from_rational
+from cosprod.arith import BoundedReal, PrecisionError, Ratio, pi_constant
 from cosprod.recurrence import lambda_coefficients
 
 # str() of an int past this many digits raises ValueError.  640 is the least
@@ -173,7 +173,7 @@ def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
 
 
 def neg_log_series_full_precision(x, order: int, precision_bits: int):
-    """neg_log_product_series with every ball operation at precision_bits + 16.
+    """neg_log_product_series with every step rounded at precision_bits + 16.
 
     The reference for the working-precision cap: the same truncated sum
     and tail function (the package's ``_coefficient_tail``, which
@@ -183,31 +183,35 @@ def neg_log_series_full_precision(x, order: int, precision_bits: int):
     derivative bound: tan xi <= 10 xi / (pi^2 (1 - rho)) for |xi| <= x_up,
     rho = (2 x_up / pi)^2.  That is independent of the package, which
     brackets the sum between its values at the two ends of pi's ball.
+    Each power and partial sum is a (value, error) pair of Fractions,
+    rounded by ``combine_reference``.
     """
     work = precision_bits + 16
     pi_low = pi_constant(work).lower()
     x_up = abs(x.value) + x.abs_error
     if 2 * x_up >= pi_low:
         raise DomainError("the series requires |x| strictly below pi/2")
-    x2 = BoundedReal(x.value, 0, work) * BoundedReal(x.value, 0, work)
-    power = BoundedReal.exact(1, work)
-    total = BoundedReal.exact(0, work)
+    x2 = round_reference(x.value * x.value, work)
+    power, total = (1, 0), (0, 0)
     for m, c in enumerate(lambda_coefficients(order).coeffs, start=1):
-        power = power * x2
-        total = total + power * (c / m)
+        power = combine_reference(power, x2, work, product=True)
+        total = combine_reference(
+            total, combine_reference(power, (c / m, 0), work, product=True), work)
     r_up = 4 * x_up * x_up / (pi_low * pi_low)
     input_err = 10 * x_up * x.abs_error / (pi_low * pi_low * (1 - r_up))
-    return real_from_rational(total.value, precision_bits,
-                              total.abs_error + _coefficient_tail(r_up, order)
-                              + input_err)
+    value, err = total
+    return BoundedReal(*round_reference(value, precision_bits,
+                                        err + _coefficient_tail(r_up, order) + input_err),
+                       precision_bits)
 
 
 def exp_full_precision(y, precision_bits: int):
-    """exp by halving, Taylor and squaring, every ball at precision_bits + 16.
+    """exp by halving, Taylor and squaring, every step rounded at precision_bits + 16.
 
     The independent reference for exp_approx, which takes decimal's exp:
     the Taylor remainder 2 * (first omitted term) at |z| <= 1/2, the same
-    input factor e / (1 - e), and nothing fitted to e.
+    input factor e / (1 - e), and nothing fitted to e.  Terms and sums are
+    (value, error) pairs, rounded by ``combine_reference``.
     """
     if y.abs_error >= 1:
         raise PrecisionError("exp input uncertainty must be below 1")
@@ -215,86 +219,129 @@ def exp_full_precision(y, precision_bits: int):
     while abs(y.value) * 2 > (1 << halvings):
         halvings += 1
     work = precision_bits + 16 + 2 * halvings
-    z = BoundedReal(y.value / (1 << halvings), 0, work)
-    total = term = BoundedReal.exact(1, work)
+    z = (y.value / (1 << halvings), 0)
+    total = term = (1, 0)
     k = 0
-    while abs(term.value) + term.abs_error > Fraction(1, 2 ** (work + 8)):
+    while abs(term[0]) + term[1] > Fraction(1, 2 ** (work + 8)):
         k += 1
-        term = term * z / k
-        total = total + term
-    remainder = 2 * (abs(term.value) + term.abs_error) * abs(z.value) / (k + 1)
-    total = BoundedReal(total.value, total.abs_error + remainder, work)
+        term = combine_reference(combine_reference(term, z, work, product=True),
+                                 (Fraction(1, k), 0), work, product=True)
+        total = combine_reference(total, term, work)
+    remainder = 2 * (abs(term[0]) + term[1]) * abs(z[0]) / (k + 1)
+    total = total[0], total[1] + remainder
     for _ in range(halvings):
-        total = total * total
-    input_err = (abs(total.value) + total.abs_error) * y.abs_error / (1 - y.abs_error)
-    return real_from_rational(total.value, precision_bits,
-                              total.abs_error + input_err)
+        total = combine_reference(total, total, work, product=True)
+    value, err = total
+    input_err = (abs(value) + err) * y.abs_error / (1 - y.abs_error)
+    return BoundedReal(*round_reference(value, precision_bits, err + input_err),
+                       precision_bits)
 
 
 def cos_full_precision(x, precision_bits: int):
-    """cos by the plain Maclaurin series, every ball operation at precision_bits + 16.
+    """cos by the plain Maclaurin series, every step rounded at precision_bits + 16.
 
     The reference for the halved cosine: no halving and no doubling, the
     same alternating-series remainder once the term ratio x^2 /
     ((2k+1)(2k+2)) is below 1 and the term below 2^-(precision_bits + 8),
-    and the same input term |cos'| <= 1.
+    and the same input term |cos'| <= 1.  Terms and sums are (value, error)
+    pairs, rounded by ``combine_reference``.
     """
     work = precision_bits + 16
-    x2 = BoundedReal(x.value, 0, work) * BoundedReal(x.value, 0, work)
-    x2_up = x2.upper()
-    total = term = BoundedReal.exact(1, work)
+    x2 = round_reference(x.value * x.value, work)
+    x2_up = x2[0] + x2[1]
+    total = term = (1, 0)
     k = 0
     while True:
         k += 1
-        term = term * x2 / ((2 * k - 1) * (2 * k))
-        total = total - term if k % 2 else total + term
+        term = combine_reference(combine_reference(term, x2, work, product=True),
+                                 (Fraction(1, (2 * k - 1) * (2 * k)), 0), work,
+                                 product=True)
+        sign = -1 if k % 2 else 1
+        total = combine_reference(total, (sign * term[0], term[1]), work)
         ratio_den = (2 * k + 1) * (2 * k + 2)
         if (x2_up < ratio_den
-                and abs(term.value) + term.abs_error
-                <= Fraction(1, 2 ** (precision_bits + 8))):
+                and abs(term[0]) + term[1] <= Fraction(1, 2 ** (precision_bits + 8))):
             break
-    remainder = (abs(term.value) + term.abs_error) * x2_up / ratio_den
-    return real_from_rational(total.value, precision_bits,
-                              total.abs_error + remainder + x.abs_error)
+    remainder = (abs(term[0]) + term[1]) * x2_up / ratio_den
+    value, err = total
+    return BoundedReal(*round_reference(value, precision_bits,
+                                        err + remainder + x.abs_error),
+                       precision_bits)
+
+
+def _round_scaled(p: int, q: int, bits: int, mode: str) -> tuple[int, int, bool]:
+    """p/q (q > 0) rounded to `bits` significant bits: (n, e, exact) for n 2^e.
+
+    |p|/q = (a / b) 2^e with 2^(bits-1) <= a / b < 2^bits, e read off the bit
+    lengths of p and q and checked by one integer comparison; a / b is
+    rounded to an integer on the remainder of a // b: to nearest with ties
+    to even (mode "even"), or toward -inf ("floor") or +inf ("ceiling") as
+    the sign of p asks.  `exact` says the remainder was 0.
+    """
+    if not p:
+        return 0, 0, True
+    a = abs(p)
+    e = a.bit_length() - q.bit_length() - bits  # 2^(bits-1) < |p| / (q 2^e) < 2^(bits+1)
+    a, b = (a, q << e) if e >= 0 else (a << -e, q)
+    if a >= b << bits:
+        e, b = e + 1, 2 * b
+    n, rem = divmod(a, b)
+    if mode == "even":
+        n += 2 * rem > b or (2 * rem == b and n % 2 == 1)
+    elif rem and (mode == "ceiling") == (p > 0):
+        n += 1
+    return (n if p > 0 else -n), e, not rem
+
+
+def _dyadic(n: int, e: int) -> Fraction:
+    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
 
 
 def round_reference(r, bits: int, err=0,
                     floor: bool = False) -> tuple[Fraction, Fraction]:
     """(value, abs_error) that real_from_rational(r, bits, err, floor) must give.
 
-    The definition, restated in plain Fractions: scale |r| by a power of two
-    into [2^(bits-1), 2^bits) and round the scaled value to an integer, to
-    nearest with ties to even, or down with `floor`.  The cap on the
-    rounding is half a quantum (a full one with `floor`), and 0 when the
-    rounding is exact.  err + cap is then rounded up to 8 significant bits.
+    The definition, restated on numerators and denominators
+    (``_round_scaled``): scale |r| by a power of two into [2^(bits-1),
+    2^bits) and round the scaled value to an integer, to nearest with ties
+    to even, or down with `floor`.  The cap on the rounding is half a
+    quantum 2^e (a full one with `floor`), and 0 when the rounding is
+    exact.  err + cap is then rounded up to 8 significant bits.  r and err
+    are ints, Fractions or unreduced Ratios, as real_from_rational takes.
     """
-    r, err = Fraction(r), Fraction(err)
-    value, cap = Fraction(0), Fraction(0)
-    if r != 0:
-        quantum = Fraction(2) ** (r.numerator.bit_length()
-                                  - r.denominator.bit_length() - bits)
-        while abs(r) / quantum >= 2 ** bits:
-            quantum *= 2
-        while abs(r) / quantum < 2 ** (bits - 1):
-            quantum /= 2
-        scaled = r / quantum
-        n = math.floor(scaled)
-        if not floor and (scaled - n > Fraction(1, 2)
-                          or (scaled - n == Fraction(1, 2) and n % 2 == 1)):
-            n += 1
-        value = n * quantum
-        if value != r:
-            cap = quantum if floor else quantum / 2
-    total = err + cap
-    if total == 0:
-        return value, Fraction(0)
-    unit = Fraction(2) ** (total.numerator.bit_length()
-                           - total.denominator.bit_length() - 8)
-    while total / unit >= 2 ** 8:
-        unit *= 2
-    while total / unit < 2 ** 7:
-        unit /= 2
-    return value, math.ceil(total / unit) * unit
+    n, e, exact = _round_scaled(r.numerator, r.denominator, bits,
+                                "floor" if floor else "even")
+    en, ed = err.numerator, err.denominator
+    if not exact:  # err + 2^c, c = e - 1 to nearest and e with floor
+        c = e - (not floor)
+        en, ed = (en + (ed << c), ed) if c >= 0 else ((en << -c) + ed, ed << -c)
+    m, k, _ = _round_scaled(en, ed, 8, "ceiling")
+    return _dyadic(n, e), _dyadic(m, k)
+
+
+def combine_reference(a, b, bits: int,
+                      product: bool = False) -> tuple[Fraction, Fraction]:
+    """a + b, or a * b with `product`, rounded to `bits` by ``round_reference``.
+
+    a and b are (value, error) pairs of rationals, an exact r being (r, 0).
+    The error carried into the rounding bounds the distance to the true
+    result: e_a + e_b for the sum, |v_a| e_b + |v_b| e_a + e_a e_b for the
+    product.  Both are formed as unreduced numerators over a common
+    denominator, as a Fraction would reduce them by a gcd at each step.
+    The package combines no two balls; this is the ball-by-ball rounding
+    that the references above and a few tests step through.
+    """
+    (va, ea), (vb, eb) = a, b
+    na, da, nb, db = va.numerator, va.denominator, vb.numerator, vb.denominator
+    fa, ga, fb, gb = ea.numerator, ea.denominator, eb.numerator, eb.denominator
+    if product:
+        value = Ratio(na * nb, da * db)
+        err = Ratio(abs(na) * fb * db * ga + abs(nb) * fa * da * gb + fa * fb * da * db,
+                    da * db * ga * gb)
+    else:
+        value = Ratio(na * db + nb * da, da * db)
+        err = Ratio(fa * gb + fb * ga, ga * gb)
+    return round_reference(value, bits, err)
 
 
 def floor_log10(x: Fraction) -> int:

@@ -30,6 +30,7 @@ from cosprod.recurrence import lambda_closed_form
 from conftest import (
     coefficient_sums_exact,
     coefficient_tail_exact,
+    combine_reference,
     contains,
     cos_full_precision,
     exp_full_precision,
@@ -257,6 +258,19 @@ class TestNegLogProductSeries:
         with pytest.raises(DomainError):
             neg_log_product_series(F(5, 8), 10, 128)
 
+    def test_high_end_of_pi_over_2n_at_half_pi_low_is_refused(self):
+        # at n = pi_hi / pi_lo, for the ends of pi_constant(precision + 16),
+        # the high end of pi/2n is pi_lo / 2 exactly: the check refuses an
+        # end that reaches pi_lo / 2, equality included; one bit more in n
+        # clears it
+        for bits in (8, 64, 1024):
+            pi = pi_constant(bits + 16)
+            n = pi.upper() / pi.lower()
+            with pytest.raises(PrecisionError, match="not certified below pi/2"):
+                neg_log_product_series(n, 5, bits)
+            wider = n + F(1, 2 ** (2 * n.denominator.bit_length()))
+            assert neg_log_product_series(wider, 5, bits).abs_error > 0
+
     def test_accepts_just_inside_domain(self):
         # x = pi/2n = 49 pi / 100
         res = neg_log_product_series(F(50, 49), 200, 64)
@@ -448,7 +462,9 @@ class TestCosApprox:
 
     def test_sixth_pi_squares_to_three_quarters(self):
         res = cos_approx(pi_over(6), 128)
-        assert contains(res * res, F(3, 4))
+        ball = res.value, res.abs_error
+        value, err = combine_reference(ball, ball, 128, product=True)
+        assert value - err <= F(3, 4) <= value + err
         lo, hi = sqrt_bracket(F(3, 4))
         assert res.lower() <= lo and hi <= res.upper()
 
@@ -934,7 +950,10 @@ class TestExtremeParameters:
         pi = pi_constant(320)
         for x in (F(1000), F(-12345 * 7 + 1, 7), F(2**40 + 1, 3), F(-(10**15))):
             k = round(x / (2 * pi.value))
-            ref = cos_full_precision(BoundedReal.exact(x, 320) - 2 * k * pi, 128)
+            shift = combine_reference((pi.value, pi.abs_error), (-2 * k, 0), 320,
+                                      product=True)
+            ref = cos_full_precision(
+                BoundedReal(*combine_reference((x, 0), shift, 320), 320), 128)
             res = cos_approx(BoundedReal.exact(x, 128), 128)
             assert res.overlaps(ref), x
             assert res.abs_error <= F(1, 2**125), x

@@ -17,7 +17,7 @@ from cosprod.analytic import product_trace, rearrangement_check, verify_identity
 from cosprod.arith import pi_constant, real_from_rational
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
-from conftest import pi_bracket
+from conftest import combine_reference, pi_bracket
 from test_analytic import spy_on_rounding
 from test_golden import README_COMMANDS
 
@@ -150,12 +150,16 @@ class TestClosedForms:
 
     @staticmethod
     def ball_chain(coeffs, bits):
-        half_pi = pi_constant(bits + 16) * F(1, 2)
-        step = power = half_pi * half_pi
+        # the ball products as (value, error) pairs, each step rounded at
+        # bits + 16 by conftest's combine_reference
+        work = bits + 16
+        half_pi = pi_constant(work) * F(1, 2)
+        half_pi = half_pi.value, half_pi.abs_error
+        step = power = combine_reference(half_pi, half_pi, work, product=True)
         forms = []
         for c in coeffs:
-            forms.append(power * c)
-            power = power * step
+            forms.append(combine_reference(power, (c, 0), work, product=True))
+            power = combine_reference(power, step, work, product=True)
         return forms
 
     def test_between_a_narrow_bracket_of_pi_and_inside_the_ball_products(self):
@@ -182,7 +186,8 @@ class TestClosedForms:
                 assert lo.numerator * c.denominator << e <= c.numerator * low * lo.denominator
                 assert c.numerator * high * hi.denominator <= hi.numerator * c.denominator << e
                 if bits in self.BITS:
-                    assert ball.lower() <= lo and hi <= ball.upper(), (bits, m)
+                    value, err = ball
+                    assert value - err <= lo and hi <= value + err, (bits, m)
 
     def test_rounded_from_the_powers_at_the_ends_of_pi(self, monkeypatch):
         # the 8-bit round-up of the error hides a chain rounded the wrong

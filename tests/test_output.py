@@ -7,12 +7,16 @@ next power of ten, bounds at exact powers of ten below the value, and
 exact values on both sides of the 36-digit limit.
 """
 
+import json
 import random
 from decimal import ROUND_CEILING, ROUND_FLOOR, ROUND_HALF_UP
 from fractions import Fraction as F
+from math import factorial
 
-from conftest import floor_log10, round_half_up, to_digits_reference
-from cosprod.arith import Ratio
+from conftest import (floor_log10, pi_bracket, round_half_up, tangent_numbers,
+                      to_digits_reference)
+from cosprod import cli
+from cosprod.arith import Ratio, real_from_rational
 from cosprod.output import _to_digits, format_bound, format_decimal, format_rational
 
 CASES = 2000
@@ -78,6 +82,44 @@ def test_bound_is_rounded_up_by_less_than_a_unit_in_its_second_digit():
             continue
         printed = F(text)
         assert bound <= printed < bound + F(10) ** (floor_log10(printed) - 1), i
+
+
+def _printed_contract(value: str, bound: str) -> tuple[F, F]:
+    """value ± (bound + half a unit in the value's last printed digit)."""
+    mantissa, _, exponent = value.partition("e")
+    half_unit = F(10) ** (int(exponent or 0) - len(mantissa.partition(".")[2])) / 2
+    v, b = F(value), F(bound)
+    return v - b - half_unit, v + b + half_unit
+
+
+def test_a_printed_row_may_miss_value_plus_bound_but_not_the_contract(capsys):
+    # coeffs --m-max 9 --precision 64 prints lambda(18) = c_9 (pi/2)^18 to a
+    # last place of 1e-23 with a bound of 1.1e-23: the truth lies about
+    # 1.8e-24 above value + bound, and within the half unit of 5e-24 past it
+    argv = ["coeffs", "--m-max", "9", "--precision", "64", "--format", "json"]
+    assert cli.main(argv) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][8]
+    value, bound = row["lambda_2m"], row["lambda_bound"]
+    assert (value, bound) == ("1.00000000258143755665976", "1.1e-23")
+    c_9 = F(tangent_numbers(9)[-1], 2 * factorial(17))
+    pi_lo, pi_hi = pi_bracket(200)
+    truth_lo, truth_hi = c_9 * (pi_lo / 2) ** 18, c_9 * (pi_hi / 2) ** 18
+    assert F(value) + F(bound) < truth_lo
+    lo, hi = _printed_contract(value, bound)
+    assert lo <= truth_lo and truth_hi <= hi
+
+
+def test_a_balls_interval_lies_inside_its_printed_contract():
+    # a ball printed as the commands print it, its value by format_decimal
+    # from the unreduced ratio and its error by format_bound
+    rng = random.Random(8)
+    for i in range(CASES):
+        r = _value(rng)
+        ball = real_from_rational(r, rng.choice((8, 9, 16, 53, 64, 128, 1024, 4096)),
+                                  _bound(rng, r), rng.random() < 0.3)
+        lo, hi = _printed_contract(format_decimal(ball.ratio(), ball.abs_error),
+                                   format_bound(ball.abs_error))
+        assert lo <= ball.lower() and ball.upper() <= hi, i
 
 
 def test_unreduced_ratios_print_as_their_fractions():

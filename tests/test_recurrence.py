@@ -11,7 +11,7 @@ from cosprod.recurrence import (
     lambda_coefficients,
     tangent_coefficients,
 )
-from conftest import tangent_numbers
+from conftest import combine_reference, tangent_numbers
 
 
 def zeta_over_pi_power(m: int, b4m) -> F:
@@ -44,18 +44,22 @@ class TestCoefficientTable:
 
     def test_lambda_values_decrease_toward_one(self):
         # c_m (pi/2)^2m = lambda(2m) must sit in (1, 1.234] and decrease
+        # (pi/2)^2m as a chain of ball products at 160 bits, stepped through
+        # as (value, error) pairs by conftest's combine_reference
         table = lambda_coefficients(25)
         half_pi = pi_constant(160) * F(1, 2)
-        power = half_pi * half_pi
+        half_pi = half_pi.value, half_pi.abs_error
+        step = power = combine_reference(half_pi, half_pi, 160, product=True)
         previous_upper = None
         for m in range(1, 26):
-            lam = power * table.coeffs[m - 1]
-            assert lam.lower() > 1
-            assert lam.upper() <= F(1234, 1000)
+            value, err = combine_reference(power, (table.coeffs[m - 1], 0), 160,
+                                           product=True)
+            assert value - err > 1
+            assert value + err <= F(1234, 1000)
             if previous_upper is not None:
-                assert lam.upper() < previous_upper
-            previous_upper = lam.upper()
-            power = power * (half_pi * half_pi)
+                assert value + err < previous_upper
+            previous_upper = value + err
+            power = combine_reference(power, step, 160, product=True)
 
     def test_rejects_bad_m_max(self):
         with pytest.raises(ValueError):

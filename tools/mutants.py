@@ -1,0 +1,261 @@
+"""Run a fixed table of mutants of the package, each against the tests that kill it.
+
+    python3 tools/mutants.py
+
+Each entry of ``MUTANTS`` names a file of this checkout, an exact snippet
+of it, the snippet's replacement and the tests (pytest node ids) that must
+fail once the replacement is made.  First every snippet must occur exactly
+once in its file, or the table is stale and nothing runs.  Then the named
+tests of all entries run once on an unmutated copy, where they must pass.
+Then for each mutant ``src/`` and ``tests/`` are copied into a temporary
+directory, the replacement is made there, and its tests run in a fresh
+pytest process: the mutant is killed if they fail or run past
+``TIMEOUT_S``, and survives if they pass.
+
+No entry may name a test of ``tests/test_golden.py``, so a golden never
+counts as a kill.  A survivor is killed with a new test, never dropped; a
+mutant that no test can kill, as it changes no behaviour, is kept as a
+comment in the table with the reason.
+
+The exit code is 1 if the table is stale, if the unmutated tests fail, or
+if a mutant survives or its run errs; else 0.  Stdlib and pytest only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
+WORKERS = 2
+GOLDEN = "tests/test_golden.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the root
+
+
+ANALYTIC = "src/cosprod/analytic.py"
+SUMS = ("tests/test_analytic.py::TestCoefficientPowers"
+        "::test_sums_at_one_point_bracket_the_exact_partial_sums")
+PI_ENDS = "tests/test_cli.py::TestClosedForms::test_rounded_from_the_powers_at_the_ends_of_pi"
+OUTWARD = ("tests/test_analytic.py::TestCoefficientPowers"
+           "::test_the_series_reads_its_ends_and_divides_by_m_outward")
+DIGITS = ("tests/test_output.py::test_pre_scaled_digits_and_flag_match_one_full_division",
+          "tests/test_output.py::test_pre_scaling_past_binary_exponent_two_to_the_18")
+TWO_BALLS = "tests/test_arith.py::TestBoundedRealOps::test_two_balls_do_not_combine"
+
+MUTANTS = (
+    # the directed-rounding chain of _coefficient_powers, each link rounded
+    # the wrong way
+    Mutant("low step raised", ANALYTIC,
+           "lo_step = (lo.numerator ** 2 << frac_bits) // lo.denominator ** 2",
+           "lo_step = -(-(lo.numerator ** 2 << frac_bits) // lo.denominator ** 2)",
+           (SUMS, PI_ENDS)),
+    Mutant("high step floored", ANALYTIC,
+           "hi_step = -(-(hi.numerator ** 2 << frac_bits) // hi.denominator ** 2)",
+           "hi_step = (hi.numerator ** 2 << frac_bits) // hi.denominator ** 2",
+           (SUMS, PI_ENDS)),
+    Mutant("low chain raised", ANALYTIC,
+           "low = low * lo_step >> frac_bits",
+           "low = -(-low * lo_step >> frac_bits)",
+           (PI_ENDS,)),
+    Mutant("high chain floored", ANALYTIC,
+           "high = -(-high * hi_step >> frac_bits)",
+           "high = high * hi_step >> frac_bits",
+           (SUMS, PI_ENDS)),
+    Mutant("low term raised", ANALYTIC,
+           "yield low * c.numerator // c.denominator,",
+           "yield -(-low * c.numerator // c.denominator),",
+           (SUMS, PI_ENDS)),
+    Mutant("high term floored", ANALYTIC,
+           "-(-high * c.numerator // c.denominator)",
+           "high * c.numerator // c.denominator",
+           (SUMS, PI_ENDS)),
+    # the series: pi/2n's ends read outward, the divisions by m outward
+    Mutant("series high end read down", ANALYTIC,
+           "hi = Ratio(-(-(hp * qn << read) // (2 * pn * hq)), 1 << read)",
+           "hi = Ratio((hp * qn << read) // (2 * pn * hq), 1 << read)",
+           (OUTWARD,)),
+    Mutant("series low end read up", ANALYTIC,
+           "lo = Ratio((lp * qn << read) // (2 * pn * lq), 1 << read)",
+           "lo = Ratio(-(-(lp * qn << read) // (2 * pn * lq)), 1 << read)",
+           (OUTWARD,)),
+    Mutant("series low division by m raised", ANALYTIC,
+           "s_lo = sum(low // m for m, (low, _) in terms)",
+           "s_lo = -sum(-low // m for m, (low, _) in terms)",
+           (OUTWARD,)),
+    Mutant("series high division by m floored", ANALYTIC,
+           "s_hi = -sum(-high // m for m, (_, high) in terms)",
+           "s_hi = sum(high // m for m, (_, high) in terms)",
+           (OUTWARD,)),
+    Mutant("series check at equality passes", ANALYTIC,
+           "if hp * qn * lq >= lp * pn * hq:",
+           "if hp * qn * lq > lp * pn * hq:",
+           ("tests/test_analytic.py::TestNegLogProductSeries"
+            "::test_high_end_of_pi_over_2n_at_half_pi_low_is_refused",)),
+    Mutant("series fixed point without its zeros", ANALYTIC,
+           "zeros = max((2 * pn * lq).bit_length() - (lp * qn).bit_length(), 0)",
+           "zeros = 0",
+           ("tests/test_analytic.py::TestExpLog::test_tightened_rows_lie_inside_the_old_ones",
+            "tests/test_analytic.py::TestWorkingPrecision"
+            "::test_series_and_exp_on_the_verify_route")),
+    Mutant("coefficient tail one power short", ANALYTIC,
+           "r ** (order + 1) / ((order + 1) * (1 - r))",
+           "r ** order / ((order + 1) * (1 - r))",
+           ("tests/test_analytic.py::TestCoefficientTail",)),
+    Mutant("closed forms centred at the low end", ANALYTIC,
+           "real_from_rational(Ratio(low + high, den), work, Ratio(high - low, den))",
+           "real_from_rational(Ratio(2 * low, den), work, Ratio(high - low, den))",
+           ("tests/test_cli.py::TestClosedForms",)),
+    Mutant("cosine count of 1", ANALYTIC,
+           "precision_bits + 16, Ratio(err, one))",
+           "precision_bits + 16, Ratio(1, one))",
+           ("tests/test_analytic.py::TestCosApprox::test_half_pi_contains_zero",)),
+    # the numeric flags read their whole text
+    Mutant("integer flags matched at the start only", "src/cosprod/cli.py",
+           "if _INTEGER_RE.fullmatch(text):",
+           "if _INTEGER_RE.match(text):",
+           ("tests/test_cli.py::TestNumericFlags",)),
+    Mutant("--n matched at the start only", "src/cosprod/cli.py",
+           "if not _RATIONAL_RE.fullmatch(text):",
+           "if not _RATIONAL_RE.match(text):",
+           ("tests/test_cli.py::TestNumericFlags",
+            "tests/test_cli.py::TestVerify::test_decimal_n_rejected")),
+    # output._to_digits: the pre-scaling and its sticky half
+    Mutant("sticky half for exact quotients too", "src/cosprod/output.py",
+           "        if r:\n            half = ",
+           "        if True:\n            half = ",
+           DIGITS),
+    Mutant("plain a in place of the sticky half", "src/cosprod/output.py",
+           "Decimal(10 * a + 5 if p > 0 else -10 * a - 5), -s - 1)",
+           "Decimal(a if p > 0 else -a), -s)",
+           DIGITS),
+    Mutant("0.30102 at both signs", "src/cosprod/output.py",
+           "t * (30102 if t >= 0 else 30103) // 100000",
+           "t * 30102 // 100000",
+           DIGITS),
+    Mutant("s one digit short", "src/cosprod/output.py",
+           "s = digits - t *",
+           "s = digits - 1 - t *",
+           DIGITS),
+    Mutant("printed bound rounded down", "src/cosprod/output.py",
+           "d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_CEILING)",
+           "d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_FLOOR)",
+           ("tests/test_output.py::test_a_balls_interval_lies_inside_its_printed_contract",)),
+    # arith
+    Mutant("constructor without its gcd", "src/cosprod/arith.py",
+           "g, h = gcd(n, d), gcd(m, c)",
+           "g, h = 1, 1",
+           ("tests/test_arith.py::TestRoundingOracle"
+            "::test_a_ball_of_unreduced_ratios_is_the_reduced_ball",)),
+    Mutant("ball plus ball restored", "src/cosprod/arith.py",
+           "    def __add__(self, other: object) -> \"BoundedReal\":\n",
+           "    def __add__(self, other: object) -> \"BoundedReal\":\n"
+           "        if isinstance(other, BoundedReal):\n"
+           "            return _round(_add(self._v, other._v),\n"
+           "                          min(self.precision_bits, other.precision_bits),\n"
+           "                          _add(self._e, other._e))\n",
+           (TWO_BALLS,)),
+    Mutant("ball times ball restored", "src/cosprod/arith.py",
+           "    def __mul__(self, other: object) -> \"BoundedReal\":\n",
+           "    def __mul__(self, other: object) -> \"BoundedReal\":\n"
+           "        if isinstance(other, BoundedReal):\n"
+           "            a, b = self._v, other._v\n"
+           "            err = _add(_add(_mul(_abs(a), other._e), _mul(_abs(b), self._e)),\n"
+           "                       _mul(self._e, other._e))\n"
+           "            return _round(_mul(a, b),\n"
+           "                          min(self.precision_bits, other.precision_bits), err)\n",
+           (TWO_BALLS,)),
+    Mutant("error rounded to nearest", "src/cosprod/arith.py",
+           "return _neg(_round_sig(_neg(t), 8, floor=True)[0])",
+           "return _round_sig(t, 8)[0]",
+           ("tests/test_arith.py::TestRoundingOracle::test_random_real_from_rational",)),
+    Mutant("division multiplies by the divisor", "src/cosprod/arith.py",
+           "return self.__mul__(1 / Fraction(other))",
+           "return self.__mul__(Fraction(other))",
+           ("tests/test_arith.py::TestRoundingOracle::test_random_operation_chains",)),
+)
+
+
+def problems(mutants) -> list[str]:
+    """A stale snippet or a golden named as a test, one line each."""
+    found = []
+    for m in mutants:
+        count = (ROOT / m.path).read_text(encoding="utf-8").count(m.old)
+        if count != 1:
+            found.append(f"stale: {m.name}: the snippet occurs {count} times in {m.path}")
+        found += [f"golden: {m.name}: {t}" for t in m.tests if t.startswith(GOLDEN)]
+        if not m.tests:
+            found.append(f"no tests: {m.name}")
+    return found
+
+
+def run_tests(tests, mutant: Mutant | None = None) -> str:
+    """'pass', 'fail', 'timeout' or 'error': `tests` on a copy of src/ and
+    tests/, with `mutant` applied."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        # an ini file of its own keeps pytest from reading one further up
+        (tree / "pytest.ini").write_text("[pytest]\n", encoding="utf-8")
+        if mutant is not None:
+            path = tree / mutant.path
+            path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
+                            encoding="utf-8")
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(tree / "src"),
+                                                            os.environ.get("PYTHONPATH")])))
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+                cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+    return {0: "pass", 1: "fail"}.get(done.returncode, "error")
+
+
+def run(mutants) -> int:
+    found = problems(mutants)
+    for line in found:
+        print(line)
+    if found:
+        return 1
+    tests = list(dict.fromkeys(t for m in mutants for t in m.tests))
+    if run_tests(tests) != "pass":
+        print("the unmutated tests do not pass")
+        return 1
+
+    def one(m: Mutant) -> tuple[Mutant, str, float]:
+        start = time.perf_counter()
+        outcome = run_tests(m.tests, m)
+        return m, outcome, time.perf_counter() - start
+
+    counts = {"killed": 0, "survived": 0, "error": 0}
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for m, outcome, seconds in pool.map(one, mutants):
+            verdict = {"fail": "killed", "timeout": "killed", "pass": "survived"}.get(
+                outcome, "error")
+            counts[verdict] += 1
+            note = " (timeout)" if outcome == "timeout" else ""
+            print(f"{verdict}{note}: {m.name} ({seconds:.1f} s)")
+    print(", ".join(f"{k} {v}" for k, v in counts.items()))
+    return 1 if counts["survived"] or counts["error"] else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run(MUTANTS))
