@@ -19,17 +19,20 @@ Both identities are verified elsewhere in this package; this module also
 provides the independent oracle for that cross-check: the tangent
 coefficients from the Bernoulli numbers B_k, each B_k from their defining
 recurrence in integers (Brent & Harvey, arXiv:1108.0286).  By von
-Staudt-Clausen the denominator of B_k is the product of the primes p with
-p-1 dividing k, each at most k+1, so D = (k_max+1)! clears every
-denominator up to B_k_max and every step divides exactly.  The odd B_k,
-k >= 3, are zero because x/(e^x-1) + x/2 is an even function of x.
+Staudt-Clausen the denominator of B_k is the product of the distinct primes
+p with p-1 dividing k, each at most k+1; a squarefree product of primes at
+most k_max+1 divides D = lcm(1, ..., k_max+1), so D clears every
+denominator up to B_k_max and every step divides exactly.  D has about
+k_max*log2(e) bits (Chebyshev's psi), against about k_max*log2(k_max/e)
+for (k_max+1)!.  The odd B_k, k >= 3, are zero because x/(e^x-1) + x/2 is
+an even function of x.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .series import OddSeries
 
@@ -44,15 +47,22 @@ _coeff_prefix: list[tuple[int, Fraction]] = [(1, Fraction(1, 2))]
 def _extend(m_max: int) -> list[tuple[int, Fraction]]:
     """The shared prefix, extended to at least m_max entries (T_m, c_m).
 
-    Each c_m is checked once, when it is appended: 0 < c_m < c_{m-1}.
+    The terms i and m-i of T_m = sum_{i=1}^{m-1} C(2m-2, 2i-1) T_i T_{m-i}
+    are equal, as C(2m-2, 2i-1) = C(2m-2, 2m-2i-1).  So T_m is twice the
+    sum over i < m/2, plus the middle term C(2m-2, m-1) T_{m/2}^2 when m
+    is even: the same recurrence with half the products.  Each c_m is
+    checked once, when it is appended: 0 < c_m < c_{m-1}.
     """
     with _coeff_lock:
         prefix = _coeff_prefix
         for m in range(len(prefix) + 1, m_max + 1):
             t, binom = 0, 2 * m - 2  # binom = C(2m-2, 2i-1), stepped along the row
-            for i in range(1, m):
+            for i in range(1, (m + 1) // 2):
                 t += binom * prefix[i - 1][0] * prefix[m - i - 1][0]
                 binom = binom * ((2 * m - 2 * i - 1) * (2 * m - 2 * i - 2)) // (2 * i * (2 * i + 1))
+            t *= 2
+            if m % 2 == 0:  # binom is C(2m-2, m-1) here
+                t += binom * prefix[m // 2 - 1][0] ** 2
             c = Fraction(t, 2 * factorial(2 * m - 1))
             if not 0 < c < prefix[-1][1]:
                 raise AssertionError(f"c_{m} is not in (0, c_{m - 1})")
@@ -77,13 +87,16 @@ def bernoulli_numbers(k_max: int) -> tuple[Fraction, ...]:
     """B_0..B_k_max (B_1 = -1/2) from the defining recurrence.
 
     sum_{j=0..k} C(k+1, j) B_j = 0 for k >= 1, with B_0 = 1, solved for B_k
-    on the integers D B_j, D = (k_max+1)!; the odd zeros stay out of the
-    sums.  A remainder in the division by k+1, or a B_1 or even B_k off the
-    signs (-1)**(k//2+1) B_k > 0, raises AssertionError.
+    on the integers D B_j, D = lcm(1, ..., k_max+1); the odd zeros stay out
+    of the sums.  By von Staudt-Clausen the denominator of each B_k,
+    k <= k_max, is squarefree with primes at most k+1, so it divides D, and
+    (k+1) D B_k, the integer the recurrence gives, divides exactly by k+1.
+    A remainder in that division, or a B_1 or even B_k off the signs
+    (-1)**(k//2+1) B_k > 0, raises AssertionError.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    denom = factorial(k_max + 1)
+    denom = lcm(*range(1, k_max + 2))
     scaled = [denom] + [0] * k_max
     for k in range(1, k_max + 1):
         if k > 1 and k % 2:
@@ -95,7 +108,7 @@ def bernoulli_numbers(k_max: int) -> tuple[Fraction, ...]:
             binom = binom * ((k + 1 - j) * (k - j)) // ((j + 1) * (j + 2))
         b, rem = divmod(-acc, k + 1)
         if rem:
-            raise AssertionError(f"B_{k} is not a multiple of 1/{k_max + 1}!")
+            raise AssertionError(f"B_{k} is not a multiple of 1/lcm(1..{k_max + 1})")
         if (-1) ** (k // 2 + 1) * b <= 0:
             raise AssertionError(f"B_{k} breaks the alternating sign pattern")
         scaled[k] = b

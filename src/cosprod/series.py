@@ -36,10 +36,18 @@ def _square(cs):
     """Coefficients of x^2, x^4, ..., x^(2M) in t^2, t = sum cs[m-1] x^(2m-1).
 
     The x^(2k) coefficient is sum over ordered pairs i + j = k + 1 of
-    c_i c_j; for k <= M every pair involves only stored coefficients.
+    c_i c_j; for k <= M every pair involves only stored coefficients.  The
+    pairs (i, j) and (j, i) give equal products, so it is twice the sum
+    over i < j, plus the middle square c_((k+1)/2)^2 when k is odd.
     """
-    return [sum(a * b for a, b in zip(cs[:k], cs[k - 1::-1]))
-            for k in range(1, len(cs) + 1)]
+    out = []
+    for k in range(1, len(cs) + 1):
+        half = k // 2
+        s = 2 * sum(a * b for a, b in zip(cs[:half], reversed(cs[k - half:k])))
+        if k % 2:
+            s += cs[half] * cs[half]
+        out.append(s)
+    return out
 
 
 def _picard_round(current: list[int], denom: int) -> list[int]:

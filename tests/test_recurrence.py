@@ -114,9 +114,17 @@ class TestBernoulli:
         for m, t in enumerate(tangent_numbers(200), start=1):
             assert table[2 * m] == F((-1) ** (m - 1) * 2 * m * t, 4**m * (4**m - 1))
 
+    def test_every_table_is_a_prefix_of_the_largest(self):
+        # D = lcm(1..k_max+1) differs from one k_max to the next; among 0..64
+        # are k_max+1 prime, whose prime only B_k_max needs, and k_max+1 a
+        # prime power (8, 9, 16, 25, 27, 32, 49, 64), which adds no prime
+        full = bernoulli_numbers(400)
+        for k_max in range(65):
+            assert bernoulli_numbers(k_max) == full[:k_max + 1], k_max
+
     def test_inexact_division_is_an_assertion_error(self, monkeypatch):
         # D = 6 clears the denominators of B_1 and B_2 but not 30, that of B_4
-        monkeypatch.setattr(recurrence, "factorial", lambda n: 6)
+        monkeypatch.setattr(recurrence, "lcm", lambda *args: 6)
         with pytest.raises(AssertionError, match="B_4"):
             bernoulli_numbers(6)
 

@@ -56,6 +56,13 @@ OUTWARD = ("tests/test_analytic.py::TestCoefficientPowers"
 DIGITS = ("tests/test_output.py::test_pre_scaled_digits_and_flag_match_one_full_division",
           "tests/test_output.py::test_pre_scaling_past_binary_exponent_two_to_the_18")
 TWO_BALLS = "tests/test_arith.py::TestBoundedRealOps::test_two_balls_do_not_combine"
+RECURRENCE = "src/cosprod/recurrence.py"
+TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
+           "tests/test_recurrence.py::TestCoefficientTable"
+           "::test_matches_knuth_buckholtz_tangent_numbers_to_400")
+FOLDED_SQUARE = ("tests/test_series.py::TestOdeResidual::test_folded_square_at_every_order_through_12",
+                 "tests/test_series.py::TestPicardFixedPoint"
+                 "::test_matches_recurrence_at_every_order_through_60")
 
 MUTANTS = (
     # the directed-rounding chain of _coefficient_powers, each link rounded
@@ -155,6 +162,31 @@ MUTANTS = (
            "d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_CEILING)",
            "d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_FLOOR)",
            ("tests/test_output.py::test_a_balls_interval_lies_inside_its_printed_contract",)),
+    # the folded convolutions and the Bernoulli denominator
+    Mutant("tangent numbers without the doubling", RECURRENCE,
+           "            t *= 2\n",
+           "",
+           TANGENT),
+    Mutant("tangent numbers without the middle term", RECURRENCE,
+           "t += binom * prefix[m // 2 - 1][0] ** 2",
+           "pass",
+           TANGENT),
+    Mutant("tangent numbers one pair short at odd m", RECURRENCE,
+           "for i in range(1, (m + 1) // 2):",
+           "for i in range(1, m // 2):",
+           TANGENT),
+    Mutant("square without its middle term", "src/cosprod/series.py",
+           "s += cs[half] * cs[half]",
+           "pass",
+           FOLDED_SQUARE),
+    Mutant("square without the doubling", "src/cosprod/series.py",
+           "s = 2 * sum(a * b for a, b in zip(cs[:half], reversed(cs[k - half:k])))",
+           "s = sum(a * b for a, b in zip(cs[:half], reversed(cs[k - half:k])))",
+           FOLDED_SQUARE),
+    Mutant("Bernoulli denominator without k_max+1", RECURRENCE,
+           "denom = lcm(*range(1, k_max + 2))",
+           "denom = lcm(*range(1, k_max + 1))",
+           ("tests/test_recurrence.py::TestBernoulli::test_every_table_is_a_prefix_of_the_largest",)),
     # arith
     Mutant("constructor without its gcd", "src/cosprod/arith.py",
            "g, h = gcd(n, d), gcd(m, c)",
