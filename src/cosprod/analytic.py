@@ -65,7 +65,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from math import lcm
 from typing import Iterator, Optional, Union
 
 from .arith import (
@@ -159,21 +158,14 @@ class PartialProductResult:
         return Fraction(*self.total_ratio())
 
     def total_ratio(self) -> Ratio:
-        """total_bound() over one unreduced denominator: no gcd of the upper end.
-
-        The error and the upper end are taken over the lcm of their
-        denominators, the ball's own power of two for a dyadic ball, not
-        over their product, which would double the length of every integer
-        a row is printed from.
-        """
+        """total_bound() over one unreduced denominator: no gcd of the upper end."""
         e, t = self.value.abs_error, self.log_tail_bound
         if t is None:
             return Ratio(e.numerator, e.denominator)
         u = self.value.ratio(1)
-        den = lcm(e.denominator, u.denominator)
-        return Ratio((e.numerator * (den // e.denominator) * t.denominator
-                      + u.numerator * (den // u.denominator) * t.numerator),
-                     den * t.denominator)
+        return Ratio(e.numerator * u.denominator * t.denominator
+                     + u.numerator * t.numerator * e.denominator,
+                     e.denominator * u.denominator * t.denominator)
 
     def interval(self) -> tuple[Fraction, Fraction]:
         b = self.total_bound()

@@ -16,7 +16,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .analytic import (
@@ -206,8 +205,7 @@ def cmd_product(args: argparse.Namespace) -> _Result:
                                                         2 * args.n.numerator)
         target = cos_approx(x, args.precision)
     # the balls are read unreduced, as a gcd of a 4096-bit value costs more
-    # than its row, but over the lcm of their power-of-two denominators, not
-    # their product; a snapshot passes if |v - c| <= total + the target's
+    # than its row, and a snapshot passes if |v - c| <= total + the target's
     # error, which overlaps decides on integer triples
     cp, cq = target.ratio()
     cosine = format_decimal(target.ratio(), target.abs_error)
@@ -218,8 +216,7 @@ def cmd_product(args: argparse.Namespace) -> _Result:
         total = snap.total_ratio()
         ok = BoundedReal(value, total, args.precision).overlaps(target)
         vp, vq = value
-        den = lcm(vq, cq)
-        gap = abs(vp * (den // vq) - cp * (den // cq))
+        gap, den = abs(vp * cq - cp * vq), vq * cq
         all_pass = all_pass and ok
         rows.append({
             "num_factors": str(snap.num_factors),

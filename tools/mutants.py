@@ -60,7 +60,7 @@ RECURRENCE = "src/cosprod/recurrence.py"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
            "tests/test_recurrence.py::TestCoefficientTable"
            "::test_matches_knuth_buckholtz_tangent_numbers_to_400")
-FOLDED_SQUARE = ("tests/test_series.py::TestOdeResidual::test_folded_square_at_every_order_through_12",
+FOLDED_SQUARE = ("tests/test_series.py::TestOdeResidual::test_against_naive_multiplication",
                  "tests/test_series.py::TestPicardFixedPoint"
                  "::test_matches_recurrence_at_every_order_through_60")
 
