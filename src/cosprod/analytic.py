@@ -31,8 +31,9 @@ scaled integer or exact rational by
 :func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
 precision and adds the carried error to the rounding cap, so the
 :class:`~cosprod.arith.BoundedReal` intervals are sound by construction.
-No route reaches a ball operator; ``verify_identity`` alone scales pi's
-ball to pi/2n for the cosine and negates the series for exp.
+No route reaches a ball operator; ``cos_half_pi_over`` alone scales pi's
+ball to pi/2n, for ``verify_identity`` and the CLI's product, and
+``verify_identity`` negates the series for exp.
 
 Precision follows accuracy: the product and series routes need only as
 many bits as their truncation tails leave, and exp only as many as its
@@ -153,19 +154,10 @@ class PartialProductResult:
 
         The true product is partial * exp(-tau) with 0 <= tau <=
         log_tail_bound, and 1 - exp(-tau) <= tau, so the tail contributes
-        at most (partial upper bound) * log_tail_bound.
+        at most (partial upper bound) * log_tail_bound: e + U t.
         """
-        return Fraction(*self.total_ratio())
-
-    def total_ratio(self) -> Ratio:
-        """total_bound() over one unreduced denominator: no gcd of the upper end."""
         e, t = self.value.abs_error, self.log_tail_bound
-        if t is None:
-            return Ratio(e.numerator, e.denominator)
-        u = self.value.ratio(1)
-        return Ratio(e.numerator * u.denominator * t.denominator
-                     + u.numerator * t.numerator * e.denominator,
-                     e.denominator * u.denominator * t.denominator)
+        return e if t is None else e + self.value.upper() * t
 
     def interval(self) -> tuple[Fraction, Fraction]:
         b = self.total_bound()
@@ -547,6 +539,19 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
                               c.abs_error + x.abs_error)
 
 
+def cos_half_pi_over(n: _RationalLike, precision_bits: int) -> BoundedReal:
+    """cos(pi/2n), the product's limit, for a rational n > 0; exactly 0 at n = 1.
+
+    Otherwise it is ``cos_approx`` at pi_constant(precision_bits + 16)
+    times qn / (2 pn), n = pn/qn: the one place where pi is scaled to pi/2n.
+    """
+    n = Fraction(n)
+    if n == 1:
+        return BoundedReal(0, 0, precision_bits)
+    x = pi_constant(precision_bits + 16) * Fraction(n.denominator, 2 * n.numerator)
+    return cos_approx(x, precision_bits)
+
+
 def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
     """exp from the stdlib's correctly rounded decimal exp, with a bound.
 
@@ -716,13 +721,11 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
                _working_bits(precision_bits, _product_log_tail(n, num_factors)))
     detail = _partial_products(n, [num_factors], bits)[0]
     # the value is already dyadic at this precision, so only the bound moves
-    product = real_from_rational(detail.value.ratio(), precision_bits,
-                                 detail.total_ratio())
-    x = pi_constant(precision_bits + 16) * Fraction(n.denominator,
-                                                    2 * n.numerator)
+    product = real_from_rational(detail.value.value, precision_bits,
+                                 detail.total_bound())
     neg_log = neg_log_product_series(n, order, precision_bits + 8)
     log_series = exp_approx(-neg_log, precision_bits)
-    cosine = cos_approx(x, precision_bits)
+    cosine = cos_half_pi_over(n, precision_bits)
     verdict = (product.overlaps(log_series)
                and product.overlaps(cosine)
                and log_series.overlaps(cosine))

@@ -17,8 +17,8 @@ Every rounded result (each operator but the exact negation, and
 e < 2**8.  A ball built from other rationals carries them exactly until
 an operation rounds.  The operators use integer multiplies, shifts and at
 most one divmod; only ``value``, ``abs_error`` and the interval view build
-Fractions, each reduced by a gcd.  ``BoundedReal.ratio`` reads the same
-numbers as unreduced ``Ratio`` pairs, with no gcd, for the reads that only
+Fractions, each reduced to lowest terms.  ``BoundedReal.ratio`` reads the
+same numbers as unreduced ``Ratio`` pairs, for the reads that only
 round, compare or print a ball of thousands of bits; the formatters and
 :func:`real_from_rational` take them as they take Fractions.  No binary
 floating point is used; the rounding happens in
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import NamedTuple, Union
 
 from .output import format_bound, format_decimal
@@ -201,28 +200,27 @@ class BoundedReal:
     ``|value - truth| <= abs_error`` for the real number the instance
     stands for.  Both are read out of canonical triples (module docstring),
     so equal balls have equal fields.  Instances are immutable and hashable.
-    The constructor also takes either as an unreduced ``Ratio``.  The
-    operators take an exact int or Fraction as the other operand; a ball
-    and a ball do not combine (TypeError).
+    The constructor takes an int or a Fraction for each, as the operators
+    take one for the other operand; anything else, another ball included,
+    raises TypeError.  It refuses a precision below MIN_PRECISION_BITS, as
+    every rounding does.
     """
 
     _v: _Triple
     _e: _Triple
     precision_bits: int
 
-    def __init__(self, value: Union[_RationalLike, Ratio],
-                 abs_error: Union[_RationalLike, Ratio],
+    def __init__(self, value: _RationalLike, abs_error: _RationalLike,
                  precision_bits: int) -> None:
-        if abs_error.numerator < 0:
+        if not (isinstance(value, (int, Fraction))
+                and isinstance(abs_error, (int, Fraction))):
+            raise TypeError("a BoundedReal is built from ints and Fractions")
+        if abs_error < 0:
             raise ValueError("abs_error must be nonnegative")
-        if precision_bits < 1:
-            raise ValueError("precision_bits must be positive")
-        # an unreduced Ratio may leave an odd factor in n and d; one gcd
-        # each makes the triples canonical.  A frozen dataclass: fields are
-        # written once, through __dict__
-        (n, x, d), (m, y, c) = _triple(value), _triple(abs_error)
-        g, h = gcd(n, d), gcd(m, c)
-        self.__dict__.update(_v=(n // g, x, d // g), _e=(m // h, y, c // h),
+        check_precision(precision_bits)
+        # both in lowest terms, so their triples are canonical.  A frozen
+        # dataclass: fields are written once, through __dict__
+        self.__dict__.update(_v=_triple(value), _e=_triple(abs_error),
                              precision_bits=precision_bits)
 
     @classmethod
@@ -230,11 +228,6 @@ class BoundedReal:
         self = object.__new__(cls)
         self.__dict__.update(_v=value, _e=err, precision_bits=bits)
         return self
-
-    @classmethod
-    def exact(cls, r: _RationalLike, precision_bits: int) -> "BoundedReal":
-        """Wrap an exactly-known rational (abs_error = 0, no quantization)."""
-        return cls(r, 0, precision_bits)
 
     @property
     def value(self) -> Fraction:
@@ -263,8 +256,8 @@ class BoundedReal:
     def ratio(self, side: int = 0) -> Ratio:
         """value + side * abs_error, side -1, 0 or 1, as a Ratio.
 
-        value, lower() and upper() without the gcd that reduces them to a
-        Fraction, which at thousands of bits costs more than the reads do.
+        value, lower() and upper() without their reduction to a Fraction's
+        lowest terms, which at thousands of bits costs more than the reads do.
         """
         if not side:
             return _ratio(self._v)

@@ -21,7 +21,7 @@ from typing import Optional
 from .analytic import (
     DomainError,
     closed_forms,
-    cos_approx,
+    cos_half_pi_over,
     lambda_direct,
     product_trace,
     rearrangement_check,
@@ -31,9 +31,7 @@ from .arith import (
     MIN_PRECISION_BITS,
     BoundedReal,
     PrecisionError,
-    Ratio,
     WorkBudgetError,
-    pi_constant,
 )
 from .output import (
     OutputRecord,
@@ -198,25 +196,16 @@ def cmd_lambda(args: argparse.Namespace) -> _Result:
 
 def cmd_product(args: argparse.Namespace) -> _Result:
     trace = product_trace(args.n, args.num_factors, args.precision)
-    if args.n == 1:
-        target = BoundedReal.exact(0, args.precision)
-    else:
-        x = pi_constant(args.precision + 16) * Fraction(args.n.denominator,
-                                                        2 * args.n.numerator)
-        target = cos_approx(x, args.precision)
-    # the balls are read unreduced, as a gcd of a 4096-bit value costs more
-    # than its row, and a snapshot passes if |v - c| <= total + the target's
-    # error, which overlaps decides on integer triples
-    cp, cq = target.ratio()
-    cosine = format_decimal(target.ratio(), target.abs_error)
+    target = cos_half_pi_over(args.n, args.precision)
+    c, c_err = target.value, target.abs_error
+    cosine = format_decimal(c, c_err)
     rows = []
     all_pass = True
     for snap in trace:
-        value = snap.value.ratio()
-        total = snap.total_ratio()
-        ok = BoundedReal(value, total, args.precision).overlaps(target)
-        vp, vq = value
-        gap, den = abs(vp * cq - cp * vq), vq * cq
+        value, total = snap.value.value, snap.total_bound()
+        # a snapshot passes if the cosine's ball meets [value - total, value + total]
+        deviation = abs(value - c)
+        ok = deviation <= total + c_err
         all_pass = all_pass and ok
         rows.append({
             "num_factors": str(snap.num_factors),
@@ -226,7 +215,7 @@ def cmd_product(args: argparse.Namespace) -> _Result:
                                else format_bound(snap.log_tail_bound)),
             "total_bound": format_bound(total),
             "cosine": cosine,
-            "deviation": format_bound(Ratio(gap, den)) if gap else "0",
+            "deviation": format_bound(deviation) if deviation else "0",
             "contained": "PASS" if ok else "FAIL",
         })
     return rows, all_pass

@@ -184,8 +184,5 @@ _RENDERERS = {"table": render_table, "csv": render_csv, "json": render_json}
 
 
 def render(record: OutputRecord, fmt: str) -> str:
-    try:
-        renderer = _RENDERERS[fmt]
-    except KeyError:
-        raise ValueError(f"unknown output format {fmt!r}") from None
-    return renderer(record)
+    """`record` as fmt: "table", "csv" or "json"."""
+    return _RENDERERS[fmt](record)

@@ -16,7 +16,9 @@ from cosprod.analytic import (
     _row_one_steps,
     _versine_doubled,
     _versine_series,
+    PartialProductResult,
     cos_approx,
+    cos_half_pi_over,
     exp_approx,
     lambda_direct,
     neg_log_product_series,
@@ -26,7 +28,8 @@ from cosprod.analytic import (
 )
 from cosprod.arith import (BoundedReal, PrecisionError, WorkBudgetError, pi_constant,
                            real_from_rational)
-from cosprod.recurrence import lambda_closed_form
+from cosprod.recurrence import bernoulli_numbers, lambda_closed_form, tangent_coefficients
+from cosprod.series import OddSeries
 from conftest import (
     coefficient_sums_exact,
     coefficient_tail_exact,
@@ -162,6 +165,14 @@ class TestPartialProduct:
         lo, hi = sqrt_bracket(F(3, 4))
         ilo, ihi = res.interval()
         assert ilo <= lo and hi <= ihi
+
+    def test_total_bound_is_the_error_plus_the_upper_end_times_the_tail(self):
+        # e + U t, U the value's upper end, not the value; e alone at n = 1
+        ball = BoundedReal(F(1, 2), F(1, 4), 8)
+        res = PartialProductResult(5, ball, F(1, 2))
+        assert res.total_bound() == F(1, 4) + F(3, 4) * F(1, 2)
+        assert res.interval() == (F(-1, 8), F(9, 8))
+        assert PartialProductResult(5, ball, None).total_bound() == F(1, 4)
 
     def test_non_integer_n_contains_half(self):
         res = product_trace(F(3, 2), 20_000, 128)[-1]
@@ -451,7 +462,7 @@ class TestCoefficientTail:
 
 class TestCosApprox:
     def test_zero(self):
-        res = cos_approx(BoundedReal.exact(0, 128), 128)
+        res = cos_approx(BoundedReal(0, 0, 128), 128)
         assert res.value == 1
         assert res.abs_error == 0
 
@@ -472,9 +483,23 @@ class TestCosApprox:
         res = cos_approx(pi_over(3), 128)
         assert contains(res, F(1, 2))
 
+    def test_cos_half_pi_over(self):
+        # exactly 0 at n = 1; else cos_approx at pi/2n from pi at bits + 16,
+        # enclosing cos(pi/6) = sqrt(3)/2 and cos(pi/3) = 1/2
+        for bits in (8, 128, 4096):
+            zero = cos_half_pi_over(1, bits)
+            assert (zero.value, zero.abs_error, zero.precision_bits) == (0, 0, bits)
+            for n in (F(3), F(3, 2), F(11, 10), F(1000)):
+                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                assert cos_half_pi_over(n, bits) == cos_approx(x, bits), (n, bits)
+            lo, hi = sqrt_bracket(F(3, 4), bits + 64)
+            res = cos_half_pi_over(3, bits)
+            assert res.lower() <= lo and hi <= res.upper()
+            assert contains(cos_half_pi_over(F(3, 2), bits), F(1, 2))
+
     def test_moderately_large_argument(self):
         # series still converges with a valid remainder beyond the identity range
-        res = cos_approx(BoundedReal.exact(5, 128), 128)
+        res = cos_approx(BoundedReal(5, 0, 128), 128)
         cos5 = F("0.2836621854632262644666391715135573083344")
         assert abs(res.value - cos5) <= res.abs_error + F(1, 10**39)
 
@@ -516,7 +541,7 @@ class TestCosineHalving:
         # at 512 bits the floors are far below these cutoffs, so only the
         # alternating-series remainder keeps the count around 1 - cos y
         for y in (F(1, 10), F(1, 2), F(1), F(3), F(5)):
-            ref = cos_full_precision(BoundedReal.exact(y, 640), 640)
+            ref = cos_full_precision(BoundedReal(y, 0, 640), 640)
             for cutoff in (8, 20, 40):
                 s, err = _versine_series(y, 0, 512, cutoff)
                 assert F(s - err, 2**512) <= 1 - ref.upper(), (y, cutoff)
@@ -528,7 +553,7 @@ class TestCosineHalving:
         # doublings make the width; F - 2h is cos_approx's cutoff for |x| < 1
         for x in (F(1, 10), F(-1, 10), F(1), F(3), F(-5), F(10)):
             for frac_bits in (24, 32, 40):
-                ref = cos_full_precision(BoundedReal.exact(x, 8), frac_bits + 64)
+                ref = cos_full_precision(BoundedReal(x, 0, 8), frac_bits + 64)
                 one = 2**frac_bits
                 for halvings in range(int(abs(x)).bit_length(), 7):
                     s, err = _versine_series(x, halvings, frac_bits,
@@ -588,13 +613,13 @@ class TestExpLog:
         # 1 at d = 9 (8 bits) or 45 (128 bits) digits, rounded up to 8 bits
         for bits, rho, bound in ((8, F(5, 10**9), F(43, 2**33)),
                                  (128, F(5, 10**45), F(229, 2**155))):
-            res = exp_approx(BoundedReal.exact(0, bits), bits)
+            res = exp_approx(BoundedReal(0, 0, bits), bits)
             assert res.value == 1
             assert res.abs_error == bound
             assert rho <= bound <= rho * (1 + F(1, 2**7))
 
     def test_exp_one_against_digits(self):
-        res = exp_approx(BoundedReal.exact(1, 192), 192)
+        res = exp_approx(BoundedReal(1, 0, 192), 192)
         assert abs(res.value - E_40) <= res.abs_error + F(1, 10**39)
 
     def test_input_too_uncertain_is_a_precision_error(self):
@@ -620,7 +645,7 @@ class TestExpLog:
         rng = random.Random(1414)
         for bits in (8, 16, 64, 128):
             for _ in range(6):
-                y = BoundedReal.exact(F(3 * rng.randint(2**17, 2**19) + 1, 3), bits)
+                y = BoundedReal(F(3 * rng.randint(2**17, 2**19) + 1, 3), 0, bits)
                 assert exp_approx(y, bits).overlaps(exp_full_precision(y, bits + 64)), (y, bits)
 
     def test_tightened_rows_lie_inside_the_old_ones(self):
@@ -954,7 +979,7 @@ class TestExtremeParameters:
                                       product=True)
             ref = cos_full_precision(
                 BoundedReal(*combine_reference((x, 0), shift, 320), 320), 128)
-            res = cos_approx(BoundedReal.exact(x, 128), 128)
+            res = cos_approx(BoundedReal(x, 0, 128), 128)
             assert res.overlaps(ref), x
             assert res.abs_error <= F(1, 2**125), x
 
@@ -967,7 +992,7 @@ class TestExtremeParameters:
 
     def test_exp_large_negative_argument(self):
         target = F("9.3576229688401746049158322233787067449583226889359e-14")
-        res = exp_approx(BoundedReal.exact(-30, 32), 32)
+        res = exp_approx(BoundedReal(-30, 0, 32), 32)
         assert res.lower() - self.SLACK <= target <= res.upper() + self.SLACK
 
     def test_verify_identity_near_one(self):
@@ -1015,3 +1040,19 @@ class TestVerifyIdentity:
             verify_identity(3, 0, 5, 64)
         with pytest.raises(ValueError):
             verify_identity(3, 10, 5, 7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: product_trace(3, 0, 64), "num_factors must be at least 1"),
+    (lambda: neg_log_product_series(3, 0, 64), "order must be at least 1"),
+    (lambda: rearrangement_check(3, 0, 1, 64),
+     "num_rows and series_order must be at least 1"),
+    (lambda: bernoulli_numbers(-1), "k_max must be nonnegative"),
+    (lambda: tangent_coefficients(0), "m_max must be at least 1"),
+    (lambda: OddSeries(()), "series must carry at least one term"),
+    (lambda: real_from_rational(1, 64, -1), "error bounds must be nonnegative"),
+])
+def test_argument_checks_raise_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

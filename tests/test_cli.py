@@ -14,7 +14,7 @@ import pytest
 
 from cosprod import analytic, cli
 from cosprod.analytic import product_trace, rearrangement_check, verify_identity
-from cosprod.arith import pi_constant, real_from_rational
+from cosprod.arith import BoundedReal, pi_constant, real_from_rational
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
 from conftest import combine_reference, pi_bracket
@@ -251,12 +251,12 @@ class TestProduct:
 
     def test_rows_against_fraction_arithmetic(self, capsys, monkeypatch):
         # each row as Fractions give it: the value to the digits its total
-        # bound certifies, and contained iff |value - cosine| <= total + the
-        # cosine's error; the cosine is moved off cos(pi/2n) by about one
-        # snapshot's total, so that some rows fail, and some pass only by
-        # the cosine's error
+        # bound e + U t certifies, and contained iff |value - cosine| <=
+        # total + the cosine's error; the cosine is moved off cos(pi/2n) by
+        # about one snapshot's total, so that some rows fail, and some pass
+        # only by the cosine's error
         rng = random.Random(2020)
-        true_cos = cli.cos_approx
+        true_cos = cli.cos_half_pi_over
         verdicts = set()
         for _ in range(16):
             n = F(rng.randint(21, 200), rng.choice((1, 20)))
@@ -267,18 +267,18 @@ class TestProduct:
             shift = bound * F(rng.randint(-12, 12), 8)
             err = bound * F(rng.randint(0, 4), 8)
 
-            def moved(x, precision_bits):
-                c = true_cos(x, precision_bits)
+            def moved(n, precision_bits):
+                c = true_cos(n, precision_bits)
                 return real_from_rational(c.value + shift, precision_bits,
                                           c.abs_error + err)
 
-            monkeypatch.setattr(cli, "cos_approx", moved)
+            monkeypatch.setattr(cli, "cos_half_pi_over", moved)
             code, out, _ = run(capsys, "product", "--n", str(n), "--num-factors",
                                str(factors), "--precision", str(bits), "--format", "json")
-            target = moved(pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator), bits)
+            target = moved(n, bits)
             expected = []
             for snap in trace:
-                total = snap.total_bound()
+                total = snap.value.abs_error + snap.value.upper() * snap.log_tail_bound
                 deviation = abs(snap.value.value - target.value)
                 ok = deviation <= total + target.abs_error
                 verdicts.add(ok)
@@ -296,6 +296,23 @@ class TestProduct:
             all_pass = all(row["contained"] == "PASS" for row in expected)
             assert code == (cli.EXIT_OK if all_pass else cli.EXIT_FAIL)
         assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("err_share", [0, F(1, 3)])
+    def test_a_row_passes_with_the_cosine_at_total_plus_its_error(
+            self, capsys, monkeypatch, err_share):
+        # the last row's total is e + U t, U the value's upper end; a cosine
+        # ball exactly that plus its own error away from the value still
+        # meets the row's interval, and one a hair farther does not
+        last = product_trace(3, 64, 128)[-1]
+        total = last.value.abs_error + last.value.upper() * last.log_tail_bound
+        err = total * err_share
+        edge = last.value.value + total + err
+        for cosine, verdict in ((edge, "PASS"), (edge + F(1, 2**200), "FAIL")):
+            monkeypatch.setattr(cli, "cos_half_pi_over",
+                                lambda n, bits, c=cosine: BoundedReal(c, err, bits))
+            _, out, _ = run(capsys, "product", "--n", "3", "--num-factors", "64",
+                            "--format", "json")
+            assert json.loads(out)["rows"][-1]["contained"] == verdict, cosine
 
     def test_domain_error_below_one(self, capsys):
         code, _, err = run(capsys, "product", "--n", "1/2", "--num-factors", "8")
@@ -429,6 +446,7 @@ class TestNumericFlags:
         (("verify", "--n", "3", "--num-factors", "1_0"), "'1_0' is not an integer"),
         (("verify", "--n", "3", "--order", "٣"), "'٣' is not an integer"),
         (("verify", "--n", "3", "--precision", " 128"), "' 128' is not an integer"),
+        (("verify", "--n", "3", "--precision", "7"), "precision must be at least 8 bits"),
         (("coeffs", "--m-max", "5\n"), "'5\\n' is not an integer"),
     ])
     def test_other_digits_underscores_spaces_and_newlines_are_usage_errors(
@@ -537,7 +555,7 @@ class TestOutputContracts:
         (("lambda", "--m-max", "2", "--num-terms", "50"), "lambda_direct",
          lambda est: type(est)(est.num_terms, est.value + 1, est.tail_bound)),
         # a target the trace cannot contain
-        (("product", "--n", "3", "--num-factors", "8"), "cos_approx",
+        (("product", "--n", "3", "--num-factors", "8"), "cos_half_pi_over",
          lambda target: target + 1),
         (("rearrange", "--n", "3", "--rows", "20", "--order", "4"),
          "rearrangement_check",

@@ -56,6 +56,8 @@ OUTWARD = ("tests/test_analytic.py::TestCoefficientPowers"
 DIGITS = ("tests/test_output.py::test_pre_scaled_digits_and_flag_match_one_full_division",
           "tests/test_output.py::test_pre_scaling_past_binary_exponent_two_to_the_18")
 TWO_BALLS = "tests/test_arith.py::TestBoundedRealOps::test_two_balls_do_not_combine"
+ROW_EDGE = ("tests/test_cli.py::TestProduct"
+            "::test_a_row_passes_with_the_cosine_at_total_plus_its_error")
 RECURRENCE = "src/cosprod/recurrence.py"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
            "tests/test_recurrence.py::TestCoefficientTable"
@@ -187,12 +189,22 @@ MUTANTS = (
            "denom = lcm(*range(1, k_max + 2))",
            "denom = lcm(*range(1, k_max + 1))",
            ("tests/test_recurrence.py::TestBernoulli::test_every_table_is_a_prefix_of_the_largest",)),
+    # the product's rows: total = e + U t, passed while within total plus
+    # the cosine's error
+    Mutant("row check at equality fails", "src/cosprod/cli.py",
+           "ok = deviation <= total + c_err",
+           "ok = deviation < total + c_err",
+           (ROW_EDGE,)),
+    Mutant("row check without the cosine's error", "src/cosprod/cli.py",
+           "ok = deviation <= total + c_err",
+           "ok = deviation <= total",
+           (ROW_EDGE, "tests/test_cli.py::TestProduct::test_rows_against_fraction_arithmetic")),
+    Mutant("total bound from the value, not the upper end", ANALYTIC,
+           "e + self.value.upper() * t",
+           "e + self.value.value * t",
+           (ROW_EDGE, "tests/test_analytic.py::TestPartialProduct"
+            "::test_total_bound_is_the_error_plus_the_upper_end_times_the_tail")),
     # arith
-    Mutant("constructor without its gcd", "src/cosprod/arith.py",
-           "g, h = gcd(n, d), gcd(m, c)",
-           "g, h = 1, 1",
-           ("tests/test_arith.py::TestRoundingOracle"
-            "::test_a_ball_of_unreduced_ratios_is_the_reduced_ball",)),
     Mutant("ball plus ball restored", "src/cosprod/arith.py",
            "    def __add__(self, other: object) -> \"BoundedReal\":\n",
            "    def __add__(self, other: object) -> \"BoundedReal\":\n"
