@@ -188,11 +188,6 @@ class IdentityReport:
     cosine: BoundedReal
     verdict: bool
 
-    def estimates(self) -> list[tuple[str, BoundedReal]]:
-        return [("product", self.product),
-                ("log_series", self.log_series),
-                ("cosine", self.cosine)]
-
 
 # ----------------------------------------------------------------------
 # odd-reciprocal power sums

@@ -16,7 +16,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .analytic import (
     DomainError,
@@ -68,28 +68,24 @@ def _rational(text: str) -> Fraction:
             f"{text!r} has a zero denominator") from None
 
 
-def _integer(text: str) -> int:
-    try:
-        if _INTEGER_RE.fullmatch(text):
-            return int(text)
-    except ValueError:  # past the int-to-str digit limit
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+def _at_least(floor: int, message: str) -> Callable[[str], int]:
+    """An argparse type: an integer, refused with `message` below `floor`."""
+    def read(text: str) -> int:
+        try:
+            if _INTEGER_RE.fullmatch(text):
+                value = int(text)
+                if value < floor:
+                    raise argparse.ArgumentTypeError(message)
+                return value
+        except ValueError:  # past the int-to-str digit limit
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return read
 
 
-def _positive(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be at least 1")
-    return value
-
-
-def _precision(text: str) -> int:
-    value = _integer(text)
-    if value < MIN_PRECISION_BITS:
-        raise argparse.ArgumentTypeError(
-            f"precision must be at least {MIN_PRECISION_BITS} bits")
-    return value
+_positive = _at_least(1, "value must be at least 1")
+_precision = _at_least(MIN_PRECISION_BITS,
+                       f"precision must be at least {MIN_PRECISION_BITS} bits")
 
 
 @functools.cache
@@ -224,7 +220,9 @@ def cmd_product(args: argparse.Namespace) -> _Result:
 def cmd_verify(args: argparse.Namespace) -> _Result:
     report = verify_identity(args.n, args.num_factors, args.order,
                              args.precision)
-    return ([_interval_row(name, est) for name, est in report.estimates()],
+    return ([_interval_row("product", report.product),
+             _interval_row("log_series", report.log_series),
+             _interval_row("cosine", report.cosine)],
             report.verdict)
 
 
@@ -235,23 +233,19 @@ def cmd_rearrange(args: argparse.Namespace) -> _Result:
             report.overlap)
 
 
-# each command's function and the arguments its output echoes, in order;
-# precision follows them
-_COMMANDS = {
-    "coeffs": (cmd_coeffs, ("m_max",)),
-    "lambda": (cmd_lambda, ("m_max", "num_terms")),
-    "product": (cmd_product, ("n", "num_factors")),
-    "verify": (cmd_verify, ("n", "num_factors", "order")),
-    "rearrange": (cmd_rearrange, ("n", "rows", "order")),
-}
+_COMMANDS = {"coeffs": cmd_coeffs, "lambda": cmd_lambda, "product": cmd_product,
+             "verify": cmd_verify, "rearrange": cmd_rearrange}
+
+# the parsed arguments every command has; a record echoes the others, then
+# precision (argparse sets them in the order the command declares them)
+_SHARED = {"command", "precision", "format", "out"}
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command, echoed = _COMMANDS[args.command]
     try:
-        rows, verdict = command(args)
+        rows, verdict = _COMMANDS[args.command](args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -262,10 +256,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"order or precision too low to decide ({exc}); "
               "raise --order or --precision", file=sys.stderr)
         return EXIT_USAGE
+    echoed = [key for key in vars(args) if key not in _SHARED] + ["precision"]
     record = OutputRecord(
         command=args.command,
-        parameters={key: format_rational(getattr(args, key))
-                    for key in (*echoed, "precision")},
+        parameters={key: format_rational(getattr(args, key)) for key in echoed},
         rows=rows,
         verdict=None if verdict is None else ("PASS" if verdict else "FAIL"),
     )

@@ -650,7 +650,8 @@ class TestExpLog:
 
     def test_tightened_rows_lie_inside_the_old_ones(self):
         for (n, bits, route), (value, bound) in OLD_ROWS.items():
-            ball = dict(verify_identity(n, 1000, 30, bits).estimates())[route]
+            report = verify_identity(n, 1000, 30, bits)
+            ball = report.cosine if route == "cosine" else report.log_series
             assert ball.abs_error < bound, (n, bits)
             assert value - bound < ball.lower() <= ball.upper() < value + bound, (n, bits)
 

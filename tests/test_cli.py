@@ -97,8 +97,9 @@ class TestFormatting:
         for n, bits in ((F(11, 10), 4096), (F(3), 128), (F(7), 16)):
             report = verify_identity(n, 100, 20, bits)
             rep = rearrangement_check(n, 50, 10, bits)
-            estimates = report.estimates() + [("row_order", rep.row_sum),
-                                               ("column_order", rep.column_sum)]
+            estimates = [("product", report.product), ("log_series", report.log_series),
+                         ("cosine", report.cosine), ("row_order", rep.row_sum),
+                         ("column_order", rep.column_sum)]
             for name, est in estimates:
                 b = est.abs_error
                 assert cli._interval_row(name, est) == {
@@ -580,3 +581,23 @@ class TestOutputContracts:
                   if line.startswith("# ") and " = " in line]
         assert list(json.loads(json_out)["parameters"].items()) == \
             [tuple(pair) for pair in header]
+
+    @pytest.mark.parametrize("command, echoed", [
+        ("coeffs", ["m_max", "precision"]),
+        ("lambda", ["m_max", "num_terms", "precision"]),
+        ("product", ["n", "num_factors", "precision"]),
+        ("verify", ["n", "num_factors", "order", "precision"]),
+        ("rearrange", ["n", "rows", "order", "precision"]),
+    ])
+    def test_each_command_echoes_its_own_flags_then_precision(self, capsys, command,
+                                                              echoed):
+        # in the order the command declares them, not the order they are given in
+        words = ["--precision", "64", *README_COMMANDS[command][1:]]
+        pairs = list(zip(words[::2], words[1::2]))[::-1]
+        argv = [command, *(word for pair in pairs for word in pair)]
+        _, table, _ = run(capsys, *argv, "--format", "table")
+        _, json_out, _ = run(capsys, *argv, "--format", "json")
+        header = [line[2:].split(" = ")[0] for line in table.splitlines()
+                  if line.startswith("# ") and " = " in line]
+        assert header == echoed
+        assert list(json.loads(json_out)["parameters"]) == echoed
