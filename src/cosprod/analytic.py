@@ -31,8 +31,9 @@ scaled integer or exact rational by
 :func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
 precision and adds the carried error to the rounding cap, so the
 :class:`~cosprod.arith.BoundedReal` intervals are sound by construction.
-No route reaches a ball operator; ``cos_half_pi_over`` alone scales pi's
-ball to pi/2n, for ``verify_identity`` and the CLI's product, and
+No route reaches a ball operator.  ``cos_half_pi_over`` scales pi's ball
+to pi/2n, for ``verify_identity`` and the CLI's product; the series scales
+pi's two ends to pi/2n itself, each rounded outward; and
 ``verify_identity`` negates the series for exp.
 
 Precision follows accuracy: the product and series routes need only as

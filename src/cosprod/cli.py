@@ -14,7 +14,7 @@ import argparse
 import functools
 import re
 import sys
-from decimal import Decimal
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -139,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
     # each end read once, unreduced: a gcd of a 4096-bit ball end costs more
-    # than printing it
+    # than printing it; each is rounded outward, so [low, high] holds the ball
     bound = est.abs_error
     return {
         "method": method,
         "value": format_decimal(est.ratio(), bound),
         "bound": format_bound(bound),
-        "low": format_decimal(est.ratio(-1), bound),
-        "high": format_decimal(est.ratio(1), bound),
+        "low": format_decimal(est.ratio(-1), bound, ROUND_FLOOR),
+        "high": format_decimal(est.ratio(1), bound, ROUND_CEILING),
     }
 
 

@@ -16,12 +16,13 @@ integer ``denominator``, in lowest terms or not: a Fraction, an int, or the
 Each rounding of p/q to k significant digits is one stdlib ``decimal``
 division, with an exponent range no result can leave, correctly rounded in
 the context's rounding mode (General Decimal Arithmetic; IEEE 754-2008
-decimal): a value is rounded half-up, a bound is rounded up (ceiling) and
-so stays a bound, and the count of certified digits is the decimal
-exponent of |value|/bound rounded down (floor).  So every printed digit is
-a digit of the exact rational.  The division is not taken of p and q
-themselves, which may have thousands of digits: p/q is first scaled in
-integers to a = floor(|p| 10^s / q) >= 10^k, and where that leaves a
+decimal): a value is rounded half-up, a ball's printed ends outward (floor
+and ceiling), a bound is rounded up (ceiling) and so stays a bound, and
+the count of certified digits is the decimal exponent of |value|/bound
+rounded down (floor).  So every printed digit is a digit of the exact
+rational.  The division is not taken of p and q themselves, which may
+have thousands of digits: p/q is first scaled in integers to
+a = floor(|p| 10^s / q) >= 10^k, and where that leaves a
 remainder decimal rounds the sticky half (a + 1/2) 10^-s, which rounds as
 p/q does (``_to_digits``).  ``decimal`` reads and prints integers of any
 length, where ``str()`` of an int stops at
@@ -97,13 +98,16 @@ def _to_digits(p: int, q: int, digits: int, rounding: str) -> tuple[Decimal, boo
     return ctx.normalize(quotient), bool(ctx.flags[Rounded])
 
 
-def format_decimal(value: _Rational, bound: _Rational) -> str:
+def format_decimal(value: _Rational, bound: _Rational,
+                   rounding: str = ROUND_HALF_UP) -> str:
     """Render `value` to the certainty implied by `bound`, plus two guards.
 
     The printed value is `value` rounded half-up, so it lies within half a
     unit in its last printed digit of `value`: a truth within `bound` of
     `value` lies within the printed value ± (the printed bound + that half
     unit), though not always within the printed value ± the printed bound.
+    A directed `rounding` (``ROUND_FLOOR``, ``ROUND_CEILING``) prints a
+    value at or below, or at or above, `value` instead, to the same digits.
     """
     p, q = value.numerator, value.denominator
     bp, bq = bound.numerator, bound.denominator
@@ -118,7 +122,7 @@ def format_decimal(value: _Rational, bound: _Rational) -> str:
     else:
         certain = _to_digits(abs(p) * bq, q * bp, 1, ROUND_FLOOR)[0].adjusted()
         digits = min(certain + 2, MAX_DIGITS)
-    d, rounded = _to_digits(p, q, digits, ROUND_HALF_UP)
+    d, rounded = _to_digits(p, q, digits, rounding)
     e10 = d.adjusted()
     # an exact value that fits in MAX_DIGITS prints in full, without exponent
     if (not bp and not rounded) or (-4 <= e10 <= 15 and e10 < digits):

@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from decimal import ROUND_CEILING, ROUND_FLOOR
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -14,11 +16,12 @@ import pytest
 
 from cosprod import analytic, cli
 from cosprod.analytic import product_trace, rearrangement_check, verify_identity
-from cosprod.arith import BoundedReal, pi_constant, real_from_rational
+from cosprod.arith import (BoundedReal, PrecisionError, WorkBudgetError, pi_constant,
+                           real_from_rational)
 from cosprod.recurrence import lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
-from conftest import combine_reference, pi_bracket
-from test_analytic import spy_on_rounding
+from conftest import combine_reference, cos_full_precision, pi_bracket
+from test_analytic import neg_log_cos_bracket, spy_on_rounding
 from test_golden import README_COMMANDS
 
 
@@ -93,7 +96,8 @@ class TestFormatting:
 
     def test_interval_rows_print_the_ends_of_each_ball(self):
         # a row reads each end of a ball unreduced, as a Ratio; it prints what
-        # the reduced Fractions print, the lower end as low
+        # the reduced Fractions print, the lower end rounded down as low and
+        # the upper end rounded up as high
         for n, bits in ((F(11, 10), 4096), (F(3), 128), (F(7), 16)):
             report = verify_identity(n, 100, 20, bits)
             rep = rearrangement_check(n, 50, 10, bits)
@@ -104,8 +108,39 @@ class TestFormatting:
                 b = est.abs_error
                 assert cli._interval_row(name, est) == {
                     "method": name, "value": format_decimal(est.value, b),
-                    "bound": format_bound(b), "low": format_decimal(est.lower(), b),
-                    "high": format_decimal(est.upper(), b)}, (n, bits, name)
+                    "bound": format_bound(b),
+                    "low": format_decimal(est.lower(), b, ROUND_FLOOR),
+                    "high": format_decimal(est.upper(), b, ROUND_CEILING)}, (n, bits, name)
+
+    def test_printed_ends_contain_the_ball_and_the_truth(self):
+        # seeded verify and rearrange runs from 8 to 16,384 bits: each row's
+        # printed [low, high] holds its ball, and the truth from the conftest
+        # oracles, cos(pi/2n) for verify and -log cos(pi/2n) for rearrange
+        # (a printed end has at most 36 digits, so brackets of 2^-150 do)
+        rng = random.Random(2626)
+        neg_log_cos = functools.cache(lambda n: neg_log_cos_bracket(n, 192, F(1, 2**150)))
+        checked = 0
+        for bits in (8, 16384, *(rng.randint(8, 2 ** rng.randint(4, 14)) for _ in range(16))):
+            q = rng.choice((1, 2, 3, 7, 10, 64, 1000))
+            n = F(q + rng.choice((1, rng.randint(1, q), rng.randint(q, 20 * q))), q)
+            cos = cos_full_precision(pi_constant(256) * F(n.denominator, 2 * n.numerator), 192)
+            runs = [(verify_identity, (rng.randint(1, 2000), rng.randint(1, 40)),
+                     ("product", "log_series", "cosine"), (cos.lower(), cos.upper())),
+                    (rearrangement_check, (rng.randint(1, 60), rng.randint(1, 16)),
+                     ("row_sum", "column_sum"), neg_log_cos(n))]
+            for check, sizes, routes, (truth_lo, truth_hi) in runs:
+                try:
+                    report = check(n, *sizes, bits)
+                except (PrecisionError, WorkBudgetError):
+                    continue
+                for route in routes:
+                    est = getattr(report, route)
+                    row = cli._interval_row(route, est)
+                    low, high = F(row["low"]), F(row["high"])
+                    assert low <= est.lower() <= est.upper() <= high, (n, bits, route, row)
+                    assert low <= truth_lo <= truth_hi <= high, (n, bits, route, row)
+                    checked += 1
+        assert checked >= 60
 
     def test_exact_value_prints_at_most_36_significant_digits(self):
         text = format_decimal(F(1, 2**200), F(0))

@@ -12,7 +12,10 @@ takes its product at about 51 bits, fitted to the product's log tail, with
 its blocks grouped for one mark rather than the 18 of ``product_trace``.
 A refactor that leaves the numbers alone must leave these bytes alone; a
 change that deliberately tightens a bound regenerates them, says so, and
-keeps the old row here to show that the new interval lies inside it.
+keeps the old row here to show that the new interval lies inside it.  The
+printed ends ``low`` and ``high``, once rounded to nearest and now rounded
+outward, keep their old rows to show the reverse: each new pair of ends
+contains the old one, and the other columns did not move.
 The README's examples are pinned too: its ``python`` block must print the
 line shown under it, and its ``cosprod`` lines are the first five commands
 below.
@@ -83,6 +86,58 @@ OLD_BALL_CLOSED_FORMS = {
         "109375,1,9.0e-94", 3),
 }
 
+# the interval rows of the verify and rearrange goldens as they printed with
+# low and high rounded to nearest, before each end was rounded outward:
+# method, value, bound, low, high
+OLD_NEAREST_ENDS = {
+    "verify": (
+        "product  0.86602564  2.5e-07  0.8660254  0.86602589",
+        "log_series  0.86602540378443864676372317075302  1.1e-31  "
+        "0.86602540378443864676372317075291  0.86602540378443864676372317075312",
+        "cosine  0.866025403784438646763723170752936183  1.5e-39  "
+        "0.866025403784438646763723170752936183  0.866025403784438646763723170752936183",
+    ),
+    "verify-4096": (
+        "product  0.14234  3.0e-05  0.14231  0.14237",
+        "log_series  0.142322  1.1e-05  0.142312  0.142332",
+        "cosine  0.142314838273285140443792668616369669  1.3e-1234  "
+        "0.142314838273285140443792668616369669  0.142314838273285140443792668616369669",
+    ),
+    "verify-4096-3-2": (
+        "product  0.50006  5.6e-05  0.5  0.50011",
+        "log_series  0.50000000000000008  1.1e-16  "
+        "0.49999999999999998  0.50000000000000018",
+        "cosine  0.5  1.8e-1238  0.5  0.5",
+    ),
+    "verify-4096-5": (
+        "product  0.951066  9.6e-06  0.951056  0.951076",
+        "log_series  0.951056516295153572116439333379382143  1.5e-59  "
+        "0.951056516295153572116439333379382143  0.951056516295153572116439333379382143",
+        "cosine  0.951056516295153572116439333379382143  4.9e-1234  "
+        "0.951056516295153572116439333379382143  0.951056516295153572116439333379382143",
+    ),
+    "verify-16384-7": (
+        "product  0.97543  5.3e-04  0.9749  0.97595",
+        "log_series  0.974927912194  1.6e-11  0.974927912179  0.974927912209",
+        "cosine  0.974927912181823607018131682993931217  4.3e-4933  "
+        "0.974927912181823607018131682993931217  0.974927912181823607018131682993931217",
+    ),
+    "verify-256-31-20": (
+        "product  0.5289646  5.6e-07  0.528964  0.5289651",
+        "log_series  0.52896401032701  5.9e-14  0.52896401032695  0.52896401032707",
+        "cosine  0.528964010326962457365492393912234726  4.4e-78  "
+        "0.528964010326962457365492393912234726  0.528964010326962457365492393912234726",
+    ),
+    "rearrange": (
+        "row_order  0.14381  2.8e-05  0.14379  0.14384",
+        "column_order  0.14381  2.8e-05  0.14379  0.14384",
+    ),
+    "rearrange-1000": (
+        "row_order  1.1738  5.4e-04  1.1733  1.1744",
+        "column_order  1.1738  5.4e-04  1.1733  1.1744",
+    ),
+}
+
 
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
 def test_readme_command_output_is_unchanged(name, capsys):
@@ -141,3 +196,15 @@ def test_enclosed_closed_form_lies_inside_the_ball_one(name, capsys):
     (lo, hi), (old_lo, old_hi) = (_interval(_row(name, m, capsys, sep), at, sep),
                                   _interval(old, at, sep))
     assert old_lo < lo <= hi < old_hi
+
+
+@pytest.mark.parametrize("name", sorted(OLD_NEAREST_ENDS))
+def test_outward_ends_contain_the_nearest_ones(name, capsys):
+    old = [row.split() for row in OLD_NEAREST_ENDS[name]]
+    assert cli.main(README_COMMANDS[name]) == cli.EXIT_OK
+    methods = {row[0] for row in old}
+    new = [line.split() for line in capsys.readouterr().out.splitlines()
+           if line.split()[:1] and line.split()[0] in methods]
+    assert [row[:3] for row in new] == [row[:3] for row in old]
+    for (*_, low, high), (*_, old_low, old_high) in zip(new, old):
+        assert Fraction(low) <= Fraction(old_low) <= Fraction(old_high) <= Fraction(high)

@@ -58,6 +58,8 @@ DIGITS = ("tests/test_output.py::test_pre_scaled_digits_and_flag_match_one_full_
 TWO_BALLS = "tests/test_arith.py::TestBoundedRealOps::test_two_balls_do_not_combine"
 ROW_EDGE = ("tests/test_cli.py::TestProduct"
             "::test_a_row_passes_with_the_cosine_at_total_plus_its_error")
+PRINTED_ENDS = ("tests/test_cli.py::TestFormatting"
+                "::test_printed_ends_contain_the_ball_and_the_truth")
 RECURRENCE = "src/cosprod/recurrence.py"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
            "tests/test_recurrence.py::TestCoefficientTable"
@@ -143,6 +145,15 @@ MUTANTS = (
            "if not _RATIONAL_RE.match(text):",
            ("tests/test_cli.py::TestNumericFlags",
             "tests/test_cli.py::TestVerify::test_decimal_n_rejected")),
+    # the printed ends of a ball, rounded outward
+    Mutant("low rounded half-up", "src/cosprod/cli.py",
+           '"low": format_decimal(est.ratio(-1), bound, ROUND_FLOOR),',
+           '"low": format_decimal(est.ratio(-1), bound),',
+           (PRINTED_ENDS,)),
+    Mutant("high rounded down", "src/cosprod/cli.py",
+           '"high": format_decimal(est.ratio(1), bound, ROUND_CEILING),',
+           '"high": format_decimal(est.ratio(1), bound, ROUND_FLOOR),',
+           (PRINTED_ENDS,)),
     # output._to_digits: the pre-scaling and its sticky half
     Mutant("sticky half for exact quotients too", "src/cosprod/output.py",
            "        if r:\n            half = ",
