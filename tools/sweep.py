@@ -9,8 +9,9 @@ commands) in a process of its own, through ``cosprod.cli.main`` in process,
 and each run is classed as
 
     identical  stdout, stderr and exit code byte for byte;
-    nested     the same exit code and stderr, and JSON output in which every
-               interval lies inside the old one (``classify``);
+    nested     the same exit code and stderr, and output in which every
+               interval lies inside the old one (``classify``), read from
+               JSON, a table or CSV alike (``parse``);
     different  anything else.
 
 The counts and every different run are printed; the exit code is 1 if any
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import random
@@ -128,11 +130,35 @@ def _interval(row: dict[str, str], value: str, bound: str) -> tuple[Fraction, Fr
     return v - 3 * b / 2, v + 3 * b / 2
 
 
+def parse(text: str) -> dict:
+    """A record as its JSON prints it, from JSON, a table or CSV.
+
+    A table gives the command from its first line, the parameters from the
+    ``# key = value`` lines after it, and the verdict from its last line;
+    its header and rows are split at runs of spaces, as no field holds one.
+    CSV has the header and rows alone.
+    """
+    if text.startswith("{"):
+        return json.loads(text)
+    lines = text.splitlines()
+    if not text.startswith("# command: "):
+        return {"rows": list(csv.DictReader(lines))}
+    record = {"command": lines.pop(0).removeprefix("# command: "), "parameters": {}}
+    while lines and lines[0].startswith("# "):
+        key, _, value = lines.pop(0)[2:].partition(" = ")
+        record["parameters"][key] = value
+    if lines and lines[-1].startswith("verdict: "):
+        record["verdict"] = lines.pop().removeprefix("verdict: ")
+    header, *rows = [line.split() for line in lines] or [[]]
+    record["rows"] = [dict(zip(header, row, strict=True)) for row in rows]
+    return record
+
+
 def classify(old: Run, new: Run) -> str:
     """identical, nested or different, as the module docstring defines them.
 
-    Nested asks both outputs to be JSON records whose rows have the same
-    fields, equal but for the interval fields, and whose intervals lie
+    Nested asks both outputs to be records (``parse``) whose rows have the
+    same fields, equal but for the interval fields, and whose intervals lie
     inside the old ones.  An interval is what a printed value and its
     printed bound certify: the formatters print a value to digits whose
     last place is below the bound, rounded to nearest, so the truth lies
@@ -144,7 +170,7 @@ def classify(old: Run, new: Run) -> str:
     if old[0] != new[0] or old[2] != new[2]:
         return "different"
     try:
-        a, b = json.loads(old[1]), json.loads(new[1])
+        a, b = parse(old[1]), parse(new[1])
         if ({k: v for k, v in a.items() if k != "rows"}
                 != {k: v for k, v in b.items() if k != "rows"}
                 or len(a["rows"]) != len(b["rows"])):

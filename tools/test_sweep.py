@@ -56,10 +56,54 @@ def test_a_tightened_copy_is_classed_as_nested(tmp_path, capsys):
                           "work, shift = precision_bits + 40, precision_bits + 72")
     assert sweep.sweep(SRC, tightened, JSON_TABLES) == 0
     assert f"identical 0, nested {len(JSON_TABLES)}, different 0" in capsys.readouterr().out
-    # the other way round each interval grows, and a table is never parsed
+    # the other way round each interval grows; tables and CSV are read alike
     assert sweep.sweep(tightened, SRC, JSON_TABLES[:2]) == 1
-    table = [argv[:-4] + argv[-2:] for argv in JSON_TABLES[:2]]
-    assert sweep.sweep(SRC, tightened, table) == 1
+    others = [argv[:-3] + [fmt] + argv[-2:] for argv in JSON_TABLES[3:5]
+              for fmt in ("table", "csv")]
+    assert sweep.sweep(SRC, tightened, others) == 0
+    assert sweep.sweep(tightened, SRC, others) == 1
+
+
+TABLE = """\
+# command: rearrange
+# n = 3
+# precision = 128
+      method    value    bound      low     high
+   row_order  0.14381  2.8e-05  0.14379  0.14384
+column_order  0.14381  2.8e-05  0.14379  0.14384
+verdict: PASS
+"""
+
+
+def as_csv(table: str) -> str:
+    rows = [line.split() for line in table.splitlines() if not line.startswith(("#", "v"))]
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("fmt", [str, as_csv])
+def test_a_table_or_csv_is_classed_by_its_fields(fmt):
+    old = (0, fmt(TABLE), "")
+    # the ends moved outward, which realigns the table's columns
+    ends = TABLE.replace("      low     high", "           low          high").replace(
+        "0.14379  0.14384", "0.1437899  0.1438401")
+    assert sweep.classify(old, (0, fmt(ends), "")) == "nested"
+    # a value moved outside its old interval, value ± 3/2 bound
+    moved = TABLE.replace("   row_order  0.14381", "   row_order  0.14386")
+    assert sweep.classify(old, (0, fmt(moved), "")) == "different"
+    # a field other than an interval's
+    renamed = TABLE.replace("column_order", "column_ordre")
+    assert sweep.classify(old, (0, fmt(renamed), "")) == "different"
+
+
+def test_a_tables_parameters_and_verdict_are_compared():
+    old = (1, TABLE, "")
+    for new in (TABLE.replace("# n = 3", "# n = 4"), TABLE.replace("PASS", "FAIL")):
+        assert sweep.classify(old, (1, new, "")) == "different"
+    record = sweep.parse(TABLE)
+    assert record["parameters"] == {"n": "3", "precision": "128"}
+    assert record["verdict"] == "PASS" and record["command"] == "rearrange"
+    assert record["rows"][1] == {"method": "column_order", "value": "0.14381",
+                                 "bound": "2.8e-05", "low": "0.14379", "high": "0.14384"}
 
 
 def test_classify_compares_exit_code_and_stderr_first():
