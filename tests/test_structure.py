@@ -80,7 +80,7 @@ def test_every_public_class_member_is_read():
     so a member that shares its name with a member of another class read
     anywhere (``precision_bits``, ``order``, ``rows``) is not caught here.
     Reads off the parsed arguments, ``args.<flag>``, are not counted, so a
-    flag's name alone (``n``, ``m_max``) no longer hides a member.
+    flag's name alone (``n``, ``m_max``) hides no member.
     """
     read = {node.attr
             for path in SOURCES + BENCH

@@ -76,7 +76,7 @@ verdict: PASS
 
 
 def as_csv(table: str) -> str:
-    rows = [line.split() for line in table.splitlines() if not line.startswith(("#", "v"))]
+    rows = [line.split() for line in table.splitlines() if not line.startswith(("#", "verdict"))]
     return "".join(",".join(row) + "\n" for row in rows)
 
 
