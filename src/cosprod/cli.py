@@ -89,12 +89,8 @@ _precision = _at_least(MIN_PRECISION_BITS,
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cosprod",
-        description="Bound-carrying evaluation of the odd cosine product "
-                    "cos(pi/2n) = prod (1 - 1/((2k-1)^2 n^2)) and its "
-                    "coefficient machinery.")
+def _common() -> argparse.ArgumentParser:
+    """The flags every command takes: a parent of each command's parser."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--precision", type=_precision, default=128,
                         metavar="BITS", help="working precision in bits (default 128)")
@@ -102,6 +98,17 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table", help="output format (default table)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write output to PATH instead of stdout")
+    return common
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cosprod",
+        description="Bound-carrying evaluation of the odd cosine product "
+                    "cos(pi/2n) = prod (1 - 1/((2k-1)^2 n^2)) and its "
+                    "coefficient machinery.")
+    common = _common()
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,10 +243,6 @@ def cmd_rearrange(args: argparse.Namespace) -> _Result:
 _COMMANDS = {"coeffs": cmd_coeffs, "lambda": cmd_lambda, "product": cmd_product,
              "verify": cmd_verify, "rearrange": cmd_rearrange}
 
-# the parsed arguments every command has; a record echoes the others, then
-# precision (argparse sets them in the order the command declares them)
-_SHARED = {"command", "precision", "format", "out"}
-
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
@@ -256,7 +259,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"order or precision too low to decide ({exc}); "
               "raise --order or --precision", file=sys.stderr)
         return EXIT_USAGE
-    echoed = [key for key in vars(args) if key not in _SHARED] + ["precision"]
+    # a record echoes the command's own flags, in the order it declares them
+    # (argparse sets them in that order), then precision
+    shared = {"command", *vars(_common().parse_args([]))}
+    echoed = [key for key in vars(args) if key not in shared] + ["precision"]
     record = OutputRecord(
         command=args.command,
         parameters={key: format_rational(getattr(args, key)) for key in echoed},

@@ -636,3 +636,15 @@ class TestOutputContracts:
                   if line.startswith("# ") and " = " in line]
         assert header == echoed
         assert list(json.loads(json_out)["parameters"]) == echoed
+
+    def test_a_flag_every_command_takes_is_not_echoed(self, capsys):
+        # the shared flags are read off the common parser, not listed again
+        cli._common.cache_clear()
+        cli.build_parser.cache_clear()
+        try:
+            cli._common().add_argument("--label", default="text")
+            _, out, _ = run(capsys, "coeffs", "--m-max", "2", "--format", "json")
+            assert list(json.loads(out)["parameters"]) == ["m_max", "precision"]
+        finally:
+            cli._common.cache_clear()
+            cli.build_parser.cache_clear()
