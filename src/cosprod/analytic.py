@@ -8,8 +8,9 @@ Everything here evaluates one of the three routes to the same number,
     series route:   exp(-L(x)) with L(x) = sum_m c_m x^(2m) / m evaluated at
                     x = pi/(2n), truncated with a geometric tail bound;
     cosine route:   cos at pi/(2n) by argument halving, the versine
-                    series with its alternating-series remainder, and
-                    doubling back,
+                    series summed by rectangular splitting with its
+                    alternating-series remainder, and doubling back by
+                    squaring,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos and decimal's correctly rounded exp).  All heavy
@@ -47,10 +48,11 @@ decimal's exp are sound at any precision, so the working precision moves
 only the width: the extra rounding is a small multiple of 2^-_GUARD_BITS
 of the error the result already carries, which the 8-bit round-up of that
 error absorbs.  The cosine route has to deliver every requested bit, so it
-works at precision_bits + 16 + 6: it halves its argument h times,
-2 h^2 >= work, so that its series is short, and doubles back through the
-versine on one fixed point of work + 2h + 8 bits, whose 2h bits absorb the
-4^h growth of the count (``cos_approx``).
+works at precision_bits + 16 + 6: it halves its argument h times, h =
+2h' for the least h' with 4 h'^3 >= work, so that the about 2 sqrt K
+full-width products of its K-term series balance the h squarings, and
+doubles back through the versine on one fixed point of work + 2h + 8 bits,
+whose 2h bits absorb the 4^h growth of the count (``cos_approx``).
 
 Tail-bound inventory (N terms kept, all terms positive and decreasing):
 
@@ -67,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from math import isqrt
 from typing import Iterator, Optional, Union
 
 from .arith import (
@@ -437,49 +440,96 @@ def neg_log_product_series(n: _RationalLike, order: int,
 # elementary functions (cos, exp) with explicit remainders
 # ----------------------------------------------------------------------
 
+def _versine_terms(u: int, frac_bits: int, cutoff: int) -> int:
+    """K, how many terms the versine series keeps, given U = floor(u 2^F).
+
+    F = frac_bits, and the argument ``u`` is U.  K is the least integer
+    >= 1 with (K + 1) a + cutoff < bitlen((2K+2)!), a = bitlen(U) - F.  As
+    u < (U + 1) / 2^F <= 2^a and (2K+2)! >= 2^(bitlen - 1), the first
+    omitted term u^(K+1) / (2K+2)! is then below 2^-cutoff.  The factorial
+    grows by one step a term.
+    """
+    a = u.bit_length() - frac_bits
+    terms, fact = 1, 24  # fact = (2K+2)!
+    while (terms + 1) * a + cutoff >= fact.bit_length():
+        terms += 1
+        fact *= (2 * terms + 1) * (2 * terms + 2)
+    return terms
+
+
 def _versine_series(x: Union[Fraction, Ratio], halvings: int, frac_bits: int,
                     cutoff: int) -> tuple[int, int]:
     """(S, e) with |(1 - cos y) - S / 2^F| <= e / 2^F, y = x / 2^halvings.
 
-    F = frac_bits, and u = y^2 is floored once to U / 2^F.  In ulps of
-    2^-F the terms t_k = u^k / (2k)! of 1 - cos = t_1 - t_2 + ... become
-    T_k = floor(T_(k-1) U / (2^F (2k-1)(2k))), a shift and a small-integer
-    floor, and the deficit d_k of each, d_k < 1 + d_(k-1) U / (2^F (2k-1)
-    (2k)), is counted upward.  The sum stops once U / 2^F < (2k+1)(2k+2),
-    read off bit lengths, and T_k < 2^(F - cutoff) (F >= cutoff); from
-    there the terms alternate and decrease, so the first omitted one, at
-    most (T_k + d_k) U / (2^F (2k+1)(2k+2)) ulps, bounds the rest.
+    F = frac_bits >= cutoff >= 0.  u = y^2 is floored once to U / 2^F,
+    which moves 1 - cos y by under half an ulp, as |d/du (1 - cos sqrt u)|
+    <= 1/2.  Of 1 - cos y = t_1 - t_2 + ..., t_k = u^k / (2k)!, the first
+    K = ``_versine_terms`` are kept, so t_(K+1) < 2^-cutoff <= 1.  The
+    ratios t_(k+1) / t_k fall with k, and t_1 = u/2 >= 1 when u >= 2, so
+    the terms decrease from t_(K+1) on, and the remainder is below
+    t_(K+1): 2^(F - cutoff) ulps.
+
+    The K terms are summed at U by rectangular splitting (Smith, Math.
+    Comp. 52, 1989; Brent and Zimmermann, Modern Computer Arithmetic,
+    4.4.3), in blocks of b = ceil(sqrt K): the powers P_i = floor(P_(i-1)
+    U / 2^F), P_1 = U, up to W = P_b, then Horner in W from the last block
+    down, one full-width product a block,
+
+        R_j = floor((C_j + floor(W R_(j+1) / 2^F)) / D_j),  R_J = 0.
+
+    Block j holds the terms k = jb+1 .. t, t = min(jb + b, K), D_j =
+    (2jb+1) ... (2t), and C_j is the sum of +-P_(k-jb) (2k+1) ... (2t), +
+    for odd k, so R_0 / 2^F is the K terms' sum but for the floors.  Each
+    floor is counted in ulps.  P_i is low by less than d_i =
+    ceil(d_(i-1) U / 2^F) + 1, d_1 = 0 (at most i - 1 while u < 1), so C_j
+    is off by at most A_j, its coefficients times those d_i.  With R_(j+1)
+    within e of its exact value, the product's floor is within B =
+    floor((W e + d_b (|R_(j+1)| + e)) / 2^F) + 2 of its, and R_j within
+    ceil((A_j + B) / D_j) + 1.  The remainder and U's floor add 2^(F -
+    cutoff) and 1.
     """
-    u = (x.numerator ** 2 << (frac_bits - 2 * halvings)) // x.denominator ** 2
-    total, term, term_err = 0, 1 << frac_bits, 0
-    err = 1  # |d/du (1 - cos sqrt u)| <= 1/2, so U's floor moves it < 1/2 ulp
-    k = 0
-    while True:
-        k += 1
-        m = (2 * k - 1) * (2 * k)
-        term = (term * u >> frac_bits) // m
-        term_err = (term_err * u >> frac_bits) // m + 2
-        total += term if k % 2 else -term
-        err += term_err
-        m = (2 * k + 1) * (2 * k + 2)
-        if (u.bit_length() < frac_bits + m.bit_length()
-                and not term >> (frac_bits - cutoff)):
-            break
-    return total, err + ((term + term_err) * u >> frac_bits) // m + 1
+    # U = floor(x^2 2^(F - 2h)).  Floors by positive integers nest, so the
+    # power of two in x's denominator is a shift, and only its odd part,
+    # 1 for the dyadic x of a ball, is divided by
+    den = x.denominator
+    zeros = (den & -den).bit_length() - 1
+    shift = frac_bits - 2 * halvings - 2 * zeros
+    u = (x.numerator ** 2 << max(shift, 0)) // (den >> zeros) ** 2 >> max(-shift, 0)
+    terms = _versine_terms(u, frac_bits, cutoff)
+    block = isqrt(terms - 1) + 1
+    powers, lows = [u], [0]  # P_i and d_i
+    for _ in range(block - 1):
+        powers.append(powers[-1] * u >> frac_bits)
+        lows.append(-(-lows[-1] * u >> frac_bits) + 1)
+    w, w_low = powers[-1], lows[-1]
+    r = err = 0
+    for start in range(block * ((terms - 1) // block), -1, -block):
+        top = min(start + block, terms)
+        c = c_err = 0
+        coeff = 1  # (2k+1) ... (2 top), and D_j once the block is done
+        for k in range(top, start, -1):
+            term = coeff * powers[k - start - 1]
+            c += term if k % 2 else -term
+            c_err += coeff * lows[k - start - 1]
+            coeff *= (2 * k - 1) * (2 * k)
+        product_err = ((w * err + w_low * (abs(r) + err)) >> frac_bits) + 2
+        r = (c + (w * r >> frac_bits)) // coeff
+        err = -(-(c_err + product_err) // coeff) + 1
+    return r, err + (1 << (frac_bits - cutoff)) + 1
 
 
 def _versine_doubled(s: int, err: int, frac_bits: int,
                      times: int) -> tuple[int, int]:
     """(S, e) for 1 - cos(2^times y), given them for v = 1 - cos y.
 
-    Each step floors 1 - cos 2y = f(v) = 2 v (2 - v) at 2^-F, F = frac_bits.
-    As v lies in [0, 2] and f(v) - f(v - d) = 4 (1 - v) d + 2 d^2, a step
-    turns an error of e ulps into at most 4e + 2 e^2 / 2^F, and the floor
-    adds one.
+    Each step floors 1 - cos 2y = f(v) = 2 v (2 - v) at 2^-F, F = frac_bits,
+    as 4 S - S^2 / 2^(F-1): the floor of S (2^(F+1) - S) / 2^(F-1), one
+    square.  As v lies in [0, 2] and f(v) - f(v - d) = 4 (1 - v) d + 2 d^2,
+    a step turns an error of e ulps into at most 4e + 2 e^2 / 2^F, and the
+    floor adds one.
     """
-    two = 2 << frac_bits
     for _ in range(times):
-        s = s * (two - s) >> (frac_bits - 1)
+        s = 4 * s + (-(s * s) >> (frac_bits - 1))
         err = 4 * err + 1 - (-2 * err * err >> frac_bits)
     return s, err
 
@@ -489,29 +539,28 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
 
     All of it runs on one fixed point S / 2^F with an integer count e of
     ulps 2^-F, as the other scaled-integer kernels do.  work =
-    precision_bits + 16 + 6; g = bitlen(floor |x|), so |x| < 2^g; h >= g is
-    the least integer with 2 h^2 >= work, which balances the terms against
-    the doublings (h = 46 at 4096 bits); F = work + 2h + 8.
-    ``_versine_series`` sums s = 1 - cos(x / 2^h): the one floor of
-    u = x^2 / 4^h moves s by less than half an ulp, as |ds/du| <= 1/2; the
-    floor of each term is counted; and once the terms decrease and fall
-    below 2^-(work+8) / 4^g, the first omitted one, at most that times
-    u / 12, bounds the rest.  ``_versine_doubled`` then applies
-    s <- f(s) = 2 s (2 - s), the exact identity 1 - cos 2y = 2 sin^2 y,
-    h times.  Every true s lies in [0, 2], where |f'| <= 4, so the count
-    goes e <- 4e + 1 plus the second-order term 2 e^2 / 2^F; none of this
-    asks |x| <= pi/2.  For K terms the count ends below (2K + 3) 4^h, so the
-    2h bits of F cancel the 4^h of the doublings: 1 - S / 2^F is exact and
-    within (2K + 3) 2^-(work+8) of c, and the remainder, grown by 4^h,
-    within 2^-(work+8) (x / 2^g)^2 / 12 < 2^-(work+8) / 12.  c is rounded
-    at precision_bits + 16 with that error, so that a cosine which is a
-    short dyadic (cos(pi/3) = 1/2) usually comes out exact, and then at
-    precision_bits with x's error, by |cos'| <= 1.
+    precision_bits + 16 + 6; g = bitlen(floor |x|), so |x| < 2^g; h is
+    twice the least integer h' with 4 h'^3 >= work, or g if that is more,
+    which balances the series' 2 sqrt K full-width products against the h
+    squarings (h = 8 at 128 bits, 22 at 4096 and 34 at 16,384); F = work +
+    2h + 8.  ``_versine_series`` sums s = 1 - cos(x / 2^h) with its
+    cutoff at one ulp, 2^-F, and counts its floors, its remainder and the
+    floor of u = x^2 / 4^h.  ``_versine_doubled`` then applies s <- f(s) =
+    2 s (2 - s), the exact identity 1 - cos 2y = 2 sin^2 y, h times.  Every
+    true s lies in [0, 2], where |f'| <= 4, so the count goes e <- 4e + 1
+    plus the second-order term 2 e^2 / 2^F; none of this asks |x| <= pi/2.
+    c is rounded at precision_bits + 16 with that error, so that a cosine
+    which is a short dyadic (cos(pi/3) = 1/2) usually comes out exact, and
+    then at precision_bits with x's error, by |cos'| <= 1.
 
     Soundness rests on the count alone, at any F; F moves only the width.
-    (2K + 3) 2^-(work+8) = (2K + 3) 2^-(precision_bits+30) is below 2^-7 of
-    the final rounding cap, at least c 2^-(precision_bits+1), when
-    2K + 3 <= c 2^22; K = 7 at 128 bits and 41 at 4096, so for c >= 2^-15
+    As h >= g, u < 1, so d_i <= i - 1, A_j / D_j < sum (i-1) / (2i)! <
+    1/20 and B <= 4, and every D_j is 2 (b = 1, where B = 2) or at least
+    24: each block's count is 2, and the series' 2 + 1 + 1 = 4.  While
+    2h <= work, the doublings make that 4^h 4 + 2 (4^h - 1) / 3 < 5 4^h,
+    so the 2h bits of F cancel the 4^h: 1 - S / 2^F is within 5
+    2^-(work+8) = 5 2^-(precision_bits+30) of c, below 2^-7 of the final
+    rounding cap, at least c 2^-(precision_bits+1), when c >= 2^-19; there
     the 8-bit round-up of the result absorbs it.  Nearer pi/2 the
     subtraction 1 - s cancels, as the plain Maclaurin sum of cos does, and
     the guard bits keep the bound no wider than that sum gives at
@@ -523,11 +572,12 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     if not v.numerator:  # cos 0 = 1 exactly, where the count would not be 0
         return real_from_rational(1, precision_bits, x.abs_error)
     g = (abs(v.numerator) // v.denominator).bit_length()
-    halvings = g
-    while 2 * halvings * halvings < work:
-        halvings += 1
+    half = 1
+    while 4 * half ** 3 < work:
+        half += 1
+    halvings = max(2 * half, g)
     frac_bits = work + 2 * halvings + 8
-    s, err = _versine_series(v, halvings, frac_bits, work + 8 + 2 * g)
+    s, err = _versine_series(v, halvings, frac_bits, frac_bits)
     s, err = _versine_doubled(s, err, frac_bits, halvings)
     one = 1 << frac_bits
     c = real_from_rational(Ratio(one - s, one), precision_bits + 16, Ratio(err, one))

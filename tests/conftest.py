@@ -50,15 +50,21 @@ def ln_bracket(r: Fraction, terms: int = 80) -> tuple[Fraction, Fraction]:
     """Bracket of ln(r) for rational r > 0 via ln(r) = 2 atanh((r-1)/(r+1)).
 
     All series terms share one sign pattern: atanh(u) = sum u^(2k+1)/(2k+1)
-    with remainder below |u|^(2T+1) / ((2T+1)(1 - u^2)).
+    with remainder below |u|^(2T+1) / ((2T+1)(1 - u^2)).  With u = a/b the
+    T terms are summed as integers over one denominator, b^(2T-1) times
+    lcm(1, 3, ..., 2T-1), so that only the final Fraction takes a gcd.
     """
     r = Fraction(r)
     if r <= 0:
         raise ValueError("ln oracle needs a positive rational")
     u = (r - 1) / (r + 1)
-    total = Fraction(0)
+    a, b = u.numerator, u.denominator
+    lcm = math.lcm(*range(1, 2 * terms, 2))
+    num, power = 0, a  # power = a^(2k+1); num gains a factor b^2 a term
     for k in range(terms):
-        total += u ** (2 * k + 1) / (2 * k + 1)
+        num = num * b * b + power * (lcm // (2 * k + 1))
+        power *= a * a
+    total = Fraction(num, b ** (2 * terms - 1) * lcm)
     rem = abs(u) ** (2 * terms + 1) / ((2 * terms + 1) * (1 - u * u))
     if u >= 0:
         return 2 * total, 2 * (total + rem)

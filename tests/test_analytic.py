@@ -16,6 +16,7 @@ from cosprod.analytic import (
     _row_one_steps,
     _versine_doubled,
     _versine_series,
+    _versine_terms,
     PartialProductResult,
     cos_approx,
     cos_half_pi_over,
@@ -539,14 +540,15 @@ class TestCosineHalving:
 
     def test_versine_remainder_alone_covers_a_coarse_cutoff(self):
         # at 512 bits the floors are far below these cutoffs, so only the
-        # alternating-series remainder keeps the count around 1 - cos y
+        # alternating-series remainder, counted as 2^(512 - cutoff) ulps,
+        # keeps the count around 1 - cos y; the floors add a few ulps
         for y in (F(1, 10), F(1, 2), F(1), F(3), F(5)):
             ref = cos_full_precision(BoundedReal(y, 0, 640), 640)
             for cutoff in (8, 20, 40):
                 s, err = _versine_series(y, 0, 512, cutoff)
                 assert F(s - err, 2**512) <= 1 - ref.upper(), (y, cutoff)
                 assert 1 - ref.lower() <= F(s + err, 2**512), (y, cutoff)
-                assert err <= 2 ** (512 - cutoff), (y, cutoff)
+                assert err - 2 ** (512 - cutoff) <= 64, (y, cutoff)
 
     def test_rounding_dominates_at_a_narrow_fixed_point(self):
         # at F = 24..40 bits the floors and their growth through the
@@ -562,6 +564,38 @@ class TestCosineHalving:
                     assert F(one - s - err, one) <= ref.lower(), (x, frac_bits, halvings)
                     assert ref.upper() <= F(one - s + err, one), (x, frac_bits, halvings)
 
+    def test_the_count_covers_the_floors_for_every_number_of_terms(self):
+        # one narrow fixed point, F = 128, against u = x^2 up to 2^13, where
+        # the terms reach 2^130 and the floors dominate: for each a =
+        # bitlen(U) - F a seeded x with 2^(a-1) <= x^2 < 2^a, and every
+        # cutoff, so that K runs over 1..150 and past, each with its
+        # b = ceil(sqrt K)
+        rng = random.Random(2727)
+        frac_bits, one, seen = 128, 2**128, set()
+        for a in range(1 - frac_bits, 14):
+            m = rng.randint(math.isqrt(1 << (a + 159)) + 1,
+                            math.isqrt((1 << (a + 160)) - 1))
+            x = F(rng.choice((-1, 1)) * m, (1 << 80) - 1)
+            ref = cos_full_precision(BoundedReal(x, 0, 8), frac_bits + 64 + 2 * int(abs(x)))
+            u = (x.numerator ** 2 << frac_bits) // x.denominator ** 2
+            for cutoff in range(frac_bits + 1):
+                seen.add(_versine_terms(u, frac_bits, cutoff))
+                s, err = _versine_series(x, 0, frac_bits, cutoff)
+                assert F(s - err, one) <= 1 - ref.upper(), (x, cutoff)
+                assert 1 - ref.lower() <= F(s + err, one), (x, cutoff)
+        assert seen >= set(range(1, 151))
+
+    def test_the_square_is_the_product_form(self):
+        # 4 s + floor(-s^2 / 2^(F-1)) = floor(s (2^(F+1) - s) / 2^(F-1))
+        rng = random.Random(2728)
+        for frac_bits in (8, 24, 64, 200, 4170):
+            two = 2 << frac_bits
+            for s0 in [0, 1, two - 1, two] + [rng.randint(0, two) for _ in range(200)]:
+                s = s0
+                for times in range(1, 4):
+                    s = s * (two - s) >> (frac_bits - 1)
+                    assert _versine_doubled(s0, 0, frac_bits, times)[0] == s, (s0, times)
+
     def test_doubling_an_exact_versine(self):
         # from an error of 0 the count is the floors' alone
         rng = random.Random(1515)
@@ -576,7 +610,7 @@ class TestCosineHalving:
                 assert abs(exact - F(s, one)) <= F(err, one), (s0, times)
 
     def test_the_widest_fixed_point_against_square_roots(self):
-        # 16,384 bits: h = 91 and F = 16,596
+        # 16,384 bits: h = 34 and F = 16,482
         for n, square in ((2, F(1, 2)), (3, F(3, 4))):
             res = cos_approx(pi_constant(16400) * F(1, 2 * n), 16384)
             lo, hi = sqrt_bracket(square, 16384 + 64)
@@ -595,6 +629,20 @@ def ln_ball(y: F, bits: int) -> BoundedReal:
     lo2, hi2 = ln_bracket(F(2))
     lo, hi = (lo + k * lo2, hi + k * hi2) if k >= 0 else (lo + k * hi2, hi + k * lo2)
     return BoundedReal((lo + hi) / 2, (hi - lo) / 2, bits)
+
+
+def test_ln_bracket_is_the_term_by_term_sum():
+    # the oracle's one denominator against its Fraction terms added one by one
+    def term_by_term(r, terms):
+        u = (r - 1) / (r + 1)
+        total = sum((u ** (2 * k + 1) / (2 * k + 1) for k in range(terms)), F(0))
+        rem = abs(u) ** (2 * terms + 1) / ((2 * terms + 1) * (1 - u * u))
+        return (2 * total, 2 * (total + rem)) if u >= 0 else (2 * (total - rem), 2 * total)
+
+    cases = [(F(2), 80), (F(4, 3), 80), (F(1, 3), 7), (F(1), 5), (F(10**9, 10**9 + 7), 1),
+             (F(123456789, 98765432) ** 3, 40), (F(2**200 + 1, 2**199), 33)]
+    for r, terms in cases:
+        assert ln_bracket(r, terms) == term_by_term(r, terms), (r, terms)
 
 
 # balls of verify_identity(n, 1000, 30, bits) that tightened when exp came
