@@ -50,11 +50,12 @@ _WORKER = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import sweep; "
 
 
 def grid() -> list[list[str]]:
-    """The fixed list of argument vectors, 1,511 of them, in order.
+    """The fixed list of argument vectors, 1,523 of them, in order.
 
     verify at 16 n from 1 + 10^-8 to 10^16, 7 precisions from 8 to 1024
     bits and 6 orders from 1 to 100 (672), 600 seeded verify runs, six at
-    4096 bits; coeffs at M = 190..210 and at M = 250 at seven precisions;
+    4096 bits, and twelve at 2048, 8192 and 16,384 bits, where the
+    cosine's halvings and terms move most; coeffs at M = 190..210 and at M = 250 at seven precisions;
     lambda, product and rearrange over their own grids; ten commands in
     table, CSV and JSON; and the usage and domain errors of each kind.
     """
@@ -76,6 +77,10 @@ def grid() -> list[list[str]]:
     runs += [["verify", "--n", n, "--num-factors", "1000", "--order", "40",
               "--precision", "4096"]
              for n in ("11/10", "3/2", "5", "7", "100", "10000000000000000")]
+    runs += [["verify", "--n", n, "--num-factors", "10", "--order", "5",
+              "--precision", str(bits)]
+             for bits in (2048, 8192, 16384)
+             for n in ("11/10", "3/2", "7", "10000000000000000")]
     runs += [["coeffs", "--m-max", str(m)] for m in range(190, 211)]
     runs += [["coeffs", "--m-max", "250", "--precision", str(bits)]
              for bits in (8, 16, 17, 64, 128, 300, 1024)]
