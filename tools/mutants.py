@@ -137,11 +137,11 @@ MUTANTS = (
     # the doubling's one square rounded down.  Dropping A_j (c_err, the
     # block coefficients times the powers' errors) is not listed, as no
     # test can see it.  While u < 1, as in cos_approx, it changes nothing:
-    # A_j < D_j / 20 and B <= 4 < D_j / 6 (or A_j = 0 at b = 1), so
+    # A_j < D_j / 20 and B <= 4 <= D_j / 6 (or A_j = 0 at b = 1), so
     # ceil((A_j + B) / D_j) = 1 either way.  Above, it lowers the count,
     # but the W e term of B is larger, and against the exact K-term sum the
     # floors' true error stayed below 0.68 of the count without A_j over
-    # 23,000 seeded series at F = 4..128.
+    # 23,000 seeded series at F = 8..128.
     Mutant("versine product error dropped", ANALYTIC,
            "product_err = ((w * err + w_low * (abs(r) + err)) >> frac_bits) + 2",
            "product_err = 2",

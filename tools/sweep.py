@@ -55,9 +55,10 @@ def grid() -> list[list[str]]:
     verify at 16 n from 1 + 10^-8 to 10^16, 7 precisions from 8 to 1024
     bits and 6 orders from 1 to 100 (672), 600 seeded verify runs, six at
     4096 bits, and twelve at 2048, 8192 and 16,384 bits, where the
-    cosine's halvings and terms move most; coeffs at M = 190..210 and at M = 250 at seven precisions;
-    lambda, product and rearrange over their own grids; ten commands in
-    table, CSV and JSON; and the usage and domain errors of each kind.
+    cosine's halvings and terms move most; coeffs at M = 190..210 and at
+    M = 250 at seven precisions; lambda, product and rearrange over their
+    own grids; ten commands in table, CSV and JSON; and the usage and
+    domain errors of each kind.
     """
     near = ["100000001/100000000", "10001/10000", "1001/1000", "101/100"]
     ns = near + ["11/10", "81/64", "5/4", "3/2", "2", "3", "5", "7", "10",
