@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Rounded
 from fractions import Fraction
+from typing import NamedTuple
 
 from cosprod.analytic import DomainError, _coefficient_tail
 from cosprod.arith import BoundedReal, PrecisionError, Ratio, pi_constant
@@ -282,7 +284,9 @@ def _round_scaled(p: int, q: int, bits: int, mode: str) -> tuple[int, int, bool]
     lengths of p and q and checked by one integer comparison; a / b is
     rounded to an integer on the remainder of a // b: to nearest with ties
     to even (mode "even"), or toward -inf ("floor") or +inf ("ceiling") as
-    the sign of p asks.  `exact` says the remainder was 0.
+    the sign of p asks.  `exact` says the remainder was 0.  When b is a
+    power of two, as it is for a dyadic p/q, a // b and its remainder are a
+    shift and a mask.
     """
     if not p:
         return 0, 0, True
@@ -291,7 +295,10 @@ def _round_scaled(p: int, q: int, bits: int, mode: str) -> tuple[int, int, bool]
     a, b = (a, q << e) if e >= 0 else (a << -e, q)
     if a >= b << bits:
         e, b = e + 1, 2 * b
-    n, rem = divmod(a, b)
+    if b & (b - 1):
+        n, rem = divmod(a, b)
+    else:
+        n, rem = a >> (b.bit_length() - 1), a & (b - 1)
     if mode == "even":
         n += 2 * rem > b or (2 * rem == b and n % 2 == 1)
     elif rem and (mode == "ceiling") == (p > 0):
@@ -299,8 +306,26 @@ def _round_scaled(p: int, q: int, bits: int, mode: str) -> tuple[int, int, bool]
     return (n if p > 0 else -n), e, not rem
 
 
+class _LowestTerms(NamedTuple):
+    """numerator / denominator, known to be in lowest terms.
+
+    Registered as a numbers.Rational, so that Fraction(r) copies its two
+    fields, as it does for any Rational r, and takes no gcd.
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_LowestTerms)
+
+
 def _dyadic(n: int, e: int) -> Fraction:
-    return Fraction(n << e) if e >= 0 else Fraction(n, 1 << -e)
+    """n 2^e as a Fraction, brought to lowest terms by n's trailing zeros."""
+    if e >= 0 or not n:
+        return Fraction(n << max(e, 0))
+    k = min((n & -n).bit_length() - 1, -e)  # 2^k divides n and 2^-e
+    return Fraction(_LowestTerms(n >> k, 1 << (-e - k)))
 
 
 def round_reference(r, bits: int, err=0,

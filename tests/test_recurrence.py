@@ -73,6 +73,24 @@ class TestCoefficientTable:
             assert table.coeffs[m - 1] == c
             assert lambda_closed_form(m) == c / 4**m
 
+    def test_a_coefficient_equal_to_its_predecessor_stops_the_extension(self, monkeypatch):
+        # from T_1 = 3, c_1 = 3/2: T_2 = C(2, 1) T_1^2 = 18 = (3)(2) T_1, so
+        # c_2 = 18 / (2 * 3!) = 3/2 = c_1, at the bound and outside (0, c_1)
+        prefix = [(3, F(3, 2))]
+        monkeypatch.setattr(recurrence, "_coeff_prefix", prefix)
+        with pytest.raises(AssertionError, match=r"^c_2 is not in \(0, c_1\)$"):
+            lambda_coefficients(2)
+        assert prefix == [(3, F(3, 2))]
+
+    def test_a_zero_tangent_number_stops_the_extension(self, monkeypatch):
+        # T_1 = 0 makes T_3 = 2 C(4, 1) T_1 T_2 = 0, below the bound
+        # (5)(4) T_2 = 20 that the upper check alone would pass
+        prefix = [(0, F(0)), (1, F(1, 12))]
+        monkeypatch.setattr(recurrence, "_coeff_prefix", prefix)
+        with pytest.raises(AssertionError, match=r"^c_3 is not in \(0, c_2\)$"):
+            lambda_coefficients(3)
+        assert len(prefix) == 2
+
     def test_tables_in_any_request_order_are_prefixes(self):
         small, large, middle = (lambda_coefficients(m) for m in (7, 400, 50))
         assert small.coeffs == large.coeffs[:7]
@@ -89,6 +107,12 @@ class TestBernoulli:
         # k=4: B4 = -(B0 + 5B1 + 10B2 + 10B3)/5 = -(1 - 5/2 + 10/6)/5 = -1/30
         assert table[4] == F(-1, 30)
 
+    def test_ramanujan_first_four(self):
+        # n = k + 3: C(5,3) B_2 = 5/3; C(7,3) B_4 = -7/6; C(9,3) B_6 = 9/3
+        # - C(9,0) B_0; C(11,3) B_8 = 11/3 - C(11,2) B_2 = 11/3 - 55/6
+        table = bernoulli_numbers(8)
+        assert table[2::2] == (F(1, 6), F(-1, 30), F(1, 42), F(-1, 30))
+
     def test_odd_indices_vanish(self):
         table = bernoulli_numbers(31)
         for k in range(3, 32, 2):
@@ -104,14 +128,15 @@ class TestBernoulli:
         for k in range(2, 21, 2):
             assert ((-1) ** (k // 2 + 1)) * table[k] > 0
 
-    def test_every_value_to_400_against_knuth_buckholtz(self):
-        # tangent_coefficients(200), the cold-path oracle, reads B_0..B_400
-        table = bernoulli_numbers(400)
-        assert type(table) is tuple and len(table) == 401
+    def test_every_value_to_410_against_knuth_buckholtz(self):
+        # tangent_coefficients(205), the largest cold-path oracle, reads
+        # B_0..B_410
+        table = bernoulli_numbers(410)
+        assert type(table) is tuple and len(table) == 411
         assert all(type(b) is F for b in table)
         assert table[0] == 1 and table[1] == F(-1, 2)
-        assert all(table[k] == 0 for k in range(3, 401, 2))
-        for m, t in enumerate(tangent_numbers(200), start=1):
+        assert all(table[k] == 0 for k in range(3, 411, 2))
+        for m, t in enumerate(tangent_numbers(205), start=1):
             assert table[2 * m] == F((-1) ** (m - 1) * 2 * m * t, 4**m * (4**m - 1))
 
     def test_every_table_is_a_prefix_of_the_largest(self):
@@ -136,9 +161,10 @@ class TestTangentCoefficients:
     def test_all_positive(self):
         assert all(t > 0 for t in tangent_coefficients(20))
 
-    def test_matches_knuth_buckholtz_tangent_numbers_to_200(self):
-        tangent = tangent_coefficients(200)
-        for m, t in enumerate(tangent_numbers(200), start=1):
+    def test_matches_knuth_buckholtz_tangent_numbers_to_205(self):
+        # coeffs --m-max 205 and its cross-check, the largest cold-tables reads
+        tangent = tangent_coefficients(205)
+        for m, t in enumerate(tangent_numbers(205), start=1):
             assert tangent[m - 1] == F(t, factorial(2 * m - 1))
 
 

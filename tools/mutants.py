@@ -66,6 +66,7 @@ RECURRENCE = "src/cosprod/recurrence.py"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
            "tests/test_recurrence.py::TestCoefficientTable"
            "::test_matches_knuth_buckholtz_tangent_numbers_to_400")
+BERNOULLI = "tests/test_recurrence.py::TestBernoulli"
 FOLDED_SQUARE = ("tests/test_series.py::TestOdeResidual::test_against_naive_multiplication",
                  "tests/test_series.py::TestPicardFixedPoint"
                  "::test_matches_recurrence_at_every_order_through_60")
@@ -216,6 +217,40 @@ MUTANTS = (
            "for i in range(1, (m + 1) // 2):",
            "for i in range(1, m // 2):",
            TANGENT),
+    # each c_m's check, 0 < T_m < (2m-1)(2m-2) T_(m-1), on integers
+    Mutant("monotonicity bound without its (2m-2)", RECURRENCE,
+           "0 < t < (2 * m - 1) * (2 * m - 2) * prefix[-1][0]",
+           "0 < t < (2 * m - 1) * prefix[-1][0]",
+           ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",)),
+    Mutant("monotonicity check at equality passes", RECURRENCE,
+           "0 < t < (2 * m - 1) * (2 * m - 2) * prefix[-1][0]",
+           "0 < t <= (2 * m - 1) * (2 * m - 2) * prefix[-1][0]",
+           ("tests/test_recurrence.py::TestCoefficientTable"
+            "::test_a_coefficient_equal_to_its_predecessor_stops_the_extension",)),
+    Mutant("monotonicity check without its zero", RECURRENCE,
+           "0 < t < (2 * m - 1) * (2 * m - 2) * prefix[-1][0]",
+           "t < (2 * m - 1) * (2 * m - 2) * prefix[-1][0]",
+           ("tests/test_recurrence.py::TestCoefficientTable"
+            "::test_a_zero_tangent_number_stops_the_extension",)),
+    # Ramanujan's lacunary recurrence for the Bernoulli oracle, and the
+    # tangent coefficients built from it
+    Mutant("Ramanujan constant at k = 4 (mod 6) with its sign flipped", RECURRENCE,
+           "-(denom // 6) * n",
+           "denom // 6 * n",
+           (f"{BERNOULLI}::test_ramanujan_first_four",)),
+    Mutant("Ramanujan binomial started at C(n, 8)", RECURRENCE,
+           "binom = comb(n, 9)",
+           "binom = comb(n, 8)",
+           (f"{BERNOULLI}::test_ramanujan_first_four",)),
+    Mutant("Ramanujan sum stepped by 4", RECURRENCE,
+           "for i in range(k - 6, -1, -6):",
+           "for i in range(k - 6, -1, -4):",
+           (f"{BERNOULLI}::test_defining_recurrence_resubstitution",
+            f"{BERNOULLI}::test_every_value_to_410_against_knuth_buckholtz")),
+    Mutant("tangent coefficient with 4^m for 4^m - 1", RECURRENCE,
+           "4**m * (4**m - 1) * b[2 * m].numerator",
+           "4**m * 4**m * b[2 * m].numerator",
+           ("tests/test_recurrence.py::TestTangentCoefficients::test_leading_terms",)),
     Mutant("square without its middle term", "src/cosprod/series.py",
            "s += cs[half] * cs[half]",
            "pass",
