@@ -26,8 +26,7 @@ of the rearrangement is one exact rational sum.  Every tail is bounded by
 an integral or geometric comparison that is stated at the point of use;
 the series route takes its tail at the exact ratio r = 1/n^2, as the
 rearrangement's column order does, and encloses its sum at pi/2n between
-its sums at the two ends of pi's ball, read as unreduced ratios, so no
-bound takes a gcd of thousands of bits.  Each result is built from its
+its sums at the two ends of pi's ball.  Each result is built from its
 scaled integer or exact rational by
 :func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
 precision and adds the carried error to the rounding cap, so the
@@ -228,8 +227,8 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
         total += term
     return LambdaEstimate(
         num_terms=num_terms,
-        value=real_from_rational(Fraction(total, one), precision_bits,
-                                 Fraction(num_terms, one), floor=True),
+        value=real_from_rational(Ratio(total, one), precision_bits,
+                                 Ratio(num_terms, one), floor=True),
         tail_bound=_odd_tail_bound(num_terms, power),
     )
 
@@ -243,11 +242,11 @@ def closed_forms(m_max: int, precision_bits: int) -> list[BoundedReal]:
     bits.  Each result is their centre, with half their spread as its error.
     """
     work, shift = precision_bits + 16, precision_bits + 48
-    (lp, lq), (hp, hq) = (pi_constant(work).ratio(side) for side in (-1, 1))
+    pi = pi_constant(work)
+    (lp, lq), (hp, hq) = pi.lower().as_integer_ratio(), pi.upper().as_integer_ratio()
     den = 2 << shift
     return [real_from_rational(Ratio(low + high, den), work, Ratio(high - low, den))
-            for low, high in _coefficient_powers(Ratio(lp, 2 * lq), Ratio(hp, 2 * hq),
-                                                 m_max, shift)]
+            for low, high in _coefficient_powers((lp, 2 * lq), (hp, 2 * hq), m_max, shift)]
 
 
 # ----------------------------------------------------------------------
@@ -349,14 +348,15 @@ def _coefficient_tail(r: Fraction, order: int) -> Fraction:
     return Fraction(5, 4) * r ** (order + 1) / ((order + 1) * (1 - r))
 
 
-def _coefficient_powers(lo: Ratio, hi: Ratio, order: int,
+def _coefficient_powers(lo: tuple[int, int], hi: tuple[int, int], order: int,
                         frac_bits: int) -> Iterator[tuple[int, int]]:
     """(A_m, B_m), m <= order: A_m <= 2^F c_m lo^(2m) and 2^F c_m hi^(2m) <= B_m.
 
-    F = frac_bits.  By directed rounding (Moore, Interval Analysis, 1966)
-    the low step floor(lo^2 2^F), chain P_m = floor(P_(m-1) step / 2^F) from
-    P_0 = 2^F and term floor(P_m c_m) round down and the high ones up, so the
-    bounds hold at any lo, hi and F.  The width: for x = lo or hi and y the
+    F = frac_bits, and lo and hi are (numerator, denominator) pairs.  By
+    directed rounding (Moore, Interval Analysis, 1966) the low step
+    floor(lo^2 2^F), chain P_m = floor(P_(m-1) step / 2^F) from P_0 = 2^F
+    and term floor(P_m c_m) round down and the high ones up, so the bounds
+    hold at any lo, hi and F.  The width: for x = lo or hi and y the
     larger of x^2 and its step over 2^F, each link's rounding moves the
     chain by under an ulp, which later links multiply by at most y, and the
     step, within 2^-F of x^2, moves 2^F x^(2m) by under m y^(m-1); so
@@ -365,8 +365,9 @@ def _coefficient_powers(lo: Ratio, hi: Ratio, order: int,
     c_m (pi/2)^(2m-2) = lambda(2m) (2/pi)^2 <= 1/2, that is under 2 while
     y <= (pi/2)^2, and at lo = hi = x their sums are under 4 order ulps apart.
     """
-    lo_step = (lo.numerator ** 2 << frac_bits) // lo.denominator ** 2
-    hi_step = -(-(hi.numerator ** 2 << frac_bits) // hi.denominator ** 2)
+    (lo_num, lo_den), (hi_num, hi_den) = lo, hi
+    lo_step = (lo_num ** 2 << frac_bits) // lo_den ** 2
+    hi_step = -(-(hi_num ** 2 << frac_bits) // hi_den ** 2)
     low = high = 1 << frac_bits
     for c in lambda_coefficients(order).coeffs:
         low = low * lo_step >> frac_bits
@@ -416,15 +417,15 @@ def neg_log_product_series(n: _RationalLike, order: int,
         raise DomainError("the series requires n > 1")
     pn, qn = n.numerator, n.denominator
     pi = pi_constant(precision_bits + 16)
-    (lp, lq), (hp, hq) = pi.ratio(-1), pi.ratio(1)
+    (lp, lq), (hp, hq) = pi.lower().as_integer_ratio(), pi.upper().as_integer_ratio()
     if hp * qn * lq >= lp * pn * hq:  # hi >= pi_lo / 2
         raise PrecisionError("pi/(2n) is not certified below pi/2")
     tail = _coefficient_tail(Fraction(qn * qn, pn * pn), order)
     zeros = max((2 * pn * lq).bit_length() - (lp * qn).bit_length(), 0)
     frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
     read = frac_bits + 64
-    lo = Ratio((lp * qn << read) // (2 * pn * lq), 1 << read)
-    hi = Ratio(-(-(hp * qn << read) // (2 * pn * hq)), 1 << read)
+    lo = (lp * qn << read) // (2 * pn * lq), 1 << read
+    hi = -(-(hp * qn << read) // (2 * pn * hq)), 1 << read
     terms = list(enumerate(_coefficient_powers(lo, hi, order, frac_bits), start=1))
     s_lo = sum(low // m for m, (low, _) in terms)
     s_hi = -sum(-high // m for m, (_, high) in terms)
@@ -457,7 +458,7 @@ def _versine_terms(u: int, frac_bits: int, cutoff: int) -> int:
     return terms
 
 
-def _versine_series(x: Union[Fraction, Ratio], halvings: int, frac_bits: int,
+def _versine_series(x: Fraction, halvings: int, frac_bits: int,
                     cutoff: int) -> tuple[int, int]:
     """(S, e) with |(1 - cos y) - S / 2^F| <= e / 2^F, y = x / 2^halvings.
 
@@ -568,8 +569,8 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     """
     check_precision(precision_bits)
     work = precision_bits + 16 + 6
-    v = x.ratio()
-    if not v.numerator:  # cos 0 = 1 exactly, where the count would not be 0
+    v = x.value
+    if not v:  # cos 0 = 1 exactly, where the count would not be 0
         return real_from_rational(1, precision_bits, x.abs_error)
     g = (abs(v.numerator) // v.denominator).bit_length()
     half = 1
@@ -581,7 +582,7 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
     s, err = _versine_doubled(s, err, frac_bits, halvings)
     one = 1 << frac_bits
     c = real_from_rational(Ratio(one - s, one), precision_bits + 16, Ratio(err, one))
-    return real_from_rational(c.ratio(), precision_bits,
+    return real_from_rational(c.value, precision_bits,
                               c.abs_error + x.abs_error)
 
 
@@ -589,7 +590,8 @@ def cos_half_pi_over(n: _RationalLike, precision_bits: int) -> BoundedReal:
     """cos(pi/2n), the product's limit, for a rational n > 0; exactly 0 at n = 1.
 
     Otherwise it is ``cos_approx`` at pi_constant(precision_bits + 16)
-    times qn / (2 pn), n = pn/qn: the one place where pi is scaled to pi/2n.
+    times qn / (2 pn), n = pn/qn: the one place where pi's ball is scaled
+    to pi/2n (the series scales pi's two ends on integers).
     """
     n = Fraction(n)
     if n == 1:
@@ -703,7 +705,7 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         tail_units += -(-(drift * den << 16) // (j * (den - qn2)))
     rows_tail = _product_log_tail(n, num_rows)
     row_sum = real_from_rational(
-        Fraction(total, one), precision_bits,
+        Ratio(total, one), precision_bits,
         Fraction((err_ulps << 16) + tail_units, one << 16) + rows_tail)
 
     # --- column order: m-th column is lambda(2m) / (m n^2m) -------------

@@ -16,20 +16,26 @@ Every rounded result (each operator but the exact negation, and
 |m| < 2**precision_bits, and its error is an 8-bit dyadic e * 2**r with
 e < 2**8.  A ball built from other rationals carries them exactly until
 an operation rounds.  The operators use integer multiplies, shifts and at
-most one divmod; only ``value``, ``abs_error`` and the interval view build
-Fractions, each reduced to lowest terms.  ``BoundedReal.ratio`` reads the
-same numbers as unreduced ``Ratio`` pairs, for the reads that only
-round, compare or print a ball of thousands of bits; the formatters and
-:func:`real_from_rational` take them as they take Fractions.  No binary
-floating point is used; the rounding happens in
-one place, :func:`real_from_rational` (``_round`` on triples), whose one
-quantizer ``_round_sig`` rounds the value and, as -floor(-t), the error;
-division by a rational multiplies by its reciprocal.  Precision is
-caller-specified per operation, with no global precision state.
+most one divmod.  A ball is read one way: ``value``, ``abs_error``,
+``lower()`` and ``upper()`` are Fractions in lowest terms, built without
+a gcd, which at thousands of bits would cost more than the reads do.  A
+stored triple's n and d are coprime, so its Fraction is copied from the
+pair; an end v -+ e of a dyadic ball is dyadic, and stripping its
+trailing zeros puts it in lowest terms.  Only an end of a non-dyadic
+ball, which only the constructor makes, is reduced by Fraction itself.
+``Ratio`` is the rounding's input pair only: a numerator and denominator
+in whatever terms a kernel built them, which :func:`real_from_rational`
+takes as it takes a Fraction.  No binary floating point is used; the
+rounding happens in one place, :func:`real_from_rational` (``_round`` on
+triples), whose one quantizer ``_round_sig`` rounds the value and, as
+-floor(-t), the error; division by a rational multiplies by its
+reciprocal.  Precision is caller-specified per operation, with no global
+precision state.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -42,13 +48,28 @@ from .output import format_bound, format_decimal
 class Ratio(NamedTuple):
     """numerator / denominator, denominator > 0, in whatever terms it was built.
 
-    A pair, not a number: it has no arithmetic and compares as a tuple.  It
-    is read, as a Fraction is, through its two fields, by the formatters and
-    by :func:`real_from_rational`, neither of which needs lowest terms.
+    A pair, not a number: it has no arithmetic and compares as a tuple.  A
+    kernel hands its exact result and error to :func:`real_from_rational`
+    as Ratios, which the rounding reads through their two fields, as it
+    reads a Fraction, and for which a Fraction would first take a gcd.
     """
 
     numerator: int
     denominator: int
+
+
+class _Coprime(NamedTuple):
+    """numerator / denominator, denominator > 0, known to be in lowest terms.
+
+    Registered as a numbers.Rational, so that Fraction(r) copies its two
+    fields, as it does for any Rational r, and takes no gcd.
+    """
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_Coprime)
 
 
 _RationalLike = Union[Fraction, int]
@@ -102,13 +123,21 @@ def _triple(r: Union[_RationalLike, Ratio]) -> _Triple:
     return _canon(n, -k, d >> k)
 
 
-def _ratio(t: _Triple) -> Ratio:
-    n, x, d = t
-    return Ratio(n << x, d) if x >= 0 else Ratio(n, d << -x)
-
-
 def _fraction(t: _Triple) -> Fraction:
-    return Fraction(*_ratio(t))
+    """The Fraction of a canonical triple whose n and d are coprime, with no gcd.
+
+    n is odd (or t is (0, 0, 1)) and d odd, so a power of two on either
+    side leaves numerator and denominator coprime.
+    """
+    n, x, d = t
+    return Fraction(_Coprime(n << x, d) if x >= 0 else _Coprime(n, d << -x))
+
+
+def _end(v: _Triple, e: _Triple) -> Fraction:
+    """v + e in lowest terms: a dyadic sum with no gcd, any other by Fraction's division."""
+    n, x, d = _add(v, e)
+    end = _fraction(_canon(n, x))
+    return end if d == 1 else end / d
 
 
 def _add(a: _Triple, b: _Triple) -> _Triple:
@@ -199,11 +228,12 @@ class BoundedReal:
     ``value`` has about ``precision_bits`` significant bits, and
     ``|value - truth| <= abs_error`` for the real number the instance
     stands for.  Both are read out of canonical triples (module docstring),
-    so equal balls have equal fields.  Instances are immutable and hashable.
-    The constructor takes an int or a Fraction for each, as the operators
-    take one for the other operand; anything else, another ball included,
-    raises TypeError.  It refuses a precision below MIN_PRECISION_BITS, as
-    every rounding does.
+    so equal balls have equal fields, and each read, the interval view's
+    included, is a Fraction in lowest terms.  Instances are immutable and
+    hashable.  The constructor takes an int or a Fraction for each, as the
+    operators take one for the other operand; anything else, another ball
+    included, raises TypeError.  It refuses a precision below
+    MIN_PRECISION_BITS, as every rounding does.
     """
 
     _v: _Triple
@@ -248,20 +278,10 @@ class BoundedReal:
     # -- interval view -------------------------------------------------
 
     def lower(self) -> Fraction:
-        return _fraction(_add(self._v, _neg(self._e)))
+        return _end(self._v, _neg(self._e))
 
     def upper(self) -> Fraction:
-        return _fraction(_add(self._v, self._e))
-
-    def ratio(self, side: int = 0) -> Ratio:
-        """value + side * abs_error, side -1, 0 or 1, as a Ratio.
-
-        value, lower() and upper() without their reduction to a Fraction's
-        lowest terms, which at thousands of bits costs more than the reads do.
-        """
-        if not side:
-            return _ratio(self._v)
-        return _ratio(_add(self._v, self._e if side > 0 else _neg(self._e)))
+        return _end(self._v, self._e)
 
     def overlaps(self, other: "BoundedReal") -> bool:
         """Whether |v1 - v2| <= e1 + e2: the sign of one triple, no Fraction."""
@@ -307,7 +327,7 @@ class BoundedReal:
         return NotImplemented
 
     def __str__(self) -> str:
-        return (f"{format_decimal(self.ratio(), self.abs_error)} ± "
+        return (f"{format_decimal(self.value, self.abs_error)} ± "
                 f"{format_bound(self.abs_error)}")
 
 
@@ -323,8 +343,8 @@ def real_from_rational(r: Union[_RationalLike, Ratio], precision_bits: int,
     Rounding is to nearest (ties to even), or downward (value <= r) with
     `floor`.  With err = 0 and nearest rounding, |value - r| <= abs_error
     <= 2**(1-precision_bits) * |r|, and abs_error = 0 whenever r is
-    representable at that precision.  r and err may be unreduced Ratios:
-    the rounding reads only their values.
+    representable at that precision.  r and err may be unreduced Ratios,
+    the pairs the kernels build: the rounding reads only their values.
     """
     return _round(_triple(r), precision_bits, _triple(err), floor)
 

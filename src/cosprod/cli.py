@@ -145,15 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _interval_row(method: str, est: BoundedReal) -> dict[str, str]:
-    # each end read once, unreduced: a gcd of a 4096-bit ball end costs more
-    # than printing it; each is rounded outward, so [low, high] holds the ball
+    # each end is rounded outward, so the printed [low, high] holds the ball
     bound = est.abs_error
     return {
         "method": method,
-        "value": format_decimal(est.ratio(), bound),
+        "value": format_decimal(est.value, bound),
         "bound": format_bound(bound),
-        "low": format_decimal(est.ratio(-1), bound, ROUND_FLOOR),
-        "high": format_decimal(est.ratio(1), bound, ROUND_CEILING),
+        "low": format_decimal(est.lower(), bound, ROUND_FLOOR),
+        "high": format_decimal(est.upper(), bound, ROUND_CEILING),
     }
 
 

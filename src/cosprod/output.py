@@ -9,9 +9,10 @@ What a printed record certifies is that the truth lies within value ±
 the ball, and the rounding of its value to the printed digits adds up to
 that half unit, which the bound alone need not cover.
 
-A rational here is anything with an integer ``numerator`` and a positive
-integer ``denominator``, in lowest terms or not: a Fraction, an int, or the
-``Ratio`` a ball reads without a gcd.  No rendering needs lowest terms.
+A rational here is an int or a Fraction, read through its ``numerator``
+and positive ``denominator``; a ball's reads are Fractions built without a
+gcd (``arith``), so reading one costs less than printing it.  No rendering
+needs lowest terms.
 
 Each rounding of p/q to k significant digits is one stdlib ``decimal``
 division, with an exponent range no result can leave, correctly rounded in
@@ -40,8 +41,8 @@ from decimal import (MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR,
 from fractions import Fraction
 from typing import Optional, Union
 
-# a rational as the formatters read it: a numerator and a positive
-# denominator, in any terms (arith's Ratio has the same two attributes)
+# a rational as the formatters read it: through its numerator and positive
+# denominator, in any terms
 _Rational = Union[Fraction, int]
 
 # significant digits printed for a value: exact ones that need more are rounded

@@ -350,6 +350,13 @@ def round_reference(r, bits: int, err=0,
     return _dyadic(n, e), _dyadic(m, k)
 
 
+def _split(r) -> tuple[int, int, int]:
+    """(n, d, k) with r = n / (d 2^k) and d odd: r's denominator as an exponent."""
+    n, d = r.numerator, r.denominator
+    k = (d & -d).bit_length() - 1
+    return n, d >> k, k
+
+
 def combine_reference(a, b, bits: int,
                       product: bool = False) -> tuple[Fraction, Fraction]:
     """a + b, or a * b with `product`, rounded to `bits` by ``round_reference``.
@@ -358,20 +365,25 @@ def combine_reference(a, b, bits: int,
     The error carried into the rounding bounds the distance to the true
     result: e_a + e_b for the sum, |v_a| e_b + |v_b| e_a + e_a e_b for the
     product.  Both are formed as unreduced numerators over a common
-    denominator, as a Fraction would reduce them by a gcd at each step.
+    denominator, as a Fraction would reduce them by a gcd at each step; the
+    powers of two in the denominators are kept as exponents and the
+    numerators shifted to the largest, so that only odd parts multiply.
     The package combines no two balls; this is the ball-by-ball rounding
     that the references above and a few tests step through.
     """
-    (va, ea), (vb, eb) = a, b
-    na, da, nb, db = va.numerator, va.denominator, vb.numerator, vb.denominator
-    fa, ga, fb, gb = ea.numerator, ea.denominator, eb.numerator, eb.denominator
+    (na, da, ka), (nb, db, kb) = _split(a[0]), _split(b[0])
+    (fa, ga, ja), (fb, gb, jb) = _split(a[1]), _split(b[1])
     if product:
-        value = Ratio(na * nb, da * db)
-        err = Ratio(abs(na) * fb * db * ga + abs(nb) * fa * da * gb + fa * fb * da * db,
-                    da * db * ga * gb)
+        value = Ratio(na * nb, da * db << (ka + kb))
+        top = max(ka + jb, kb + ja, ja + jb)
+        err = Ratio((abs(na) * fb * db * ga << (top - ka - jb))
+                    + (abs(nb) * fa * da * gb << (top - kb - ja))
+                    + (fa * fb * da * db << (top - ja - jb)),
+                    da * db * ga * gb << top)
     else:
-        value = Ratio(na * db + nb * da, da * db)
-        err = Ratio(fa * gb + fb * ga, ga * gb)
+        top, low = max(ka, kb), max(ja, jb)
+        value = Ratio((na * db << (top - ka)) + (nb * da << (top - kb)), da * db << top)
+        err = Ratio((fa * gb << (low - ja)) + (fb * ga << (low - jb)), ga * gb << low)
     return round_reference(value, bits, err)
 
 

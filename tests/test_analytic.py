@@ -383,7 +383,8 @@ class TestCoefficientPowers:
                 within = step <= (pi_lo / 2) ** 2 * 2**frac_bits
                 s_lo = s_hi = 0
                 for m, (low, high) in enumerate(
-                        _coefficient_powers(x, x, max(self.ORDERS), frac_bits), start=1):
+                        _coefficient_powers(x.as_integer_ratio(), x.as_integer_ratio(),
+                                            max(self.ORDERS), frac_bits), start=1):
                     s_lo += low // m
                     s_hi -= -high // m
                     if m not in sums:
@@ -401,8 +402,8 @@ class TestCoefficientPowers:
         assert count >= 1500 and spreads >= 1300 and worst > 1 << 16
 
     def test_the_series_reads_its_ends_and_divides_by_m_outward(self, monkeypatch):
-        # the ends handed to the chain enclose pi's ball times qn/(2pn),
-        # compared on integers, with at most F + 64 fraction bits; and the
+        # the ends handed to the chain enclose pi's lower() and upper() times
+        # qn/(2pn), with at most F + 64 fraction bits; and the
         # interval handed to the final rounding, less the tail, holds the
         # exact sums of A_m/m and B_m/m.  The 8-bit round-up of the error
         # hides an end read the wrong way or a quotient rounded inward from
@@ -429,11 +430,11 @@ class TestCoefficientPowers:
                     neg_log_product_series(n, order, bits)
                 except PrecisionError:
                     continue
-                (lo, hi, frac_bits, pairs), = calls
-                (lp, lq), (hp, hq) = (pi_constant(bits + 16).ratio(side) for side in (-1, 1))
-                assert lo.numerator * 2 * pn * lq <= lp * qn * lo.denominator, (n, bits)
-                assert hp * qn * hi.denominator <= hi.numerator * 2 * pn * hq, (n, bits)
-                assert max(lo.denominator, hi.denominator).bit_length() <= frac_bits + 65
+                ((lo, lo_den), (hi, hi_den), frac_bits, pairs), = calls
+                pi = pi_constant(bits + 16)
+                assert F(lo, lo_den) <= pi.lower() * F(qn, 2 * pn), (n, bits)
+                assert pi.upper() * F(qn, 2 * pn) <= F(hi, hi_den), (n, bits)
+                assert max(lo_den, hi_den).bit_length() <= frac_bits + 65
                 value, err = carried[-1]
                 err -= _coefficient_tail(1 / (n * n), order)
                 low = sum(F(a, m) for m, (a, _) in enumerate(pairs, start=1))

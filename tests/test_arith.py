@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -274,17 +275,55 @@ class TestRoundingOracle:
                 verdicts.add(ends)
         assert verdicts == {True, False}
 
-    def test_ratio_is_the_interval_view_unreduced(self):
-        # ratio(side) reads value, lower() and upper() with no gcd: as
-        # Fractions they are the same numbers.  real_from_rational rounds a
-        # Ratio with any common factor left in as it rounds the Fraction.
+    def test_every_read_is_the_reduced_fraction(self):
+        # value, abs_error, lower() and upper() are built with no gcd, so
+        # each must come out equal to the Fraction that reduces, numerator
+        # and denominator alike, and coprime.  The balls are rounded ones
+        # at 8 to 16,384 bits, whose ends are dyadic and may end in zeros,
+        # and the constructor's, whose ends may share an odd factor
+        def reads(ball, value, err):
+            want = (value, err, value - err, value + err)
+            got = (ball.value, ball.abs_error, ball.lower(), ball.upper())
+            for w, g in zip(want, got):
+                assert type(g) is F and type(g.numerator) is int, ball
+                assert (g.numerator, g.denominator) == (w.numerator, w.denominator), ball
+                assert g.denominator > 0 and math.gcd(g.numerator, g.denominator) == 1
+            lcm = value.denominator * err.denominator // math.gcd(value.denominator,
+                                                                 err.denominator)
+            return [g.denominator < lcm for g in got[2:]], lcm & (lcm - 1) == 0
+
+        rng = random.Random(1818)
+        # ends in lower terms than v and e, for dyadic balls and others
+        shortened = {True: 0, False: 0}
+        balls = [(BoundedReal(0, 0, 8), F(0), F(0)), (BoundedReal(F(2, 3), F(1, 3), 8),
+                  F(2, 3), F(1, 3)), (BoundedReal(F(3, 8), F(1, 8), 8), F(3, 8), F(1, 8))]
+        for _ in range(400):
+            bits = rng.choice([8, 9, 53, 128, 1024, 4096, 16384])
+            if rng.random() < 0.5:
+                r = _random_rational(rng, rng.random() < 0.5) * rng.choice([0, 1])
+                err = abs(_random_rational(rng, rng.random() < 0.5)) * rng.choice(
+                    [0, 1, F(1, 2**bits)])
+                floor = rng.random() < 0.3
+                ball = real_from_rational(r, bits, err, floor)
+                value, err = round_reference(r, bits, err, floor)
+            else:  # an int, a dyadic or a non-dyadic Fraction for each
+                odd = rng.choice([1, 1, 3, 15, rng.randrange(3, 10**6, 2)])
+                value, err = (F(rng.randint(-10**6, 10**6), odd << rng.randint(0, 200)),
+                              F(rng.randint(0, 10**6), odd << rng.randint(0, 200)))
+                if rng.random() < 0.3:
+                    value, err = value.numerator, err.numerator
+                ball = BoundedReal(value, err, bits)
+            balls += [(ball, value, err), (-ball, -value, err)]
+        for ball, value, err in balls:
+            shorts, dyadic = reads(ball, value, err)
+            shortened[dyadic] += sum(shorts)
+        assert min(shortened.values()) >= 10, shortened
+
+    def test_an_unreduced_ratio_rounds_as_its_fraction(self):
+        # real_from_rational rounds a Ratio with any common factor left in
+        # as it rounds the Fraction
         rng = random.Random(1818)
         for _ in range(600):
-            a = _random_operand(rng)
-            if not isinstance(a, BoundedReal):
-                a = BoundedReal(a, abs(_random_rational(rng, False)), 64)
-            assert ([F(*a.ratio(side)) for side in (-1, 0, 1)]
-                    == [a.lower(), a.value, a.upper()]), a
             bits = rng.choice([8, 53, 128, 4096])
             r = _random_rational(rng, rng.random() < 0.5)
             err = abs(_random_rational(rng, rng.random() < 0.5)) * rng.choice([0, 1])

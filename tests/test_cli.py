@@ -95,8 +95,7 @@ class TestFormatting:
         assert format_decimal(-F(10**40), F(0)) == "-1e+40"
 
     def test_interval_rows_print_the_ends_of_each_ball(self):
-        # a row reads each end of a ball unreduced, as a Ratio; it prints what
-        # the reduced Fractions print, the lower end rounded down as low and
+        # a row prints a ball's value, the lower end rounded down as low and
         # the upper end rounded up as high
         for n, bits in ((F(11, 10), 4096), (F(3), 128), (F(7), 16)):
             report = verify_identity(n, 100, 20, bits)

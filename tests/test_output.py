@@ -111,13 +111,13 @@ def test_a_printed_row_may_miss_value_plus_bound_but_not_the_contract(capsys):
 
 def test_a_balls_interval_lies_inside_its_printed_contract():
     # a ball printed as the commands print it, its value by format_decimal
-    # from the unreduced ratio and its error by format_bound
+    # and its error by format_bound
     rng = random.Random(8)
     for i in range(CASES):
         r = _value(rng)
         ball = real_from_rational(r, rng.choice((8, 9, 16, 53, 64, 128, 1024, 4096)),
                                   _bound(rng, r), rng.random() < 0.3)
-        lo, hi = _printed_contract(format_decimal(ball.ratio(), ball.abs_error),
+        lo, hi = _printed_contract(format_decimal(ball.value, ball.abs_error),
                                    format_bound(ball.abs_error))
         assert lo <= ball.lower() and ball.upper() <= hi, i
 

@@ -56,6 +56,7 @@ OUTWARD = ("tests/test_analytic.py::TestCoefficientPowers"
 DIGITS = ("tests/test_output.py::test_pre_scaled_digits_and_flag_match_one_full_division",
           "tests/test_output.py::test_pre_scaling_past_binary_exponent_two_to_the_18")
 TWO_BALLS = "tests/test_arith.py::TestBoundedRealOps::test_two_balls_do_not_combine"
+READS = "tests/test_arith.py::TestRoundingOracle::test_every_read_is_the_reduced_fraction"
 ROW_EDGE = ("tests/test_cli.py::TestProduct"
             "::test_a_row_passes_with_the_cosine_at_total_plus_its_error")
 PRINTED_ENDS = ("tests/test_cli.py::TestFormatting"
@@ -75,12 +76,12 @@ MUTANTS = (
     # the directed-rounding chain of _coefficient_powers, each link rounded
     # the wrong way
     Mutant("low step raised", ANALYTIC,
-           "lo_step = (lo.numerator ** 2 << frac_bits) // lo.denominator ** 2",
-           "lo_step = -(-(lo.numerator ** 2 << frac_bits) // lo.denominator ** 2)",
+           "lo_step = (lo_num ** 2 << frac_bits) // lo_den ** 2",
+           "lo_step = -(-(lo_num ** 2 << frac_bits) // lo_den ** 2)",
            (SUMS, PI_ENDS)),
     Mutant("high step floored", ANALYTIC,
-           "hi_step = -(-(hi.numerator ** 2 << frac_bits) // hi.denominator ** 2)",
-           "hi_step = (hi.numerator ** 2 << frac_bits) // hi.denominator ** 2",
+           "hi_step = -(-(hi_num ** 2 << frac_bits) // hi_den ** 2)",
+           "hi_step = (hi_num ** 2 << frac_bits) // hi_den ** 2",
            (SUMS, PI_ENDS)),
     Mutant("low chain raised", ANALYTIC,
            "low = low * lo_step >> frac_bits",
@@ -100,12 +101,12 @@ MUTANTS = (
            (SUMS, PI_ENDS)),
     # the series: pi/2n's ends read outward, the divisions by m outward
     Mutant("series high end read down", ANALYTIC,
-           "hi = Ratio(-(-(hp * qn << read) // (2 * pn * hq)), 1 << read)",
-           "hi = Ratio((hp * qn << read) // (2 * pn * hq), 1 << read)",
+           "hi = -(-(hp * qn << read) // (2 * pn * hq)), 1 << read",
+           "hi = (hp * qn << read) // (2 * pn * hq), 1 << read",
            (OUTWARD,)),
     Mutant("series low end read up", ANALYTIC,
-           "lo = Ratio((lp * qn << read) // (2 * pn * lq), 1 << read)",
-           "lo = Ratio(-(-(lp * qn << read) // (2 * pn * lq)), 1 << read)",
+           "lo = (lp * qn << read) // (2 * pn * lq), 1 << read",
+           "lo = -(-(lp * qn << read) // (2 * pn * lq)), 1 << read",
            (OUTWARD,)),
     Mutant("series low division by m raised", ANALYTIC,
            "s_lo = sum(low // m for m, (low, _) in terms)",
@@ -176,12 +177,12 @@ MUTANTS = (
             "tests/test_cli.py::TestVerify::test_decimal_n_rejected")),
     # the printed ends of a ball, rounded outward
     Mutant("low rounded half-up", "src/cosprod/cli.py",
-           '"low": format_decimal(est.ratio(-1), bound, ROUND_FLOOR),',
-           '"low": format_decimal(est.ratio(-1), bound),',
+           '"low": format_decimal(est.lower(), bound, ROUND_FLOOR),',
+           '"low": format_decimal(est.lower(), bound),',
            (PRINTED_ENDS,)),
     Mutant("high rounded down", "src/cosprod/cli.py",
-           '"high": format_decimal(est.ratio(1), bound, ROUND_CEILING),',
-           '"high": format_decimal(est.ratio(1), bound, ROUND_FLOOR),',
+           '"high": format_decimal(est.upper(), bound, ROUND_CEILING),',
+           '"high": format_decimal(est.upper(), bound, ROUND_FLOOR),',
            (PRINTED_ENDS,)),
     # output._to_digits: the pre-scaling and its sticky half
     Mutant("sticky half for exact quotients too", "src/cosprod/output.py",
@@ -297,6 +298,16 @@ MUTANTS = (
            "            return _round(_mul(a, b),\n"
            "                          min(self.precision_bits, other.precision_bits), err)\n",
            (TWO_BALLS,)),
+    # a ball's ends as lowest-terms Fractions: stripped when dyadic,
+    # reduced by Fraction otherwise
+    Mutant("end read without stripping its zeros", "src/cosprod/arith.py",
+           "end = _fraction(_canon(n, x))",
+           "end = _fraction((n, x, 1))",
+           (READS,)),
+    Mutant("non-dyadic end read without reduction", "src/cosprod/arith.py",
+           "return end if d == 1 else end / d",
+           "return end if d == 1 else Fraction(_Coprime(end.numerator, end.denominator * d))",
+           (READS,)),
     Mutant("error rounded to nearest", "src/cosprod/arith.py",
            "return _neg(_round_sig(_neg(t), 8, floor=True)[0])",
            "return _round_sig(t, 8)[0]",
