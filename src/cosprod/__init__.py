@@ -38,6 +38,7 @@ from .analytic import (
     cos_approx,
     exp_approx,
     lambda_direct,
+    lambda_direct_table,
     neg_log_product_series,
     product_trace,
     rearrangement_check,
@@ -60,6 +61,7 @@ __all__ = [
     "lambda_closed_form",
     "lambda_coefficients",
     "lambda_direct",
+    "lambda_direct_table",
     "neg_log_product_series",
     "ode_residual",
     "pi_constant",

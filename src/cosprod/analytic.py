@@ -13,26 +13,30 @@ Everything here evaluates one of the three routes to the same number,
                     squaring,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
-elementary functions cos and decimal's correctly rounded exp).  All heavy
-summations, the coefficient series, and the cosine's series and doublings
-run in scaled-integer arithmetic with floor divisions, so every
-intermediate is exact and the accumulated rounding is counted in ulps,
-except the powers c_m x^(2m) behind the series and the closed forms
-lambda(2m) = c_m (pi/2)^(2m), which one chain rounds down at the low end
-of x and up at the high end, so they need no count; the product
+elementary functions cos and decimal's correctly rounded exp).  The direct
+sums of lambda(2m) come one m at a time (``lambda_direct``) or for m = 1..M
+in one pass over k (``lambda_direct_table``), which divides a running
+quotient by (2k-1)^2 once per m: floors by positive integers nest, so both
+sum the same floored terms, and the pass returns exactly what the per-m
+calls return.  All heavy summations, the coefficient series, and the
+cosine's series and doublings run in scaled-integer arithmetic with floor
+divisions, so every intermediate is exact and the accumulated rounding is
+counted in ulps, except the powers c_m x^(2m) behind the series and the
+closed forms lambda(2m) = c_m (pi/2)^(2m), which one chain rounds down at
+the low end of x and up at the high end, so they need no count; the product
 multiplies blocks of _PRODUCT_BLOCK factors exactly in small integers and
-floors once per block, so it counts one ulp per block.  The column order
-of the rearrangement is one exact rational sum.  Every tail is bounded by
-an integral or geometric comparison that is stated at the point of use;
-the series route takes its tail at the exact ratio r = 1/n^2, as the
+floors once per block, so it counts one ulp per block.  The column order of
+the rearrangement is one exact rational sum.  Every tail is bounded by an
+integral or geometric comparison that is stated at the point of use; the
+series route takes its tail at the exact ratio r = 1/n^2, as the
 rearrangement's column order does, and encloses its sum at pi/2n between
 its sums at the two ends of pi's ball.  Each result is built from its
 scaled integer or exact rational by
 :func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
 precision and adds the carried error to the rounding cap, so the
 :class:`~cosprod.arith.BoundedReal` intervals are sound by construction.
-No route reaches a ball operator.  ``cos_half_pi_over`` scales pi's ball
-to pi/2n, for ``verify_identity`` and the CLI's product; the series scales
+No route reaches a ball operator.  ``cos_half_pi_over`` scales pi's ball to
+pi/2n, for ``verify_identity`` and the CLI's product; the series scales
 pi's two ends to pi/2n itself, each rounded outward; and
 ``verify_identity`` negates the series for exp.
 
@@ -69,6 +73,7 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import isqrt
+from operator import floordiv
 from typing import Iterator, Optional, Union
 
 from .arith import (
@@ -88,6 +93,9 @@ _RationalLike = Union[Fraction, int]
 _GUARD_BITS = 32
 # factors of the truncated product multiplied exactly before one floor
 _PRODUCT_BLOCK = 16
+# odd d per chunk of lambda_direct_table's pass: the chunk's quotients are
+# all it holds, so the list of num_terms of them is never built
+_LAMBDA_CHUNK = 256
 # rearrangement_check refuses an n whose row 1 could cost more than
 # _MAX_ROW_WORK, with each of its passes (_row_one_steps) charged
 # _ROW_PASS_BITS + shift: a pass costs about c0 (1 + shift / 256),
@@ -129,6 +137,8 @@ class LambdaEstimate:
     bounds the omitted positive terms, so lambda(2m) lies in
     [value.lower(), value.upper() + tail_bound].  The scaled-integer kernel
     rounds downward, so ``value.value`` itself never exceeds lambda(2m).
+    ``lambda_direct`` returns one m's; ``lambda_direct_table`` returns those
+    of m = 1..M, equal field by field to the per-m calls'.
     """
 
     num_terms: int
@@ -231,6 +241,57 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
                                  Ratio(num_terms, one), floor=True),
         tail_bound=_odd_tail_bound(num_terms, power),
     )
+
+
+def lambda_direct_table(m_max: int, num_terms: int,
+                        precision_bits: int) -> list[LambdaEstimate]:
+    """``lambda_direct(m, num_terms, precision_bits)``, m = 1..m_max, in one pass over k.
+
+    For positive integers floor(floor(a / b) / c) = floor(a / (b c)), so
+    with d = 2k - 1 and S = precision_bits + _GUARD_BITS the quotients
+    q_0 = 2^S, q_m = floor(q_(m-1) / d^2) are floor(2^S / d^(2m)), the very
+    terms ``lambda_direct`` sums for each m: one division by d^2 a level
+    in place of a power of d and a division by it.  The odd d are taken in
+    chunks of _LAMBDA_CHUNK; each level maps the chunk's quotients through
+    one floor division by its squares and sums them.  q_m falls as d or m
+    grows, so past a level's first zero in a chunk every quotient of that
+    level and of those above is 0: the level is cut there, and the next
+    level, mapped over the shorter list, is cut with it.  A chunk whose
+    first quotient at level m is 0 has only zeros at m and above in it
+    and in every later chunk, so those levels stop for good.
+    ``lambda_direct`` drops only zeros as well, at its first zero term, so
+    every total is its total, and each estimate, with its num_terms ulps
+    and its tail bound, is built as it builds it.  One chunk of quotients
+    is held at a time, never a list of num_terms of them.
+    """
+    if m_max < 1:
+        raise ValueError("m_max must be at least 1")
+    if num_terms < 1:
+        raise ValueError("num_terms must be at least 1")
+    check_precision(precision_bits)
+    one = 1 << (precision_bits + _GUARD_BITS)
+    totals = [0] * m_max
+    live = m_max  # levels 0..live-1, m = level + 1, may still have terms
+    end = 2 * num_terms  # past the last d
+    for start in range(1, end, 2 * _LAMBDA_CHUNK):
+        squares = [d * d for d in range(start, min(start + 2 * _LAMBDA_CHUNK, end), 2)]
+        q = [one] * len(squares)
+        for level in range(live):
+            q = list(map(floordiv, q, squares))
+            if not q[0]:
+                live = level
+                break
+            if not q[-1]:
+                del q[q.index(0):]
+            totals[level] += sum(q)
+        if not live:
+            break
+    return [LambdaEstimate(
+        num_terms=num_terms,
+        value=real_from_rational(Ratio(total, one), precision_bits,
+                                 Ratio(num_terms, one), floor=True),
+        tail_bound=_odd_tail_bound(num_terms, 2 * m),
+    ) for m, total in enumerate(totals, start=1)]
 
 
 def closed_forms(m_max: int, precision_bits: int) -> list[BoundedReal]:

@@ -58,18 +58,31 @@ class Ratio(NamedTuple):
     denominator: int
 
 
-class _Coprime(NamedTuple):
+class _CoprimePair(NamedTuple):
     """numerator / denominator, denominator > 0, known to be in lowest terms.
 
-    Registered as a numbers.Rational, so that Fraction(r) copies its two
-    fields, as it does for any Rational r, and takes no gcd.
+    Registered as a numbers.Rational, so that Fraction(r) copies the two
+    fields of a ``_Coprime`` r, as it does for any Rational r, and takes no
+    gcd.
     """
 
     numerator: int
     denominator: int
 
 
-numbers.Rational.register(_Coprime)
+numbers.Rational.register(_CoprimePair)
+
+
+class _Coprime(_CoprimePair):
+    """The pair the reads are built from: a subclass of the registered one.
+
+    isinstance(r, Rational) caches a subclass of a registered class after
+    its first check, but answers the registered class itself from the
+    registry, through the Python-level ABCMeta.__subclasscheck__, on every
+    call (CPython's ``_abc``).
+    """
+
+    __slots__ = ()
 
 
 _RationalLike = Union[Fraction, int]

@@ -22,7 +22,7 @@ from .analytic import (
     DomainError,
     closed_forms,
     cos_half_pi_over,
-    lambda_direct,
+    lambda_direct_table,
     product_trace,
     rearrangement_check,
     verify_identity,
@@ -178,8 +178,9 @@ def cmd_coeffs(args: argparse.Namespace) -> _Result:
 def cmd_lambda(args: argparse.Namespace) -> _Result:
     rows = []
     all_pass = True
-    for m, closed in enumerate(closed_forms(args.m_max, args.precision), start=1):
-        est = lambda_direct(m, args.num_terms, args.precision)
+    direct = lambda_direct_table(args.m_max, args.num_terms, args.precision)
+    for m, (est, closed) in enumerate(zip(direct, closed_forms(args.m_max, args.precision)),
+                                      start=1):
         lo, hi = est.bracket()
         ok = lo <= closed.upper() and closed.lower() <= hi
         all_pass = all_pass and ok

@@ -306,18 +306,27 @@ def _round_scaled(p: int, q: int, bits: int, mode: str) -> tuple[int, int, bool]
     return (n if p > 0 else -n), e, not rem
 
 
-class _LowestTerms(NamedTuple):
+class _LowestTermsPair(NamedTuple):
     """numerator / denominator, known to be in lowest terms.
 
-    Registered as a numbers.Rational, so that Fraction(r) copies its two
-    fields, as it does for any Rational r, and takes no gcd.
+    Registered as a numbers.Rational, so that Fraction(r) copies the two
+    fields of a ``_LowestTerms`` r, as it does for any Rational r, and takes
+    no gcd.
     """
 
     numerator: int
     denominator: int
 
 
-numbers.Rational.register(_LowestTerms)
+numbers.Rational.register(_LowestTermsPair)
+
+
+class _LowestTerms(_LowestTermsPair):
+    """The pair the Fractions are built from, a subclass of the registered
+    one, which isinstance(r, Rational) caches after one check, as it never
+    caches a registered class itself (as ``cosprod.arith._Coprime``)."""
+
+    __slots__ = ()
 
 
 def _dyadic(n: int, e: int) -> Fraction:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -22,6 +23,7 @@ from cosprod.analytic import (
     cos_half_pi_over,
     exp_approx,
     lambda_direct,
+    lambda_direct_table,
     neg_log_product_series,
     product_trace,
     rearrangement_check,
@@ -145,6 +147,57 @@ class TestLambdaDirect:
             lambda_direct(0, 10, 64)
         with pytest.raises(ValueError):
             lambda_direct(1, 0, 64)
+
+
+class TestLambdaDirectTable:
+    TERMS = (1, 2, 255, 256, 257, 513, 10**4)
+
+    @staticmethod
+    def grid():
+        """(num_terms, m_max, bits): corners and seeded draws, 8 to 4096 bits."""
+        rng = random.Random(3030)
+        for terms in TestLambdaDirectTable.TERMS:
+            # at 8 bits every level from m = 13 on keeps d = 1 alone and dies
+            # in the first chunk, while m = 2 runs on to d = 2^10 and m = 1
+            # to 2^20
+            yield terms, 60, 8
+            # the reference's cost grows with terms, m and bits alike
+            top = 4096 if terms < 10**4 else 1024
+            yield terms, 60 if terms < 10**4 else 4, 4096
+            for _ in range(3):
+                yield terms, rng.randint(1, 60), rng.randint(8, top)
+
+    def test_every_field_matches_lambda_direct(self):
+        for terms, m_max, bits in self.grid():
+            table = lambda_direct_table(m_max, terms, bits)
+            assert len(table) == m_max
+            for m, est in enumerate(table, start=1):
+                ref = lambda_direct(m, terms, bits)
+                where = (terms, m, bits)
+                assert est.num_terms == ref.num_terms, where
+                assert est.value == ref.value, where
+                assert est.value.abs_error == ref.value.abs_error, where
+                assert est.tail_bound == ref.tail_bound, where
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 255, 257, 10**4])
+    def test_the_chunk_moves_no_total(self, monkeypatch, chunk):
+        # chunks of one odd d put a chunk edge between every two terms
+        expected = {(terms, bits): lambda_direct_table(30, terms, bits)
+                    for terms in (1, 600) for bits in (8, 128)}
+        monkeypatch.setattr(analytic, "_LAMBDA_CHUNK", chunk)
+        for (terms, bits), table in expected.items():
+            assert lambda_direct_table(30, terms, bits) == table, (terms, bits)
+
+    def test_holds_one_chunk_not_every_term(self):
+        # 20,000 quotients of 160 bits would take about 3 MB; a chunk of
+        # them takes kilobytes
+        tracemalloc.start()
+        try:
+            lambda_direct_table(2, 20_000, 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
 
 
 class TestPartialProduct:
@@ -1093,6 +1146,9 @@ class TestVerifyIdentity:
 
 
 @pytest.mark.parametrize("call, message", [
+    (lambda: lambda_direct_table(0, 10, 64), "m_max must be at least 1"),
+    (lambda: lambda_direct_table(1, 0, 64), "num_terms must be at least 1"),
+    (lambda: lambda_direct_table(1, 10, 7), "precision_bits must be at least 8"),
     (lambda: product_trace(3, 0, 64), "num_factors must be at least 1"),
     (lambda: neg_log_product_series(3, 0, 64), "order must be at least 1"),
     (lambda: rearrangement_check(3, 0, 1, 64),

@@ -1,3 +1,4 @@
+import abc
 import math
 import operator
 import random
@@ -318,6 +319,27 @@ class TestRoundingOracle:
             shorts, dyadic = reads(ball, value, err)
             shortened[dyadic] += sum(shorts)
         assert min(shortened.values()) >= 10, shortened
+
+    def test_repeated_reads_take_one_subclass_check_each(self, monkeypatch):
+        # Fraction(r) asks isinstance(r, Rational).  The pairs that the reads
+        # and conftest's reference rounding build are of a subclass of the
+        # registered class, which isinstance caches after one check; the
+        # registered class itself would reach the Python-level
+        # ABCMeta.__subclasscheck__ on every read
+        checked = []
+        check = abc.ABCMeta.__subclasscheck__
+
+        def counted(cls, subclass):
+            checked.append(subclass)
+            return check(cls, subclass)
+
+        monkeypatch.setattr(abc.ABCMeta, "__subclasscheck__", counted)
+        for _ in range(100):
+            ball = real_from_rational(F(1, 3), 128, F(1, 10**9))
+            reads = ball.value, ball.abs_error, ball.lower(), ball.upper()
+            assert round_reference(F(1, 3), 128, F(1, 10**9)) == reads[:2]
+        # 400 reads and 100 references, and no class checked twice
+        assert len(checked) == len(set(checked)), checked
 
     def test_an_unreduced_ratio_rounds_as_its_fraction(self):
         # real_from_rational rounds a Ratio with any common factor left in

@@ -586,9 +586,10 @@ class TestOutputContracts:
         assert "FAIL" in out
 
     @pytest.mark.parametrize("argv, name, breaks", [
-        # a direct sum pushed above its closed form
-        (("lambda", "--m-max", "2", "--num-terms", "50"), "lambda_direct",
-         lambda est: type(est)(est.num_terms, est.value + 1, est.tail_bound)),
+        # one direct sum of the table, m = 2's, pushed above its closed form
+        (("lambda", "--m-max", "2", "--num-terms", "50"), "lambda_direct_table",
+         lambda table: [table[0], type(table[1])(table[1].num_terms, table[1].value + 1,
+                                                  table[1].tail_bound)]),
         # a target the trace cannot contain
         (("product", "--n", "3", "--num-factors", "8"), "cos_half_pi_over",
          lambda target: target + 1),

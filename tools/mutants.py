@@ -63,6 +63,7 @@ PRINTED_ENDS = ("tests/test_cli.py::TestFormatting"
                 "::test_printed_ends_contain_the_ball_and_the_truth")
 FLOORS = ("tests/test_analytic.py::TestCosineHalving"
           "::test_the_count_covers_the_floors_for_every_number_of_terms")
+TABLE = "tests/test_analytic.py::TestLambdaDirectTable::test_every_field_matches_lambda_direct"
 RECURRENCE = "src/cosprod/recurrence.py"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
            "tests/test_recurrence.py::TestCoefficientTable"
@@ -127,6 +128,27 @@ MUTANTS = (
            ("tests/test_analytic.py::TestExpLog::test_tightened_rows_lie_inside_the_old_ones",
             "tests/test_analytic.py::TestWorkingPrecision"
             "::test_series_and_exp_on_the_verify_route")),
+    # lambda_direct_table's one pass over k, in chunks of odd d.  Dropping
+    # the cut at a level's first zero (del q[q.index(0):]) is not listed,
+    # as no test can see it: the quotients it drops are zeros, which add
+    # nothing and divide to zeros at every level above; it saves only the
+    # divisions
+    Mutant("lambda chunk one odd short", ANALYTIC,
+           "range(start, min(start + 2 * _LAMBDA_CHUNK, end), 2)",
+           "range(start, min(start + 2 * _LAMBDA_CHUNK - 2, end), 2)",
+           (TABLE,)),
+    Mutant("lambda squares of d + 2", ANALYTIC,
+           "squares = [d * d for d in",
+           "squares = [(d + 2) * (d + 2) for d in",
+           (TABLE,)),
+    Mutant("lambda level stop ending every level", ANALYTIC,
+           "                live = level\n",
+           "                live = 0\n",
+           (TABLE,)),
+    Mutant("lambda level cut one before its first zero", ANALYTIC,
+           "del q[q.index(0):]",
+           "del q[q.index(0) - 1:]",
+           (TABLE,)),
     Mutant("coefficient tail one power short", ANALYTIC,
            "r ** (order + 1) / ((order + 1) * (1 - r))",
            "r ** order / ((order + 1) * (1 - r))",
@@ -308,6 +330,11 @@ MUTANTS = (
            "return end if d == 1 else end / d",
            "return end if d == 1 else Fraction(_Coprime(end.numerator, end.denominator * d))",
            (READS,)),
+    Mutant("reads built from the registered pair", "src/cosprod/arith.py",
+           "Fraction(_Coprime(n << x, d) if x >= 0 else _Coprime(n, d << -x))",
+           "Fraction(_CoprimePair(n << x, d) if x >= 0 else _CoprimePair(n, d << -x))",
+           ("tests/test_arith.py::TestRoundingOracle"
+            "::test_repeated_reads_take_one_subclass_check_each",)),
     Mutant("error rounded to nearest", "src/cosprod/arith.py",
            "return _neg(_round_sig(_neg(t), 8, floor=True)[0])",
            "return _round_sig(t, 8)[0]",

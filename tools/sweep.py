@@ -50,15 +50,17 @@ _WORKER = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import sweep; "
 
 
 def grid() -> list[list[str]]:
-    """The fixed list of argument vectors, 1,523 of them, in order.
+    """The fixed list of argument vectors, 1,555 of them, in order.
 
     verify at 16 n from 1 + 10^-8 to 10^16, 7 precisions from 8 to 1024
     bits and 6 orders from 1 to 100 (672), 600 seeded verify runs, six at
     4096 bits, and twelve at 2048, 8192 and 16,384 bits, where the
     cosine's halvings and terms move most; coeffs at M = 190..210 and at
-    M = 250 at seven precisions; lambda, product and rearrange over their
-    own grids; ten commands in table, CSV and JSON; and the usage and
-    domain errors of each kind.
+    M = 250 at seven precisions; lambda at M up to 60, where the high
+    levels of its one pass over k die in the first chunk of 256 odd d,
+    and at 255, 256, 257 and 100,000 terms, across the chunk edges;
+    product and rearrange over their own grids; ten commands in table,
+    CSV and JSON; and the usage and domain errors of each kind.
     """
     near = ["100000001/100000000", "10001/10000", "1001/1000", "101/100"]
     ns = near + ["11/10", "81/64", "5/4", "3/2", "2", "3", "5", "7", "10",
@@ -87,8 +89,11 @@ def grid() -> list[list[str]]:
              for bits in (8, 16, 17, 64, 128, 300, 1024)]
     runs += [["lambda", "--m-max", str(m), "--num-terms", str(terms),
               "--precision", str(bits)]
-             for m in (1, 5, 10, 20) for terms in (100, 10000)
+             for m in (1, 5, 10, 20, 40, 60) for terms in (100, 10000)
              for bits in (8, 19, 64, 128, 300)]
+    runs += [["lambda", "--m-max", str(m), "--num-terms", str(terms),
+              "--precision", "128"]
+             for m in (1, 5, 10) for terms in (255, 256, 257, 100000)]
     runs += [["product", "--n", n, "--num-factors", str(factors),
               "--precision", str(bits)]
              for n in ("1", "101/100", "11/10", "3/2", "3", "7", "100",

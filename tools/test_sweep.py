@@ -31,6 +31,12 @@ def copy_with(tmp_path: Path, module: str, old: str, new: str) -> Path:
 def test_the_grid_is_fixed_and_over_a_thousand_runs():
     runs = sweep.grid()
     assert runs == sweep.grid() and len(runs) >= 1000
+    assert f"{len(runs):,} of them" in sweep.grid.__doc__
+    # lambda across its chunk edges and at levels that die in the first chunk
+    lambdas = [dict(zip(argv[1::2], argv[2::2])) for argv in runs
+               if argv[0] == "lambda" and len(argv) == 7]
+    assert {"255", "256", "257", "100000"} <= {run["--num-terms"] for run in lambdas}
+    assert {"40", "60"} <= {run["--m-max"] for run in lambdas}
     assert {argv[0] for argv in runs} == {"coeffs", "lambda", "product", "verify",
                                           "rearrange"}
     assert {"csv", "json"} <= {argv[-1] for argv in runs}
