@@ -37,7 +37,6 @@ from .analytic import (
     RearrangementReport,
     cos_approx,
     exp_approx,
-    lambda_direct,
     lambda_direct_table,
     neg_log_product_series,
     product_trace,
@@ -60,7 +59,6 @@ __all__ = [
     "exp_approx",
     "lambda_closed_form",
     "lambda_coefficients",
-    "lambda_direct",
     "lambda_direct_table",
     "neg_log_product_series",
     "ode_residual",

@@ -14,31 +14,31 @@ Everything here evaluates one of the three routes to the same number,
 
 or one of their ingredients (the odd-reciprocal power sums lambda(2m), the
 elementary functions cos and decimal's correctly rounded exp).  The direct
-sums of lambda(2m) come one m at a time (``lambda_direct``) or for m = 1..M
-in one pass over k (``lambda_direct_table``), which divides a running
-quotient by (2k-1)^2 once per m: floors by positive integers nest, so both
-sum the same floored terms, and the pass returns exactly what the per-m
-calls return.  All heavy summations, the coefficient series, and the
-cosine's series and doublings run in scaled-integer arithmetic with floor
-divisions, so every intermediate is exact and the accumulated rounding is
-counted in ulps, except the powers c_m x^(2m) behind the series and the
-closed forms lambda(2m) = c_m (pi/2)^(2m), which one chain rounds down at
-the low end of x and up at the high end, so they need no count; the product
-multiplies blocks of _PRODUCT_BLOCK factors exactly in small integers and
-floors once per block, so it counts one ulp per block.  The column order of
-the rearrangement is one exact rational sum.  Every tail is bounded by an
-integral or geometric comparison that is stated at the point of use; the
-series route takes its tail at the exact ratio r = 1/n^2, as the
-rearrangement's column order does, and encloses its sum at pi/2n between
-its sums at the two ends of pi's ball.  Each result is built from its
-scaled integer or exact rational by
+sums of lambda(2m) for m = 1..M come from one pass over k
+(``lambda_direct_table``), which divides a running quotient by (2k-1)^2
+once per m: floors by positive integers nest, so every m sums the floored
+terms floor(2^S / (2k-1)^2m).  All heavy summations, the coefficient
+series, and the cosine's series and doublings run in scaled-integer
+arithmetic with floor divisions, so every intermediate is exact and the
+accumulated rounding is counted in ulps, except the powers c_m x^(2m)
+behind the series and the closed forms lambda(2m) = c_m (pi/2)^(2m), which
+one chain rounds down at the low end of x and up at the high end, so they
+need no count; the product multiplies blocks of _PRODUCT_BLOCK factors
+exactly in small integers and floors once per block, so it counts one ulp
+per block.  The column order of the rearrangement is one exact rational
+sum.  Every tail is bounded by an integral or geometric comparison that is
+stated at the point of use; the series route takes its tail at the exact
+ratio r = 1/n^2, as the rearrangement's column order does, and encloses its
+sum at pi/2n between its sums at the two ends of pi's ball.  Each result is
+built from its scaled integer or exact rational by
 :func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
 precision and adds the carried error to the rounding cap, so the
 :class:`~cosprod.arith.BoundedReal` intervals are sound by construction.
-No route reaches a ball operator.  ``cos_half_pi_over`` scales pi's ball to
-pi/2n, for ``verify_identity`` and the CLI's product; the series scales
-pi's two ends to pi/2n itself, each rounded outward; and
-``verify_identity`` negates the series for exp.
+Two ball operators are reached, each in one place: ``cos_half_pi_over``
+scales pi's ball to pi/2n with ``BoundedReal.__mul__``, for
+``verify_identity`` and the CLI's product, and ``verify_identity`` negates
+the series for exp with ``BoundedReal.__neg__``.  No other route reaches
+one; the series scales pi's two ends to pi/2n itself, each rounded outward.
 
 Precision follows accuracy: the product and series routes need only as
 many bits as their truncation tails leave, and exp only as many as its
@@ -86,7 +86,7 @@ from .arith import (
     pi_constant,
     real_from_rational,
 )
-from .recurrence import lambda_coefficients
+from .recurrence import check_table_size, lambda_coefficients
 
 _RationalLike = Union[Fraction, int]
 
@@ -137,8 +137,7 @@ class LambdaEstimate:
     bounds the omitted positive terms, so lambda(2m) lies in
     [value.lower(), value.upper() + tail_bound].  The scaled-integer kernel
     rounds downward, so ``value.value`` itself never exceeds lambda(2m).
-    ``lambda_direct`` returns one m's; ``lambda_direct_table`` returns those
-    of m = 1..M, equal field by field to the per-m calls'.
+    ``lambda_direct_table`` returns those of m = 1..M.
     """
 
     num_terms: int
@@ -213,62 +212,46 @@ def _odd_tail_bound(num_terms: int, power: int) -> Fraction:
 
 
 def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate:
-    """Sum the first `num_terms` terms of lambda(2m) in scaled integers.
+    """lambda(2m)'s estimate alone: the last entry of ``lambda_direct_table``.
 
-    Each term is floor(2**shift / (2k-1)**2m), so the accumulated value
-    undershoots the exact partial sum by less than num_terms ulps; the
-    final quantization also rounds down.  The reported interval
-    [value - abs_error, value + abs_error + tail_bound] therefore contains
-    lambda(2m), and value itself is a certified lower bound.
+    No command calls it.  It stays, as this delegate only, because the
+    benchmark's tracer (bench/tracing.py) wraps it by name; it goes once
+    the tracer wraps ``lambda_direct_table`` instead.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    if num_terms < 1:
-        raise ValueError("num_terms must be at least 1")
-    check_precision(precision_bits)
-    shift = precision_bits + _GUARD_BITS
-    one = 1 << shift
-    power = 2 * m
-    total = 0
-    for k in range(1, num_terms + 1):
-        term = one // (2 * k - 1) ** power
-        if not term:
-            break  # terms are decreasing; the rest floor to zero as well
-        total += term
-    return LambdaEstimate(
-        num_terms=num_terms,
-        value=real_from_rational(Ratio(total, one), precision_bits,
-                                 Ratio(num_terms, one), floor=True),
-        tail_bound=_odd_tail_bound(num_terms, power),
-    )
+    return lambda_direct_table(m, num_terms, precision_bits)[-1]
 
 
 def lambda_direct_table(m_max: int, num_terms: int,
                         precision_bits: int) -> list[LambdaEstimate]:
-    """``lambda_direct(m, num_terms, precision_bits)``, m = 1..m_max, in one pass over k.
+    """The first num_terms terms of lambda(2m), m = 1..m_max, in one pass over k.
+
+    With d = 2k - 1 and S = precision_bits + _GUARD_BITS, each term is
+    floor(2^S / d^(2m)), so the total undershoots the exact partial sum by
+    less than num_terms ulps, and the final quantization also rounds down:
+    each interval [value - abs_error, value + abs_error + tail_bound]
+    contains lambda(2m), and value itself is a certified lower bound.
 
     For positive integers floor(floor(a / b) / c) = floor(a / (b c)), so
-    with d = 2k - 1 and S = precision_bits + _GUARD_BITS the quotients
-    q_0 = 2^S, q_m = floor(q_(m-1) / d^2) are floor(2^S / d^(2m)), the very
-    terms ``lambda_direct`` sums for each m: one division by d^2 a level
-    in place of a power of d and a division by it.  The odd d are taken in
-    chunks of _LAMBDA_CHUNK; each level maps the chunk's quotients through
-    one floor division by its squares and sums them.  q_m falls as d or m
-    grows, so past a level's first zero in a chunk every quotient of that
-    level and of those above is 0: the level is cut there, and the next
-    level, mapped over the shorter list, is cut with it.  A chunk whose
-    first quotient at level m is 0 has only zeros at m and above in it
-    and in every later chunk, so those levels stop for good.
-    ``lambda_direct`` drops only zeros as well, at its first zero term, so
-    every total is its total, and each estimate, with its num_terms ulps
-    and its tail bound, is built as it builds it.  One chunk of quotients
-    is held at a time, never a list of num_terms of them.
+    the quotients q_0 = 2^S, q_m = floor(q_(m-1) / d^2) are those terms:
+    one division by d^2 a level in place of a power of d and a division by
+    it.  The odd d are taken in chunks of _LAMBDA_CHUNK; each level maps
+    the chunk's quotients through one floor division by its squares and
+    sums them.  q_m falls as d or m grows, so past a level's first zero in
+    a chunk every quotient of that level and of those above is 0: the
+    level is cut there, and the next level, mapped over the shorter list,
+    is cut with it.  A chunk whose first quotient at level m is 0 has only
+    zeros at m and above in it and in every later chunk, so those levels
+    stop for good: only zero terms are dropped.  One chunk of quotients is
+    held at a time, never a list of num_terms of them.  An m_max past the
+    table cap (``check_table_size``) raises WorkBudgetError before any
+    work.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
     if num_terms < 1:
         raise ValueError("num_terms must be at least 1")
     check_precision(precision_bits)
+    check_table_size(m_max)
     one = 1 << (precision_bits + _GUARD_BITS)
     totals = [0] * m_max
     live = m_max  # levels 0..live-1, m = level + 1, may still have terms
@@ -444,7 +427,8 @@ def neg_log_product_series(n: _RationalLike, order: int,
     product, for n > 1; n <= 1 raises DomainError.  Its terms are
     c_m x^(2m) / m = lambda(2m) r^m / m with r = (2x/pi)^2 = 1/n^2 exactly,
     so the truncation tail is ``_coefficient_tail(1/n^2, order)``, the
-    column order's own call.
+    column order's own call.  An order past the table cap
+    (``check_table_size``) raises WorkBudgetError before any work.
 
     Every term increases with x >= 0, so the truncated sum at pi/2n lies
     between S_lo, the sum of floor(A_m / m), and S_hi, that of
@@ -476,6 +460,7 @@ def neg_log_product_series(n: _RationalLike, order: int,
     check_precision(precision_bits)
     if n <= 1:
         raise DomainError("the series requires n > 1")
+    check_table_size(order)
     pn, qn = n.numerator, n.denominator
     pi = pi_constant(precision_bits + 16)
     (lp, lq), (hp, hq) = pi.lower().as_integer_ratio(), pi.upper().as_integer_ratio()
@@ -720,12 +705,13 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
 
     Row order runs the inner geometric-log series per k (closed tail per
     row, plus a log-tail bound for the omitted rows); column order sums
-    lambda estimates against powers of 1/n^2 (per-column tails from
-    lambda_direct, plus a geometric bound over the omitted columns).  Both
-    intervals must contain -log of the true product, so they must overlap.
-    An n so close to 1 that row 1 could cost more than _MAX_ROW_WORK at
-    this precision (passes times _ROW_PASS_BITS + shift) raises
-    WorkBudgetError before any work.
+    lambda estimates against powers of 1/n^2 (one ``lambda_direct_table``
+    of num_rows terms for all series_order columns, with their tails, plus
+    a geometric bound over the omitted columns).  Both intervals must
+    contain -log of the true product, so they must overlap.  An n so close
+    to 1 that row 1 could cost more than _MAX_ROW_WORK at this precision
+    (passes times _ROW_PASS_BITS + shift) raises WorkBudgetError before any
+    work, as does a series_order past the table cap, by the table's check.
     """
     n = Fraction(n)
     if n <= 1:
@@ -743,6 +729,9 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
             f"charged {_ROW_PASS_BITS} + {shift} bits, over the budget of "
             f"{_MAX_ROW_WORK >> 20} * 2^20 bits; take --n farther from 1 or "
             f"a lower --precision")
+    # the columns' estimates, first, so that the table's cap comes before
+    # any work
+    columns = lambda_direct_table(series_order, num_rows, precision_bits + 16)
     one = 1 << shift
     pn, qn = n.numerator, n.denominator
     qn2 = qn * qn
@@ -772,10 +761,8 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     # --- column order: m-th column is lambda(2m) / (m n^2m) -------------
     # the columns' values and bounds (rounding plus tail), each weighted by
     # qn^2m / (m pn^2m), summed exactly and rounded once
-    work = precision_bits + 16
     col = col_err = Fraction(0)
-    for m in range(1, series_order + 1):
-        est = lambda_direct(m, num_rows, work)
+    for m, est in enumerate(columns, start=1):
         weight = Fraction(qn2 ** m, m * pn ** (2 * m))
         col += est.value.value * weight
         col_err += (est.value.abs_error + est.tail_bound) * weight
@@ -826,13 +813,14 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
             "exactly 0 = cos(pi/2) but the log-based route is undefined")
     if num_factors < 1:
         raise ValueError("num_factors must be at least 1")
+    # the series first: its order's cap comes before the product's work
+    neg_log = neg_log_product_series(n, order, precision_bits + 8)
     bits = min(precision_bits,
                _working_bits(precision_bits, _product_log_tail(n, num_factors)))
     detail = _partial_products(n, [num_factors], bits)[0]
     # the value is already dyadic at this precision, so only the bound moves
     product = real_from_rational(detail.value.value, precision_bits,
                                  detail.total_bound())
-    neg_log = neg_log_product_series(n, order, precision_bits + 8)
     log_series = exp_approx(-neg_log, precision_bits)
     cosine = cos_half_pi_over(n, precision_bits)
     verdict = (product.overlaps(log_series)

@@ -38,7 +38,27 @@ import threading
 from fractions import Fraction
 from math import comb, factorial, lcm, perm
 
+from .arith import WorkBudgetError
 from .series import OddSeries
+
+
+# the largest m of a table: m_max of the coefficient table and of
+# lambda_direct_table, and so --m-max and --order.  A cold coefficient table
+# costs about m_max^3 (m_max^2 / 4 products of integers of O(m_max log m_max)
+# bits): 0.031 s at 250, 0.42 s at 500 and 6.5 s at 1,000 (Python 3.11,
+# a fresh process on a shared 2-core host).
+# The rule: the largest round size whose cold table takes under half a
+# second.  It admits every size in use: the README's --order 300, the tests'
+# 400, the sweep's --m-max 250 and the benchmark's 205
+MAX_TABLE_M = 500
+
+
+def check_table_size(m_max: int) -> None:
+    """Refuse a table past MAX_TABLE_M with WorkBudgetError, before any work."""
+    if m_max > MAX_TABLE_M:
+        raise WorkBudgetError(
+            f"a table to m = {m_max} is over the cap of m = {MAX_TABLE_M}; "
+            f"take a lower --m-max or --order")
 
 
 # the sequence is a fixed mathematical constant, so computed prefixes of
@@ -58,8 +78,9 @@ def _extend(m_max: int) -> list[tuple[int, Fraction]]:
     checked once, before it is appended, on the integers:
     0 < c_m < c_{m-1} is 0 < T_m < (2m-1)(2m-2) T_{m-1}, as
     c_m / c_{m-1} = T_m / ((2m-1)(2m-2) T_{m-1}).  c_m is then built once,
-    as the Fraction T_m / (2 (2m-1)!).
+    as the Fraction T_m / (2 (2m-1)!).  ``check_table_size`` comes first.
     """
+    check_table_size(m_max)
     with _coeff_lock:
         prefix = _coeff_prefix
         for m in range(len(prefix) + 1, m_max + 1):

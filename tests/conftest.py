@@ -17,8 +17,8 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, Rounded
 from fractions import Fraction
 from typing import NamedTuple
 
-from cosprod.analytic import DomainError, _coefficient_tail
-from cosprod.arith import BoundedReal, PrecisionError, Ratio, pi_constant
+from cosprod.analytic import _GUARD_BITS, DomainError, LambdaEstimate, _coefficient_tail
+from cosprod.arith import BoundedReal, PrecisionError, Ratio, pi_constant, real_from_rational
 from cosprod.recurrence import lambda_coefficients
 
 # str() of an int past this many digits raises ValueError.  640 is the least
@@ -166,6 +166,33 @@ def product_log_tail_reference(n: Fraction, num_factors: int) -> Fraction:
     sum_a = (1 / (n * n)) * (Fraction(1, odd**2) + Fraction(1, 2 * odd))
     a_first = 1 / (odd * odd * n * n)
     return sum_a / (1 - a_first)
+
+
+def lambda_direct_reference(m: int, num_terms: int,
+                            precision_bits: int) -> LambdaEstimate:
+    """lambda(2m)'s direct sum by a plain loop over k, one m alone.
+
+    Sums floor(2^S / (2k-1)^(2m)), S = precision_bits + _GUARD_BITS, for
+    k = 1..num_terms, stopping at the first zero term (the terms decrease),
+    and builds the estimate as the package does: the total floored to
+    precision_bits with num_terms ulps of error, and the tail bound
+    1/o^(2m) + 1/(2 (2m-1) o^(2m-1)), o = 2 num_terms + 1, written out.
+    """
+    one = 1 << (precision_bits + _GUARD_BITS)
+    total = 0
+    for k in range(1, num_terms + 1):
+        term = one // (2 * k - 1) ** (2 * m)
+        if not term:
+            break
+        total += term
+    odd = 2 * num_terms + 1
+    return LambdaEstimate(
+        num_terms=num_terms,
+        value=real_from_rational(Ratio(total, one), precision_bits,
+                                 Ratio(num_terms, one), floor=True),
+        tail_bound=(Fraction(1, odd ** (2 * m))
+                    + Fraction(1, 2 * (2 * m - 1) * odd ** (2 * m - 1))),
+    )
 
 
 def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from cosprod import analytic, cli
+from cosprod import analytic, cli, recurrence
 from cosprod.analytic import (
     _MAX_ROW_WORK,
     _ROW_PASS_BITS,
@@ -31,7 +31,8 @@ from cosprod.analytic import (
 )
 from cosprod.arith import (BoundedReal, PrecisionError, WorkBudgetError, pi_constant,
                            real_from_rational)
-from cosprod.recurrence import bernoulli_numbers, lambda_closed_form, tangent_coefficients
+from cosprod.recurrence import (MAX_TABLE_M, bernoulli_numbers, lambda_closed_form,
+                                lambda_coefficients, tangent_coefficients)
 from cosprod.series import OddSeries
 from conftest import (
     coefficient_sums_exact,
@@ -40,6 +41,7 @@ from conftest import (
     contains,
     cos_full_precision,
     exp_full_precision,
+    lambda_direct_reference,
     ln_bracket,
     neg_log_series_full_precision,
     partial_products_exact,
@@ -168,11 +170,13 @@ class TestLambdaDirectTable:
                 yield terms, rng.randint(1, 60), rng.randint(8, top)
 
     def test_every_field_matches_lambda_direct(self):
+        # against conftest's plain per-m loop, which shares no code with the
+        # one pass
         for terms, m_max, bits in self.grid():
             table = lambda_direct_table(m_max, terms, bits)
             assert len(table) == m_max
             for m, est in enumerate(table, start=1):
-                ref = lambda_direct(m, terms, bits)
+                ref = lambda_direct_reference(m, terms, bits)
                 where = (terms, m, bits)
                 assert est.num_terms == ref.num_terms, where
                 assert est.value == ref.value, where
@@ -198,6 +202,33 @@ class TestLambdaDirectTable:
         finally:
             tracemalloc.stop()
         assert peak < 200_000
+
+
+class TestTableCap:
+    def test_the_tables_admit_the_cap_and_refuse_one_more(self):
+        # the one pass and the coefficient table alike; past the cap the
+        # refusal comes before the coefficient table grows at all
+        cap = MAX_TABLE_M
+        assert len(lambda_direct_table(cap, 3, 8)) == cap
+        assert len(lambda_coefficients(cap).coeffs) == cap
+        refused = f"^a table to m = {cap + 1} is over the cap of m = {cap};"
+        with pytest.raises(WorkBudgetError, match=refused):
+            lambda_direct_table(cap + 1, 3, 8)
+        with pytest.raises(WorkBudgetError, match=refused):
+            lambda_coefficients(cap + 1)
+        assert len(recurrence._coeff_prefix) == cap
+
+    def test_every_caller_refuses_before_its_work(self):
+        # an order of 10^20 would hang or exhaust memory anywhere past the
+        # check: the series' tail alone is a power r^(order + 1)
+        huge = 10**20
+        for call in (lambda: lambda_direct(huge, 3, 8),
+                     lambda: neg_log_product_series(3, huge, 64),
+                     lambda: rearrangement_check(3, 10, huge, 64),
+                     lambda: verify_identity(3, 10, huge, 64),
+                     lambda: lambda_closed_form(huge)):
+            with pytest.raises(WorkBudgetError, match=f"^a table to m = {huge} "):
+                call()
 
 
 class TestPartialProduct:
@@ -888,8 +919,8 @@ class TestRearrangement:
     def test_column_bound_carries_every_column_rounding(self, monkeypatch):
         # The column order rounds the exact sum of its columns once, carrying
         # sum_m (rounding_m + tail_m) qn^2m / (m pn^2m) plus the column tail,
-        # both recomputed here from lambda_direct at precision_bits + 16 and
-        # _coefficient_tail.  The final abs_error alone cannot show a
+        # both recomputed here from conftest's per-m loop at precision_bits
+        # + 16 and _coefficient_tail.  The final abs_error alone cannot show a
         # column's rounding term dropped: that term is below 2^-14 of the
         # final rounding cap, which covers it.  So the error carried into
         # that last rounding is read too.
@@ -904,7 +935,7 @@ class TestRearrangement:
             pn, qn = n.numerator, n.denominator
             col = err = F(0)
             for m in range(1, order + 1):
-                est = lambda_direct(m, rows, bits + 16)
+                est = lambda_direct_reference(m, rows, bits + 16)
                 weight = F(qn ** (2 * m), m * pn ** (2 * m))
                 col += est.value.value * weight
                 err += (est.value.abs_error + est.tail_bound) * weight

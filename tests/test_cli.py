@@ -18,7 +18,7 @@ from cosprod import analytic, cli
 from cosprod.analytic import product_trace, rearrangement_check, verify_identity
 from cosprod.arith import (BoundedReal, PrecisionError, WorkBudgetError, pi_constant,
                            real_from_rational)
-from cosprod.recurrence import lambda_coefficients
+from cosprod.recurrence import MAX_TABLE_M, lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
 from conftest import combine_reference, cos_full_precision, pi_bracket
 from test_analytic import neg_log_cos_bracket, spy_on_rounding
@@ -467,6 +467,28 @@ class TestRearrange:
     def test_n_near_one_at_high_precision_is_refused_by_its_bits(self):
         # about 700,000 passes, admitted at 128 bits, but each of 16,416 bits
         self.assert_refused_at_once("123/122", "16384")
+
+
+class TestTableCap:
+    @pytest.mark.parametrize("command, size", [
+        ("lambda --m-max 99999999999999999999 --num-terms 3", "99999999999999999999"),
+        ("coeffs --m-max 100000", "100000"),
+        ("verify --n 3 --order 100000000", "100000000"),
+        ("rearrange --n 3 --order 100000000", "100000000"),
+    ])
+    def test_a_table_past_the_cap_is_refused_at_once(self, command, size):
+        # in a subprocess with a timeout, so that a hang fails the test
+        src = Path(cli.__file__).parents[1]
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "cosprod", *command.split()],
+            capture_output=True, text=True, timeout=20,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        elapsed = time.perf_counter() - start
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
+        assert proc.stderr == (f"work over budget: a table to m = {size} is over the "
+                               f"cap of m = {MAX_TABLE_M}; take a lower --m-max or --order\n")
+        assert elapsed < 1
 
 
 class TestNumericFlags:

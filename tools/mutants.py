@@ -65,6 +65,7 @@ FLOORS = ("tests/test_analytic.py::TestCosineHalving"
           "::test_the_count_covers_the_floors_for_every_number_of_terms")
 TABLE = "tests/test_analytic.py::TestLambdaDirectTable::test_every_field_matches_lambda_direct"
 RECURRENCE = "src/cosprod/recurrence.py"
+TABLE_CAP = "tests/test_analytic.py::TestTableCap::test_the_tables_admit_the_cap_and_refuse_one_more"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
            "tests/test_recurrence.py::TestCoefficientTable"
            "::test_matches_knuth_buckholtz_tangent_numbers_to_400")
@@ -227,6 +228,16 @@ MUTANTS = (
            "d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_CEILING)",
            "d, _ = _to_digits(bound.numerator, bound.denominator, 2, ROUND_FLOOR)",
            ("tests/test_output.py::test_a_balls_interval_lies_inside_its_printed_contract",)),
+    # the cap on a table's m, one comparison for every table, moved by one
+    # either way
+    Mutant("table cap refusing the cap", RECURRENCE,
+           "if m_max > MAX_TABLE_M:",
+           "if m_max >= MAX_TABLE_M:",
+           (TABLE_CAP,)),
+    Mutant("table cap admitting one more", RECURRENCE,
+           "if m_max > MAX_TABLE_M:",
+           "if m_max > MAX_TABLE_M + 1:",
+           (TABLE_CAP,)),
     # the folded convolutions and the Bernoulli denominator
     Mutant("tangent numbers without the doubling", RECURRENCE,
            "            t *= 2\n",
