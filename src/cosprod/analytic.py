@@ -96,14 +96,15 @@ _PRODUCT_BLOCK = 16
 # odd d per chunk of lambda_direct_table's pass: the chunk's quotients are
 # all it holds, so the list of num_terms of them is never built
 _LAMBDA_CHUNK = 256
-# rearrangement_check refuses an n whose row 1 could cost more than
-# _MAX_ROW_WORK, with each of its passes (_row_one_steps) charged
+# rearrangement_check refuses a call whose rows could cost more than
+# _MAX_ROW_WORK, with each of their passes (_row_passes) charged
 # _ROW_PASS_BITS + shift: a pass costs about c0 (1 + shift / 256),
 # c0 = 0.15 us, a fit within 10% of passes timed at shifts 40, 160, 4128
 # and 16,416 (0.16, 0.24, 2.6 and 9.9 us, Python 3.11).  That is 2^20
-# passes at 128 bits (shift 160), about 0.25 s at any precision; the n
-# nearest 1 it admits is 73681/73680 at 8 bits, 13105/13104 at 128, 47/46
-# at 4096 and 3/2 at 16,384
+# passes at 128 bits (shift 160), about 0.25 s at any precision.  With one
+# row, the n nearest 1 it admits is 73681/73680 at 8 bits, 13105/13104 at
+# 128, 47/46 at 4096 and 3/2 at 16,384; at n = 3 and 128 bits it admits
+# 30,000 rows and refuses 40,000
 _ROW_PASS_BITS = 256
 _MAX_ROW_WORK = (_ROW_PASS_BITS + 160) << 20
 
@@ -428,7 +429,9 @@ def neg_log_product_series(n: _RationalLike, order: int,
     c_m x^(2m) / m = lambda(2m) r^m / m with r = (2x/pi)^2 = 1/n^2 exactly,
     so the truncation tail is ``_coefficient_tail(1/n^2, order)``, the
     column order's own call.  An order past the table cap
-    (``check_table_size``) raises WorkBudgetError before any work.
+    (``check_table_size``) raises WorkBudgetError before any work.  The
+    result is sound for every n > 1, however near 1: there only its width
+    suffers, and a ball whose error reaches 1 is exp's to refuse.
 
     Every term increases with x >= 0, so the truncated sum at pi/2n lies
     between S_lo, the sum of floor(A_m / m), and S_hi, that of
@@ -436,10 +439,10 @@ def neg_log_product_series(n: _RationalLike, order: int,
     ends of pi_constant(precision_bits + 16) times qn / (2 pn), n = pn/qn,
     read down and up at F + 64 bits, so that no square is of pi's width.
     The result is the centre of [S_lo, S_hi], with half its width plus the
-    tail as its error.  This needs no bound on x; where hi reaches
-    pi_lo / 2 (an integer comparison), PrecisionError "pi/(2n) is not
-    certified below pi/2" is raised only to keep that usage error of the
-    CLI and its message, which the CLI's tests pin.
+    tail as its error.  This needs no bound on x, not even hi < pi/2.  Where
+    hi reaches pi_lo / 2, n - 1 is below 2^-(p+12), p = precision_bits, as
+    pi's ball at p + 16 bits is that narrow; so 1 - r < 2^-(p+11), and the
+    tail exceeds 1 at every order up to the cap: the error is at least 1.
 
     The tail is known before the sums, which run on F = work + 2z bits:
     work = ``_working_bits(precision_bits, tail)``, at most G = _GUARD_BITS
@@ -459,13 +462,12 @@ def neg_log_product_series(n: _RationalLike, order: int,
         raise ValueError("order must be at least 1")
     check_precision(precision_bits)
     if n <= 1:
-        raise DomainError("the series requires n > 1")
+        raise DomainError("the series requires n > 1; at n = 1 the product is exactly "
+                          "0 = cos(pi/2) but the log-based route is undefined")
     check_table_size(order)
     pn, qn = n.numerator, n.denominator
     pi = pi_constant(precision_bits + 16)
     (lp, lq), (hp, hq) = pi.lower().as_integer_ratio(), pi.upper().as_integer_ratio()
-    if hp * qn * lq >= lp * pn * hq:  # hi >= pi_lo / 2
-        raise PrecisionError("pi/(2n) is not certified below pi/2")
     tail = _coefficient_tail(Fraction(qn * qn, pn * pn), order)
     zeros = max((2 * pn * lq).bit_length() - (lp * qn).bit_length(), 0)
     frac_bits = _working_bits(precision_bits, tail) + 2 * zeros
@@ -682,17 +684,17 @@ def exp_approx(y: BoundedReal, precision_bits: int) -> BoundedReal:
 # rearrangement of the double sum
 # ----------------------------------------------------------------------
 
-def _row_one_steps(n: Fraction, shift: int) -> int:
-    """Upper bound on the passes of row 1's loop in rearrangement_check.
+def _row_passes(a: Fraction, shift: int) -> int:
+    """Upper bound on the passes of a row's loop in rearrangement_check.
 
-    Row 1 has x = n^2, and its loop floors pw_j <= 2^shift / x^j, so pw is
-    0 once x^j > 2^shift: at most shift / log2 x + 1 passes.  For x >= 2,
-    log2 x >= L = floor(log2 x) >= 1 makes that at most shift // L + 1.
-    Below 2, log2 x >= ln x >= (x-1)/x makes it at most shift * drift + 1,
-    with drift = floor(x/(x-1)) + 1 the row's drift cap.  Row 1 is the
-    longest.
+    For the row of x = a^2 (row k has a = (2k-1) n), the loop floors
+    pw_j <= 2^shift / x^j, so pw is 0 once x^j > 2^shift: at most
+    shift / log2 x + 1 passes.  For x >= 2, log2 x >= L = floor(log2 x)
+    >= 1 makes that at most shift // L + 1.  Below 2, log2 x >= ln x >=
+    (x-1)/x makes it at most shift * drift + 1, with drift = floor(x/(x-1))
+    + 1 the row's drift cap.  The bound never grows with x.
     """
-    p2, q2 = n.numerator ** 2, n.denominator ** 2
+    p2, q2 = a.numerator ** 2, a.denominator ** 2
     log2_floor = (p2 // q2).bit_length() - 1
     if log2_floor >= 1:
         return shift // log2_floor + 1
@@ -708,10 +710,12 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     lambda estimates against powers of 1/n^2 (one ``lambda_direct_table``
     of num_rows terms for all series_order columns, with their tails, plus
     a geometric bound over the omitted columns).  Both intervals must
-    contain -log of the true product, so they must overlap.  An n so close
-    to 1 that row 1 could cost more than _MAX_ROW_WORK at this precision
-    (passes times _ROW_PASS_BITS + shift) raises WorkBudgetError before any
-    work, as does a series_order past the table cap, by the table's check.
+    contain -log of the true product, so they must overlap.  Rows whose
+    loops could cost more than _MAX_ROW_WORK at this precision (passes
+    times _ROW_PASS_BITS + shift) raise WorkBudgetError before any work,
+    as does a series_order past the table cap, by the table's check.  Row 1
+    is charged ``_row_passes`` at n and every later row, as x_k >= (3n)^2,
+    ``_row_passes`` at 3n.
     """
     n = Fraction(n)
     if n <= 1:
@@ -721,14 +725,14 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     check_precision(precision_bits)
 
     shift = precision_bits + _GUARD_BITS
-    steps = _row_one_steps(n, shift)
+    steps = _row_passes(n, shift) + (num_rows - 1) * _row_passes(3 * n, shift)
     if steps * (_ROW_PASS_BITS + shift) > _MAX_ROW_WORK:
         raise WorkBudgetError(
-            f"--n is too close to 1 for this precision: the first row of the "
-            f"row order may take up to 2^{steps.bit_length()} passes, each "
-            f"charged {_ROW_PASS_BITS} + {shift} bits, over the budget of "
-            f"{_MAX_ROW_WORK >> 20} * 2^20 bits; take --n farther from 1 or "
-            f"a lower --precision")
+            f"--n, --rows and --precision ask too much of the row order: its "
+            f"rows may take up to 2^{steps.bit_length()} passes, each charged "
+            f"{_ROW_PASS_BITS} + {shift} bits, over the budget of "
+            f"{_MAX_ROW_WORK >> 20} * 2^20 bits; take --n farther from 1, "
+            f"fewer --rows or a lower --precision")
     # the columns' estimates, first, so that the table's cap comes before
     # any work
     columns = lambda_direct_table(series_order, num_rows, precision_bits + 16)
@@ -785,9 +789,13 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
     """Compare the product, series, and cosine routes at x = pi/(2n).
 
     Returns the three bound-carrying estimates and the verdict that all
-    pairwise intervals overlap.  Requires n > 1: at n = 1 the product is
-    exactly zero (equal to cos(pi/2)) but the logarithmic route is
-    undefined, so callers must handle that boundary separately.
+    pairwise intervals overlap.  Each refusal comes once, from the first
+    check that sees its cause, and all of them before the product and the
+    cosine: the series raises DomainError for n <= 1 (at n = 1 the product
+    is exactly 0 = cos(pi/2) but the logarithmic route is undefined) and
+    WorkBudgetError for an order past the table cap, and exp raises
+    PrecisionError for a series whose error reaches 1, as near n = 1 at
+    too low an order or precision.
 
     The product's width is set by its log tail t = ``_product_log_tail``
     at num_factors = N, so only its final value is taken, by
@@ -807,21 +815,17 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
     one mark, and the bound stays that snapshot's rather than tightening.
     """
     n = Fraction(n)
-    if n <= 1:
-        raise DomainError(
-            "identity verification requires n > 1; at n = 1 the product is "
-            "exactly 0 = cos(pi/2) but the log-based route is undefined")
     if num_factors < 1:
         raise ValueError("num_factors must be at least 1")
-    # the series first: its order's cap comes before the product's work
+    # the series route first: its refusals come before the product's work
     neg_log = neg_log_product_series(n, order, precision_bits + 8)
+    log_series = exp_approx(-neg_log, precision_bits)
     bits = min(precision_bits,
                _working_bits(precision_bits, _product_log_tail(n, num_factors)))
     detail = _partial_products(n, [num_factors], bits)[0]
     # the value is already dyadic at this precision, so only the bound moves
     product = real_from_rational(detail.value.value, precision_bits,
                                  detail.total_bound())
-    log_series = exp_approx(-neg_log, precision_bits)
     cosine = cos_half_pi_over(n, precision_bits)
     verdict = (product.overlaps(log_series)
                and product.overlaps(cosine)

@@ -195,6 +195,33 @@ def lambda_direct_reference(m: int, num_terms: int,
     )
 
 
+def row_order_reference(n: Fraction, num_rows: int,
+                        precision_bits: int) -> tuple[Fraction, Fraction]:
+    """The row order's sum and the error carried into its rounding, row by row.
+
+    Row k sums -log(1 - 1/x) = sum_j x^-j / j, x = ((2k-1) n)^2, in ulps of
+    2^-S, S = precision_bits + _GUARD_BITS: the powers pw_j = floor(pw_(j-1)
+    / x) from pw_0 = 2^S, each adding floor(pw_j / j) until pw_j = 0.  Each
+    pass is counted drift + 1 ulps, drift = floor(x / (x - 1)) + 1 the cap
+    on how far the floors let pw drift; the rest of the row, below drift x /
+    (j (x - 1)) ulps at the first zero pw_j, is counted rounded up to a
+    2^-16 ulp.  The rows past num_rows add ``product_log_tail_reference``.
+    """
+    n = Fraction(n)
+    one = 1 << (precision_bits + _GUARD_BITS)
+    total, ulps = 0, Fraction(0)
+    for k in range(1, num_rows + 1):
+        x = ((2 * k - 1) * n) ** 2
+        drift = math.floor(x / (x - 1)) + 1
+        pw, j = math.floor(one / x), 1
+        while pw:
+            total += pw // j
+            ulps += drift + 1
+            pw, j = math.floor(pw / x), j + 1
+        ulps += Fraction(math.ceil(drift * x / (j * (x - 1)) * 2**16), 2**16)
+    return Fraction(total, one), ulps / one + product_log_tail_reference(n, num_rows)
+
+
 def coefficient_tail_exact(r: Fraction, order: int) -> tuple[int, int]:
     """(5/4) r^(M+1) / ((M+1)(1-r)), M = order, as an unreduced (num, den).
 

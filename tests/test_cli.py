@@ -407,24 +407,32 @@ class TestVerify:
                        "uncertainty must be below 1); raise --order or --precision\n")
 
     def test_n_near_one_at_low_precision_is_usage_error(self, capsys):
-        # every n > 1 is in the domain: a ball of pi/2n that reaches pi/2
-        # is a precision too low to decide, not a domain error
-        for e in (4, 8, 21, 45):
-            for bits in (8, 16, 32, 128):
-                code, out, err = run(capsys, "verify", "--n", f"{10**e + 1}/{10**e}",
-                                     "--num-factors", "10", "--order", "5",
-                                     "--precision", str(bits))
-                assert (code, out) == (cli.EXIT_USAGE, ""), (e, bits, err)
-                assert err.startswith("order or precision too low to decide")
+        # every n > 1 is in the domain: a ball of pi/2n that reaches pi/2,
+        # as at 8 bits for n = 1 + 2^-32, is a precision too low to decide,
+        # not a domain error
+        argvs = [(f"{10**e + 1}/{10**e}", bits)
+                 for e in (4, 8, 21, 45) for bits in (8, 16, 32, 128)]
+        for n, bits in argvs + [("4294967297/4294967296", 8)]:
+            code, out, err = run(capsys, "verify", "--n", n, "--num-factors", "10",
+                                 "--order", "5", "--precision", str(bits))
+            assert (code, out) == (cli.EXIT_USAGE, ""), (n, bits, err)
+            assert err.startswith("order or precision too low to decide")
 
-    def test_pi_ball_reaching_half_pi_is_the_series_usage_error(self, capsys):
-        # at 8 bits the ball of pi/2n, n = 1 + 2^-32, is not certified below
-        # pi/2: the series says so itself, before exp is reached
-        code, out, err = run(capsys, "verify", "--n", "4294967297/4294967296",
-                             "--num-factors", "10", "--order", "5", "--precision", "8")
-        assert (code, out) == (cli.EXIT_USAGE, "")
-        assert err == ("order or precision too low to decide (pi/(2n) is not "
-                       "certified below pi/2); raise --order or --precision\n")
+    @pytest.mark.parametrize("argv, code", [
+        (("--n", "101/100"), cli.EXIT_USAGE),
+        (("--n", "4294967297/4294967296", "--num-factors", "10", "--order", "5",
+          "--precision", "8"), cli.EXIT_USAGE),
+        (("--n", "1"), cli.EXIT_DOMAIN),
+        (("--n", "3", "--order", "100000000"), cli.EXIT_USAGE),
+    ])
+    def test_a_refusal_comes_before_the_product_and_the_cosine(
+            self, capsys, monkeypatch, argv, code):
+        def unreached(*args):
+            raise AssertionError("a refused verify reached the product or the cosine")
+
+        monkeypatch.setattr(analytic, "_partial_products", unreached)
+        monkeypatch.setattr(analytic, "cos_half_pi_over", unreached)
+        assert run(capsys, "verify", *argv)[:2] == (code, "")
 
     def test_enough_order_near_one_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "101/100", "--order", "300")
@@ -445,28 +453,37 @@ class TestRearrange:
         assert "domain error" in err
 
     @staticmethod
-    def assert_refused_at_once(n, precision):
+    def assert_refused_at_once(n, rows, order, precision):
         # in a subprocess with a timeout, so that a hang fails the test
         # instead of stalling it
         src = Path(cli.__file__).parents[1]
         start = time.perf_counter()
         proc = subprocess.run(
             [sys.executable, "-m", "cosprod", "rearrange", "--n", n,
-             "--rows", "1", "--order", "1", "--precision", precision],
+             "--rows", rows, "--order", order, "--precision", precision],
             capture_output=True, text=True, timeout=20,
             env={**os.environ, "PYTHONPATH": str(src)})
         elapsed = time.perf_counter() - start
         assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
-        assert proc.stderr.startswith("work over budget: --n is too close to 1")
+        assert proc.stderr.startswith("work over budget: --n, --rows and --precision "
+                                      "ask too much of the row order")
         assert elapsed < 1
 
     def test_n_near_one_is_refused_before_the_row_loop(self):
         # row 1 would take about 10^9 passes
-        self.assert_refused_at_once("100000001/100000000", "8")
+        self.assert_refused_at_once("100000001/100000000", "1", "1", "8")
 
     def test_n_near_one_at_high_precision_is_refused_by_its_bits(self):
         # about 700,000 passes, admitted at 128 bits, but each of 16,416 bits
-        self.assert_refused_at_once("123/122", "16384")
+        self.assert_refused_at_once("123/122", "1", "1", "16384")
+
+    def test_rows_past_the_budget_are_refused(self):
+        # 10^20 rows, each short; the row loop would never end
+        self.assert_refused_at_once("3", "100000000000000000000", "1", "128")
+
+    def test_rows_at_high_precision_are_refused_by_their_bits(self):
+        # row 1 is within the budget, but 1,000 rows of 20,032 bits took 6 s
+        self.assert_refused_at_once("7/3", "1000", "40", "20000")
 
 
 class TestTableCap:

@@ -64,6 +64,12 @@ PRINTED_ENDS = ("tests/test_cli.py::TestFormatting"
 FLOORS = ("tests/test_analytic.py::TestCosineHalving"
           "::test_the_count_covers_the_floors_for_every_number_of_terms")
 TABLE = "tests/test_analytic.py::TestLambdaDirectTable::test_every_field_matches_lambda_direct"
+ROWS = "tests/test_analytic.py::TestRearrangement"
+ROW_ORDER = f"{ROWS}::test_row_order_matches_its_reference"
+# verify_identity's product, which its refusals come before
+VERIFY_PRODUCT = ("    bits = min(precision_bits,\n"
+            "               _working_bits(precision_bits, _product_log_tail(n, num_factors)))\n"
+            "    detail = _partial_products(n, [num_factors], bits)[0]\n")
 RECURRENCE = "src/cosprod/recurrence.py"
 TABLE_CAP = "tests/test_analytic.py::TestTableCap::test_the_tables_admit_the_cap_and_refuse_one_more"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
@@ -118,11 +124,11 @@ MUTANTS = (
            "s_hi = -sum(-high // m for m, (_, high) in terms)",
            "s_hi = sum(high // m for m, (_, high) in terms)",
            (OUTWARD,)),
-    Mutant("series check at equality passes", ANALYTIC,
-           "if hp * qn * lq >= lp * pn * hq:",
-           "if hp * qn * lq > lp * pn * hq:",
-           ("tests/test_analytic.py::TestNegLogProductSeries"
-            "::test_high_end_of_pi_over_2n_at_half_pi_low_is_refused",)),
+    Mutant("series admits n = 1", ANALYTIC,
+           "    if n <= 1:\n        raise DomainError(\"the series requires n > 1",
+           "    if n < 1:\n        raise DomainError(\"the series requires n > 1",
+           ("tests/test_analytic.py::TestVerifyIdentity::test_rejects_n_at_or_below_one",
+            "tests/test_cli.py::TestVerify::test_n_one_domain_exit")),
     Mutant("series fixed point without its zeros", ANALYTIC,
            "zeros = max((2 * pn * lq).bit_length() - (lp * qn).bit_length(), 0)",
            "zeros = 0",
@@ -154,6 +160,25 @@ MUTANTS = (
            "r ** (order + 1) / ((order + 1) * (1 - r))",
            "r ** order / ((order + 1) * (1 - r))",
            ("tests/test_analytic.py::TestCoefficientTail",)),
+    # verify's refusals, each before the product and the cosine
+    Mutant("verify multiplies before exp", ANALYTIC,
+           "    log_series = exp_approx(-neg_log, precision_bits)\n" + VERIFY_PRODUCT,
+           VERIFY_PRODUCT + "    log_series = exp_approx(-neg_log, precision_bits)\n",
+           ("tests/test_cli.py::TestVerify::test_a_refusal_comes_before_the_product_and_the_cosine",)),
+    # the row order: the budget of its rows, the count of its floors
+    Mutant("rows past the first charged nothing", ANALYTIC,
+           " + (num_rows - 1) * _row_passes(3 * n, shift)",
+           "",
+           (f"{ROWS}::test_every_row_is_charged",
+            "tests/test_cli.py::TestRearrange::test_rows_at_high_precision_are_refused_by_their_bits")),
+    Mutant("row pass counted without its drift", ANALYTIC,
+           "err_ulps += drift + 1",
+           "err_ulps += 1",
+           (ROW_ORDER,)),
+    Mutant("row rest without its drift", ANALYTIC,
+           "-(-(drift * den << 16) //",
+           "-(-(den << 16) //",
+           (ROW_ORDER,)),
     Mutant("closed forms centred at the low end", ANALYTIC,
            "real_from_rational(Ratio(low + high, den), work, Ratio(high - low, den))",
            "real_from_rational(Ratio(2 * low, den), work, Ratio(high - low, den))",
