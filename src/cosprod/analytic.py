@@ -72,7 +72,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from operator import floordiv
 from typing import Iterator, Optional, Union
 
@@ -96,17 +96,33 @@ _PRODUCT_BLOCK = 16
 # odd d per chunk of lambda_direct_table's pass: the chunk's quotients are
 # all it holds, so the list of num_terms of them is never built
 _LAMBDA_CHUNK = 256
-# rearrangement_check refuses a call whose rows could cost more than
-# _MAX_ROW_WORK, with each of their passes (_row_passes) charged
-# _ROW_PASS_BITS + shift: a pass costs about c0 (1 + shift / 256),
-# c0 = 0.15 us, a fit within 10% of passes timed at shifts 40, 160, 4128
-# and 16,416 (0.16, 0.24, 2.6 and 9.9 us, Python 3.11).  That is 2^20
-# passes at 128 bits (shift 160), about 0.25 s at any precision.  With one
-# row, the n nearest 1 it admits is 73681/73680 at 8 bits, 13105/13104 at
-# 128, 47/46 at 4096 and 3/2 at 16,384; at n = 3 and 128 bits it admits
-# 30,000 rows and refuses 40,000
-_ROW_PASS_BITS = 256
-_MAX_ROW_WORK = (_ROW_PASS_BITS + 160) << 20
+# the work budgets.  Each loop whose length its arguments set (the rows,
+# lambda_direct_table's divisions, the product's factors) estimates its
+# passes before any work and charges each _PASS_BITS + the bits it works
+# on; past its budget it raises WorkBudgetError (``_over_budget``).  A row
+# pass costs about c0 (1 + shift / 256), c0 = 0.15 us, a fit within 10% of
+# passes timed at shifts 40, 160, 4128 and 16,416 (0.16, 0.24, 2.6 and 9.9
+# us, Python 3.11); a division of the table costs no more at its shift,
+# and a factor of the product about what ``_factor_bits`` charges or less.  The
+# rows and the product have _MAX_WORK: 2^20 passes at 128 bits (shift
+# 160), about 0.25 s at any precision.  With one row, the n nearest 1 it
+# admits is 73681/73680 at 8 bits, 13105/13104 at 128, 47/46 at 4096 and
+# 3/2 at 16,384; at n = 3 and 128 bits it admits 30,000 rows and refuses
+# 40,000
+_PASS_BITS = 256
+_MAX_WORK = (_PASS_BITS + 160) << 20
+# lambda_direct_table's budget, about 1 s: its pass over 10^6 terms to m = 3
+# at 128 bits, which the acceptance criteria run, takes 0.46 s
+_MAX_TABLE_WORK = 4 * _MAX_WORK
+
+
+def _over_budget(passes: int, bits: int, budget: int, what: str,
+                 advice: str) -> WorkBudgetError:
+    """The refusal of `passes` charged _PASS_BITS + `bits` each, past `budget`."""
+    return WorkBudgetError(
+        f"{what} may take up to 2^{passes.bit_length()} passes, each charged "
+        f"{_PASS_BITS} + {bits} bits, over the budget of {budget >> 20} * 2^20 "
+        f"bits; {advice}")
 
 
 def _working_bits(precision_bits: int, err: Fraction) -> int:
@@ -222,6 +238,24 @@ def lambda_direct(m: int, num_terms: int, precision_bits: int) -> LambdaEstimate
     return lambda_direct_table(m, num_terms, precision_bits)[-1]
 
 
+def _table_passes(m_max: int, num_terms: int, shift: int) -> int:
+    """Upper bound on the floor divisions of ``lambda_direct_table``'s pass.
+
+    The odd d is divided at level m only if its quotient at level m - 1,
+    floor(2^shift / d^(2m-2)), is not 0, and at most m_max times.  For d
+    of b >= 2 bits, d^(2m-2) >= 2^(2(m-1)(b-1)), so that quotient is 0
+    once 2(m-1)(b-1) > shift: at most shift // (2(b-1)) + 1 divisions.  d =
+    1 takes m_max.  The odd d of b bits are counted by the ends of their
+    range, so the bound costs one step per bit of the last d.
+    """
+    passes = m_max
+    top = 2 * num_terms - 1  # the last d
+    for b in range(2, top.bit_length() + 1):
+        count = (min(1 << b, top + 1) - (1 << (b - 1))) // 2  # odd d of b bits
+        passes += count * min(m_max, shift // (2 * (b - 1)) + 1)
+    return passes
+
+
 def lambda_direct_table(m_max: int, num_terms: int,
                         precision_bits: int) -> list[LambdaEstimate]:
     """The first num_terms terms of lambda(2m), m = 1..m_max, in one pass over k.
@@ -244,8 +278,9 @@ def lambda_direct_table(m_max: int, num_terms: int,
     zeros at m and above in it and in every later chunk, so those levels
     stop for good: only zero terms are dropped.  One chunk of quotients is
     held at a time, never a list of num_terms of them.  An m_max past the
-    table cap (``check_table_size``) raises WorkBudgetError before any
-    work.
+    table cap (``check_table_size``), or divisions (``_table_passes``) that
+    could cost more than _MAX_TABLE_WORK, each charged _PASS_BITS + S, raise
+    WorkBudgetError before any work.
     """
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
@@ -253,7 +288,15 @@ def lambda_direct_table(m_max: int, num_terms: int,
         raise ValueError("num_terms must be at least 1")
     check_precision(precision_bits)
     check_table_size(m_max)
-    one = 1 << (precision_bits + _GUARD_BITS)
+    shift = precision_bits + _GUARD_BITS
+    passes = _table_passes(m_max, num_terms, shift)
+    if passes * (_PASS_BITS + shift) > _MAX_TABLE_WORK:
+        raise _over_budget(passes, shift, _MAX_TABLE_WORK,
+                           "--m-max or --order, --num-terms or --rows, and "
+                           "--precision ask too much of the direct sums: their "
+                           "divisions", "take a lower --m-max or --order, fewer "
+                           "--num-terms or --rows, or a lower --precision")
+    one = 1 << shift
     totals = [0] * m_max
     live = m_max  # levels 0..live-1, m = level + 1, may still have terms
     end = 2 * num_terms  # past the last d
@@ -265,7 +308,7 @@ def lambda_direct_table(m_max: int, num_terms: int,
             if not q[0]:
                 live = level
                 break
-            if not q[-1]:
+            if not q[-1]:  # else each level above divides the zeros again
                 del q[q.index(0):]
             totals[level] += sum(q)
         if not live:
@@ -337,6 +380,20 @@ def product_trace(n: _RationalLike, num_factors: int,
     return _partial_products(n, marks, precision_bits)
 
 
+def _factor_bits(n: Fraction, num_factors: int, shift: int) -> int:
+    """The bits ``_partial_products`` charges a factor, beside _PASS_BITS.
+
+    w (shift + 4w) / 128 for a = (2k-1) pn of w bits at the last factor:
+    a factor's share of its block's exact products, which grow as w^2, and
+    of the block's floor of the running value, of shift bits, by them.  The
+    charge was 0.9 to 1.5 times the time taken (Python 3.11) at 128 and
+    4096 bits for numerators up to 333 bits, and 2 to 4 times for
+    numerators of 3,300 to 16,600 bits, where Karatsuba's products gain.
+    """
+    width = 2 * ((2 * num_factors - 1) * n.numerator).bit_length()
+    return width * (shift + 4 * width) // 128
+
+
 def _partial_products(n: Fraction, marks: list[int],
                       precision_bits: int) -> list[PartialProductResult]:
     """The partial products at each of the increasing marks, for n > 1.
@@ -352,9 +409,17 @@ def _partial_products(n: Fraction, marks: list[int],
     errors never amplify), and every block holds at least one factor, so
     after k factors it is at most k ulps low.  At each mark it is floored
     to precision_bits with that count as its error, so the count is sound
-    at any precision and however the marks group the blocks.
+    at any precision and however the marks group the blocks.  Factors
+    that could cost more than _MAX_WORK, each charged _PASS_BITS +
+    ``_factor_bits``, raise WorkBudgetError before any work.
     """
     shift = precision_bits + _GUARD_BITS
+    bits = _factor_bits(n, marks[-1], shift)
+    if marks[-1] * (_PASS_BITS + bits) > _MAX_WORK:
+        raise _over_budget(marks[-1], bits, _MAX_WORK,
+                           "--n, --num-factors and --precision ask too much of "
+                           "the product: its factors", "take fewer --num-factors, "
+                           "a lower --precision or an --n of fewer digits")
     pn2, qn2 = n.numerator ** 2, n.denominator ** 2
     acc = 1 << shift
     results = []
@@ -539,7 +604,8 @@ def _versine_series(x: Fraction, halvings: int, frac_bits: int,
     """
     # U = floor(x^2 2^(F - 2h)).  Floors by positive integers nest, so the
     # power of two in x's denominator is a shift, and only its odd part,
-    # 1 for the dyadic x of a ball, is divided by
+    # 1 for the dyadic x of a ball, is divided by: no division by a square
+    # of about 2F bits
     den = x.denominator
     zeros = (den & -den).bit_length() - 1
     shift = frac_bits - 2 * halvings - 2 * zeros
@@ -701,6 +767,26 @@ def _row_passes(a: Fraction, shift: int) -> int:
     return shift * (p2 // (p2 - q2) + 1) + 1
 
 
+def _power_sum(coeffs: list[Fraction], r: Fraction) -> Ratio:
+    """sum_m c_m r^m, m = 1..M, exactly, with no gcd of a power of r.
+
+    Over D, the least common denominator of the c_m (the lcm of their odd
+    parts times their largest power of two), and r = p/q, the sum is
+    A / (D q^M), A = sum_m (c_m D) p^m q^(M-m), which Horner's rule builds
+    with one multiplication by q a term.  A sum of Fractions would take a
+    gcd of about m bitlen(q) bits at the m-th term.
+    """
+    twos = max(c.denominator & -c.denominator for c in coeffs)
+    den = twos * lcm(*(c.denominator // (c.denominator & -c.denominator)
+                       for c in coeffs))
+    p, q = r.numerator, r.denominator
+    total, power = 0, 1
+    for c in coeffs:
+        power *= p
+        total = total * q + c.numerator * (den // c.denominator) * power
+    return Ratio(total, den * q ** len(coeffs))
+
+
 def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
                         precision_bits: int) -> RearrangementReport:
     """Sum the double array 1/(j ((2k-1)^2 n^2)^j) both ways, with bounds.
@@ -711,8 +797,8 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     of num_rows terms for all series_order columns, with their tails, plus
     a geometric bound over the omitted columns).  Both intervals must
     contain -log of the true product, so they must overlap.  Rows whose
-    loops could cost more than _MAX_ROW_WORK at this precision (passes
-    times _ROW_PASS_BITS + shift) raise WorkBudgetError before any work,
+    loops could cost more than _MAX_WORK at this precision (passes
+    times _PASS_BITS + shift) raise WorkBudgetError before any work,
     as does a series_order past the table cap, by the table's check.  Row 1
     is charged ``_row_passes`` at n and every later row, as x_k >= (3n)^2,
     ``_row_passes`` at 3n.
@@ -726,13 +812,11 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
 
     shift = precision_bits + _GUARD_BITS
     steps = _row_passes(n, shift) + (num_rows - 1) * _row_passes(3 * n, shift)
-    if steps * (_ROW_PASS_BITS + shift) > _MAX_ROW_WORK:
-        raise WorkBudgetError(
-            f"--n, --rows and --precision ask too much of the row order: its "
-            f"rows may take up to 2^{steps.bit_length()} passes, each charged "
-            f"{_ROW_PASS_BITS} + {shift} bits, over the budget of "
-            f"{_MAX_ROW_WORK >> 20} * 2^20 bits; take --n farther from 1, "
-            f"fewer --rows or a lower --precision")
+    if steps * (_PASS_BITS + shift) > _MAX_WORK:
+        raise _over_budget(steps, shift, _MAX_WORK,
+                           "--n, --rows and --precision ask too much of the row "
+                           "order: its rows", "take --n farther from 1, fewer "
+                           "--rows or a lower --precision")
     # the columns' estimates, first, so that the table's cap comes before
     # any work
     columns = lambda_direct_table(series_order, num_rows, precision_bits + 16)
@@ -763,15 +847,16 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
         Fraction((err_ulps << 16) + tail_units, one << 16) + rows_tail)
 
     # --- column order: m-th column is lambda(2m) / (m n^2m) -------------
-    # the columns' values and bounds (rounding plus tail), each weighted by
-    # qn^2m / (m pn^2m), summed exactly and rounded once
-    col = col_err = Fraction(0)
-    for m, est in enumerate(columns, start=1):
-        weight = Fraction(qn2 ** m, m * pn ** (2 * m))
-        col += est.value.value * weight
-        col_err += (est.value.abs_error + est.tail_bound) * weight
-    col_tail = _coefficient_tail(Fraction(qn2, pn * pn), series_order)
-    col_sum = real_from_rational(col, precision_bits, col_err + col_tail)
+    # the columns' values and bounds (rounding plus tail), each over m,
+    # summed exactly in powers of 1/n^2 and rounded once
+    r = Fraction(qn2, pn * pn)
+    col = _power_sum([est.value.value / m for m, est in enumerate(columns, start=1)], r)
+    err = _power_sum([(est.value.abs_error + est.tail_bound) / m
+                      for m, est in enumerate(columns, start=1)], r)
+    tail = _coefficient_tail(r, series_order)
+    col_sum = real_from_rational(col, precision_bits, Ratio(
+        err.numerator * tail.denominator + tail.numerator * err.denominator,
+        err.denominator * tail.denominator))
 
     return RearrangementReport(
         row_sum=row_sum,

@@ -149,19 +149,21 @@ def _fraction(t: _Triple) -> Fraction:
 def _end(v: _Triple, e: _Triple) -> Fraction:
     """v + e in lowest terms: a dyadic sum with no gcd, any other by Fraction's division."""
     n, x, d = _add(v, e)
+    # a dyadic end in lowest terms by its zeros: a gcd of 4096 bits costs more
     end = _fraction(_canon(n, x))
     return end if d == 1 else end / d
 
 
 def _add(a: _Triple, b: _Triple) -> _Triple:
+    """a + b over the common denominator d1 d2, not canonical.
+
+    n may be even, or 0 with x != 0.  No stored triple is read from a sum
+    before a rounding: ``_round`` reads it through ``_round_sig`` and
+    ``_floor_log2``, ``overlaps`` by its sign and ``_end`` through
+    ``_canon``, so equal balls still have equal triples.
+    """
     (n1, x1, d1), (n2, x2, d2) = a, b
-    if not n1:
-        return b
-    if not n2:
-        return a
     x = min(x1, x2)
-    if d1 == d2:
-        return (n1 << (x1 - x)) + (n2 << (x2 - x)), x, d1
     return (n1 * d2 << (x1 - x)) + (n2 * d1 << (x2 - x)), x, d1 * d2
 
 
@@ -200,14 +202,8 @@ def _round_sig(t: _Triple, bits: int, floor: bool = False) -> tuple[_Triple, _Tr
         return _ZERO, _ZERO
     q = _floor_log2(t) - bits + 1
     s = x - q  # t / 2**q = n * 2**s / d
-    if d == 1:
-        if s >= 0:
-            return _canon(n << s, q), _ZERO
-        den = 1 << -s
-        m, rem = n >> -s, n & (den - 1)
-    else:
-        num, den = (n << s, d) if s >= 0 else (n, d << -s)
-        m, rem = divmod(num, den)
+    num, den = (n << s, d) if s >= 0 else (n, d << -s)
+    m, rem = divmod(num, den)
     if not rem:
         return _canon(m, q), _ZERO
     if not floor and (2 * rem > den or (2 * rem == den and m & 1)):

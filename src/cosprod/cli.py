@@ -2,8 +2,9 @@
 
 Subcommands: coeffs, lambda, product, verify, rearrange.  Common flags:
 --precision <bits>, --format <table|csv|json>, --out <path>.  Exit codes:
-0 success/PASS, 1 verification FAIL, 2 usage error (order or precision
-too low to decide, and work over a budget, included), 3 domain error.
+0 success/PASS, 1 verification FAIL, 2 usage error (a precision past
+MAX_PRECISION_BITS, order or precision too low to decide, and work over a
+budget, included), 3 domain error.
 The parameter n is parsed exactly, as an integer or p/q; decimal input is
 rejected so nothing is silently rounded at the API boundary.
 """
@@ -68,14 +69,27 @@ def _rational(text: str) -> Fraction:
             f"{text!r} has a zero denominator") from None
 
 
-def _at_least(floor: int, message: str) -> Callable[[str], int]:
-    """An argparse type: an integer, refused with `message` below `floor`."""
+# the largest --precision.  At 2^15 bits the slowest table, coeffs --m-max
+# 500, takes 1.4 s in a fresh process (2.4 s warm at 2^16, in its closed
+# forms), and verify --n 3 --num-factors 10 --order 5 0.4 s; 20,000 bits,
+# the most any test, golden or benchmark asks for, is admitted.  The
+# library takes any precision
+MAX_PRECISION_BITS = 1 << 15
+
+
+def _integer(name: str, floor: int, cap: Optional[int] = None,
+             unit: str = "") -> Callable[[str], int]:
+    """An argparse type: an integer from `floor` to `cap`, refused past either."""
     def read(text: str) -> int:
         try:
             if _INTEGER_RE.fullmatch(text):
                 value = int(text)
                 if value < floor:
-                    raise argparse.ArgumentTypeError(message)
+                    raise argparse.ArgumentTypeError(
+                        f"{name} must be at least {floor}{unit}")
+                if cap is not None and value > cap:
+                    raise argparse.ArgumentTypeError(
+                        f"{name} must be at most {cap}{unit}")
                 return value
         except ValueError:  # past the int-to-str digit limit
             pass
@@ -83,9 +97,8 @@ def _at_least(floor: int, message: str) -> Callable[[str], int]:
     return read
 
 
-_positive = _at_least(1, "value must be at least 1")
-_precision = _at_least(MIN_PRECISION_BITS,
-                       f"precision must be at least {MIN_PRECISION_BITS} bits")
+_positive = _integer("value", 1)
+_precision = _integer("precision", MIN_PRECISION_BITS, MAX_PRECISION_BITS, " bits")
 
 
 @functools.cache

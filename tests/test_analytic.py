@@ -7,14 +7,16 @@ import pytest
 
 from cosprod import analytic, cli, recurrence
 from cosprod.analytic import (
-    _MAX_ROW_WORK,
-    _ROW_PASS_BITS,
+    _MAX_WORK,
+    _PASS_BITS,
     DomainError,
     _coefficient_powers,
     _coefficient_tail,
+    _factor_bits,
     _partial_products,
     _product_log_tail,
     _row_passes,
+    _table_passes,
     _versine_doubled,
     _versine_series,
     _versine_terms,
@@ -229,6 +231,94 @@ class TestTableCap:
                      lambda: verify_identity(3, 10, huge, 64),
                      lambda: lambda_closed_form(huge)):
             with pytest.raises(WorkBudgetError, match=f"^a table to m = {huge} "):
+                call()
+
+
+class TestWorkBudget:
+    @staticmethod
+    def table_charge(m_max, terms, bits):
+        shift = bits + analytic._GUARD_BITS
+        return _table_passes(m_max, terms, shift) * (_PASS_BITS + shift)
+
+    @staticmethod
+    def product_charge(n, factors, bits):
+        shift = bits + analytic._GUARD_BITS
+        return factors * (_PASS_BITS + _factor_bits(F(n), factors, shift))
+
+    def test_each_estimate_is_at_least_its_count(self, monkeypatch):
+        # the table's floor divisions, counted through its floordiv, and the
+        # product's factors, counted through its range, against the passes
+        # charged before the work; the estimates themselves are not capped
+        rng = random.Random(3434)
+        monkeypatch.setattr(analytic, "_MAX_TABLE_WORK", 1 << 80)
+        monkeypatch.setattr(analytic, "_MAX_WORK", 1 << 80)
+        count = [0]
+
+        def counted_floordiv(a, b):
+            count[0] += 1
+            return a // b
+
+        def counted_range(*args):
+            r = range(*args)
+            count[0] += len(r)
+            return r
+
+        for _ in range(30):
+            m_max = rng.choice((1, 2, rng.randint(3, 60), rng.randint(60, 300)))
+            terms = rng.choice((1, 2, rng.randint(3, 600), rng.randint(600, 5000)))
+            bits = rng.choice((8, 16, 64, 128, 512))
+            count[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, "floordiv", counted_floordiv)
+                lambda_direct_table(m_max, terms, bits)
+            assert _table_passes(m_max, terms, bits + analytic._GUARD_BITS) >= count[0]
+        for _ in range(30):
+            q = rng.randint(1, 1000)
+            n = F(rng.randint(q + 1, 10 * q), q)
+            factors = rng.choice((1, 2, 16, 17, rng.randint(3, 5000)))
+            count[0] = 0
+            with monkeypatch.context() as patch:
+                patch.setattr(analytic, "range", counted_range, raising=False)
+                _partial_products(n, [factors], rng.choice((8, 64, 512)))
+            # the charged width holds a^2 at every factor
+            top = ((2 * factors - 1) * n.numerator) ** 2
+            assert count[0] == factors
+            assert 2 * ((2 * factors - 1) * n.numerator).bit_length() >= top.bit_length()
+
+    def test_the_table_budget_admits_its_limit_and_refuses_past_it(self, monkeypatch):
+        charge = self.table_charge(5, 300, 64)
+        monkeypatch.setattr(analytic, "_MAX_TABLE_WORK", charge)
+        assert len(lambda_direct_table(5, 300, 64)) == 5
+        monkeypatch.setattr(analytic, "_MAX_TABLE_WORK", charge - 1)
+        with pytest.raises(WorkBudgetError, match="^--m-max or --order, --num-terms"):
+            lambda_direct_table(5, 300, 64)
+
+    def test_the_product_budget_admits_its_limit_and_refuses_past_it(self, monkeypatch):
+        charge = self.product_charge(F(7, 3), 100, 64)
+        monkeypatch.setattr(analytic, "_MAX_WORK", charge)
+        assert product_trace(F(7, 3), 100, 64)[-1].num_factors == 100
+        monkeypatch.setattr(analytic, "_MAX_WORK", charge - 1)
+        with pytest.raises(WorkBudgetError, match="^--n, --num-factors and --precision"):
+            product_trace(F(7, 3), 100, 64)
+
+    def test_every_size_in_use_is_admitted(self):
+        # README's commands and library call, the acceptance criteria's
+        # largest table, the benchmark's 4096-bit verify and the sweep's
+        # longest product, each within its budget
+        for m_max, terms, bits in ((10, 10**5, 128), (1, 10**6, 128), (3, 10**6, 128),
+                                   (60, 10**4, 300), (20, 1000, 528)):
+            assert self.table_charge(m_max, terms, bits) <= analytic._MAX_TABLE_WORK
+        for n, factors, bits in ((3, 10**5, 128), (F(11, 10), 1000, 4096),
+                                 (10**16, 1000, 1024), (3, 1000, 4096)):
+            assert self.product_charge(n, factors, bits) <= analytic._MAX_WORK
+
+    def test_terms_and_factors_of_twenty_digits_are_refused(self):
+        huge = 10**20
+        with pytest.raises(WorkBudgetError, match="fewer --num-terms or --rows"):
+            lambda_direct_table(1, huge, 128)
+        for call in (lambda: product_trace(3, huge, 128),
+                     lambda: verify_identity(3, huge, 30, 128)):
+            with pytest.raises(WorkBudgetError, match="take fewer --num-factors"):
                 call()
 
 
@@ -976,20 +1066,20 @@ class TestRearrangement:
                 counts = [passes((2 * k - 1) * n, shift) for k in range(1, rows + 1)]
                 assert first >= counts[0]
                 assert all(later >= count for count in counts[1:])
-                assert self.row_work(n, rows, shift) >= sum(counts) * (_ROW_PASS_BITS + shift)
+                assert self.row_work(n, rows, shift) >= sum(counts) * (_PASS_BITS + shift)
 
     @staticmethod
     def row_work(n, rows, shift):
         # the charge of rearrangement_check: row 1 at n, every later row at 3n
         steps = _row_passes(n, shift) + (rows - 1) * _row_passes(3 * n, shift)
-        return steps * (_ROW_PASS_BITS + shift)
+        return steps * (_PASS_BITS + shift)
 
     def test_every_row_is_charged(self):
         # at 128 bits n = 3 is admitted with 30,000 rows and refused with
         # 40,000; so is 7/3 with 1,000 rows at 20,000 bits, which ran 6 s
         # while the budget charged row 1 alone
-        assert self.row_work(F(3), 30000, 160) <= _MAX_ROW_WORK
-        assert self.row_work(F(3), 40000, 160) > _MAX_ROW_WORK
+        assert self.row_work(F(3), 30000, 160) <= _MAX_WORK
+        assert self.row_work(F(3), 40000, 160) > _MAX_WORK
         with pytest.raises(WorkBudgetError, match="--rows"):
             rearrangement_check(3, 40000, 1, 128)
         with pytest.raises(WorkBudgetError, match="--rows"):
@@ -1016,11 +1106,11 @@ class TestRearrangement:
             assert (rep.row_sum.value, rep.row_sum.abs_error) == (want.value, want.abs_error)
 
     def test_n_near_one_over_the_row_budget_is_refused(self):
-        # each pass is charged _ROW_PASS_BITS + shift: allowed at 128 bits,
+        # each pass is charged _PASS_BITS + shift: allowed at 128 bits,
         # over the budget at 4096
         n = F(1001, 1000)
-        assert self.row_work(n, 1, 160) <= _MAX_ROW_WORK
-        assert self.row_work(n, 1, 4128) > _MAX_ROW_WORK
+        assert self.row_work(n, 1, 160) <= _MAX_WORK
+        assert self.row_work(n, 1, 4128) > _MAX_WORK
         with pytest.raises(WorkBudgetError, match="--n"):
             rearrangement_check(n, 1, 1, 4096)
         assert issubclass(WorkBudgetError, PrecisionError)
@@ -1029,7 +1119,7 @@ class TestRearrangement:
         # for n^2 >= 4 the estimate is shift // floor(log2 n^2) + 1, not the
         # drift bound, which would refuse every n at this precision
         shift = 16384 + 32
-        assert self.row_work(F(2), 1, shift) <= _MAX_ROW_WORK
+        assert self.row_work(F(2), 1, shift) <= _MAX_WORK
         assert rearrangement_check(2, 1, 1, 16384).overlap
 
     def test_the_row_budget_admits_three_halves_at_16384_bits(self):
@@ -1037,9 +1127,9 @@ class TestRearrangement:
         # (one took about 60 times as long): n = 3/2 is admitted at 16,384
         # bits, 123/122 is not, and at 8 bits 100000001/100000000 is not
         shift = 16384 + 32
-        assert self.row_work(F(3, 2), 1, shift) <= _MAX_ROW_WORK
-        assert self.row_work(F(123, 122), 1, shift) > _MAX_ROW_WORK
-        assert self.row_work(F(100000001, 100000000), 1, 40) > _MAX_ROW_WORK
+        assert self.row_work(F(3, 2), 1, shift) <= _MAX_WORK
+        assert self.row_work(F(123, 122), 1, shift) > _MAX_WORK
+        assert self.row_work(F(100000001, 100000000), 1, 40) > _MAX_WORK
         assert rearrangement_check(F(3, 2), 1, 1, 16384).overlap
 
 

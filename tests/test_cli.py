@@ -508,6 +508,61 @@ class TestTableCap:
         assert elapsed < 1
 
 
+def run_at_once(argv):
+    """argv through ``python -m cosprod`` in a subprocess with a timeout, so
+    that a hang fails the test instead of stalling it: (exit, out, err, s)."""
+    src = Path(cli.__file__).parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosprod", *argv.split()],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+class TestWorkBudget:
+    @pytest.mark.parametrize("argv, prefix", [
+        ("lambda --m-max 1 --num-terms 100000000000000000000",
+         "--m-max or --order, --num-terms or --rows, and --precision ask too much "
+         "of the direct sums"),
+        ("product --n 3 --num-factors 100000000000000000000",
+         "--n, --num-factors and --precision ask too much of the product"),
+        ("verify --n 3 --num-factors 100000000000000000000",
+         "--n, --num-factors and --precision ask too much of the product"),
+    ])
+    def test_terms_and_factors_past_the_budget_are_refused_at_once(self, argv, prefix):
+        # each ran past a 10 s timeout before the budget
+        code, out, err, seconds = run_at_once(argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith(f"work over budget: {prefix}")
+        assert seconds < 1
+
+
+class TestPrecisionCap:
+    @pytest.mark.parametrize("argv", [
+        "coeffs --m-max 3 --precision 3000000",
+        "verify --n 3 --num-factors 10 --order 5 --precision 1000000",
+        "product --n 3 --num-factors 10 --precision 3000000",
+    ])
+    def test_a_precision_past_the_cap_is_refused_at_once(self, argv):
+        # each ran past a 15 s timeout before the cap
+        code, out, err, seconds = run_at_once(argv)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert (f"argument --precision: precision must be at most "
+                f"{cli.MAX_PRECISION_BITS} bits\n") in err
+        assert seconds < 1
+
+    def test_the_cap_is_admitted_and_one_more_refused(self, capsys):
+        parser = cli.build_parser()
+        cap = cli.MAX_PRECISION_BITS
+        assert cap >= 20000  # the largest precision in use
+        assert parser.parse_args(["coeffs", "--precision", str(cap)]).precision == cap
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["coeffs", "--precision", str(cap + 1)])
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"precision must be at most {cap} bits" in capsys.readouterr().err
+
+
 class TestNumericFlags:
     """Every numeric flag reads an optional sign and ASCII digits, and --n
     also /digits: nothing int() or \\d reads beyond that."""

@@ -70,6 +70,10 @@ ROW_ORDER = f"{ROWS}::test_row_order_matches_its_reference"
 VERIFY_PRODUCT = ("    bits = min(precision_bits,\n"
             "               _working_bits(precision_bits, _product_log_tail(n, num_factors)))\n"
             "    detail = _partial_products(n, [num_factors], bits)[0]\n")
+BUDGET = "tests/test_analytic.py::TestWorkBudget"
+TABLE_LIMIT = f"{BUDGET}::test_the_table_budget_admits_its_limit_and_refuses_past_it"
+PRODUCT_LIMIT = f"{BUDGET}::test_the_product_budget_admits_its_limit_and_refuses_past_it"
+PRECISION_CAP = "tests/test_cli.py::TestPrecisionCap::test_the_cap_is_admitted_and_one_more_refused"
 RECURRENCE = "src/cosprod/recurrence.py"
 TABLE_CAP = "tests/test_analytic.py::TestTableCap::test_the_tables_admit_the_cap_and_refuse_one_more"
 TANGENT = ("tests/test_recurrence.py::TestCoefficientTable::test_hand_evaluated_first_four",
@@ -135,11 +139,9 @@ MUTANTS = (
            ("tests/test_analytic.py::TestExpLog::test_tightened_rows_lie_inside_the_old_ones",
             "tests/test_analytic.py::TestWorkingPrecision"
             "::test_series_and_exp_on_the_verify_route")),
-    # lambda_direct_table's one pass over k, in chunks of odd d.  Dropping
-    # the cut at a level's first zero (del q[q.index(0):]) is not listed,
-    # as no test can see it: the quotients it drops are zeros, which add
-    # nothing and divide to zeros at every level above; it saves only the
-    # divisions
+    # lambda_direct_table's one pass over k, in chunks of odd d.  The cut at
+    # a level's first zero drops only zeros, so no total can see it; the
+    # count of divisions does, against the budget's estimate
     Mutant("lambda chunk one odd short", ANALYTIC,
            "range(start, min(start + 2 * _LAMBDA_CHUNK, end), 2)",
            "range(start, min(start + 2 * _LAMBDA_CHUNK - 2, end), 2)",
@@ -152,6 +154,11 @@ MUTANTS = (
            "                live = level\n",
            "                live = 0\n",
            (TABLE,)),
+    Mutant("lambda level cut dropped", ANALYTIC,
+           "            if not q[-1]:  # else each level above divides the zeros again\n"
+           "                del q[q.index(0):]\n",
+           "",
+           (f"{BUDGET}::test_each_estimate_is_at_least_its_count",)),
     Mutant("lambda level cut one before its first zero", ANALYTIC,
            "del q[q.index(0):]",
            "del q[q.index(0) - 1:]",
@@ -379,6 +386,55 @@ MUTANTS = (
            "return self.__mul__(1 / Fraction(other))",
            "return self.__mul__(Fraction(other))",
            ("tests/test_arith.py::TestRoundingOracle::test_random_operation_chains",)),
+    # the triple layer's one path per operation
+    Mutant("sum without its cross factor", "src/cosprod/arith.py",
+           "(n1 * d2 << (x1 - x))",
+           "(n1 << (x1 - x))",
+           ("tests/test_arith.py::TestRoundingOracle::test_overlaps_against_the_interval_ends",
+            "tests/test_arith.py::TestRoundingOracle::test_random_operation_chains")),
+    Mutant("quantizer dividing by the odd part alone", "src/cosprod/arith.py",
+           "num, den = (n << s, d) if s >= 0 else (n, d << -s)",
+           "num, den = (n << s, d) if s >= 0 else (n, d)",
+           ("tests/test_arith.py::TestRoundingOracle::test_random_real_from_rational",)),
+    # the work budgets and the precision cap at their limits, and the
+    # table's estimate
+    Mutant("table budget refusing its limit", ANALYTIC,
+           "if passes * (_PASS_BITS + shift) > _MAX_TABLE_WORK:",
+           "if passes * (_PASS_BITS + shift) >= _MAX_TABLE_WORK:",
+           (TABLE_LIMIT,)),
+    Mutant("table budget admitting one more", ANALYTIC,
+           "if passes * (_PASS_BITS + shift) > _MAX_TABLE_WORK:",
+           "if passes * (_PASS_BITS + shift) > _MAX_TABLE_WORK + 1:",
+           (TABLE_LIMIT,)),
+    Mutant("table estimate one division short", ANALYTIC,
+           "min(m_max, shift // (2 * (b - 1)) + 1)",
+           "min(m_max, shift // (2 * (b - 1)))",
+           (f"{BUDGET}::test_each_estimate_is_at_least_its_count",)),
+    Mutant("product budget refusing its limit", ANALYTIC,
+           "if marks[-1] * (_PASS_BITS + bits) > _MAX_WORK:",
+           "if marks[-1] * (_PASS_BITS + bits) >= _MAX_WORK:",
+           (PRODUCT_LIMIT,)),
+    Mutant("product budget admitting one more", ANALYTIC,
+           "if marks[-1] * (_PASS_BITS + bits) > _MAX_WORK:",
+           "if marks[-1] * (_PASS_BITS + bits) > _MAX_WORK + 1:",
+           (PRODUCT_LIMIT,)),
+    Mutant("precision cap refusing the cap", "src/cosprod/cli.py",
+           "if cap is not None and value > cap:",
+           "if cap is not None and value >= cap:",
+           (PRECISION_CAP,)),
+    Mutant("precision cap admitting one more", "src/cosprod/cli.py",
+           "if cap is not None and value > cap:",
+           "if cap is not None and value > cap + 1:",
+           (PRECISION_CAP,)),
+    # the column order's one denominator
+    Mutant("column sum without its Horner step", ANALYTIC,
+           "total = total * q + c.numerator",
+           "total = total + c.numerator",
+           (f"{ROWS}::test_column_bound_carries_every_column_rounding",)),
+    Mutant("column sum over the odd parts alone", ANALYTIC,
+           "den = twos * lcm(",
+           "den = lcm(",
+           (f"{ROWS}::test_column_bound_carries_every_column_rounding",)),
 )
 
 
