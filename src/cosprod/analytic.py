@@ -34,11 +34,6 @@ built from its scaled integer or exact rational by
 :func:`~cosprod.arith.real_from_rational`, which rounds it to the requested
 precision and adds the carried error to the rounding cap, so the
 :class:`~cosprod.arith.BoundedReal` intervals are sound by construction.
-Two ball operators are reached, each in one place: ``cos_half_pi_over``
-scales pi's ball to pi/2n with ``BoundedReal.__mul__``, for
-``verify_identity`` and the CLI's product, and ``verify_identity`` negates
-the series for exp with ``BoundedReal.__neg__``.  No other route reaches
-one; the series scales pi's two ends to pi/2n itself, each rounded outward.
 
 Precision follows accuracy: the product and series routes need only as
 many bits as their truncation tails leave, and exp only as many as its
@@ -704,13 +699,16 @@ def cos_half_pi_over(n: _RationalLike, precision_bits: int) -> BoundedReal:
     """cos(pi/2n), the product's limit, for a rational n > 0; exactly 0 at n = 1.
 
     Otherwise it is ``cos_approx`` at pi_constant(precision_bits + 16)
-    times qn / (2 pn), n = pn/qn: the one place where pi's ball is scaled
-    to pi/2n (the series scales pi's two ends on integers).
+    times s = qn / (2 pn), n = pn/qn: pi's value times s, rounded at pi's
+    precision, with pi's error times s carried (the series scales pi's two
+    ends on integers).
     """
     n = Fraction(n)
     if n == 1:
         return BoundedReal(0, 0, precision_bits)
-    x = pi_constant(precision_bits + 16) * Fraction(n.denominator, 2 * n.numerator)
+    pi = pi_constant(precision_bits + 16)
+    scale = Fraction(n.denominator, 2 * n.numerator)
+    x = real_from_rational(pi.value * scale, pi.precision_bits, pi.abs_error * scale)
     return cos_approx(x, precision_bits)
 
 
@@ -904,7 +902,8 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
         raise ValueError("num_factors must be at least 1")
     # the series route first: its refusals come before the product's work
     neg_log = neg_log_product_series(n, order, precision_bits + 8)
-    log_series = exp_approx(-neg_log, precision_bits)
+    log_series = exp_approx(BoundedReal(-neg_log.value, neg_log.abs_error,
+                                        neg_log.precision_bits), precision_bits)
     bits = min(precision_bits,
                _working_bits(precision_bits, _product_log_tail(n, num_factors)))
     detail = _partial_products(n, [num_factors], bits)[0]

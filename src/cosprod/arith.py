@@ -3,34 +3,31 @@
 Two value types back everything else in this package: stdlib
 ``fractions.Fraction`` for anything that can stay exact (coefficient
 tables, tail bounds), and ``BoundedReal``, a dyadic ball: a value with a
-rigorous absolute error bound.  Every operation propagates input bounds
+rigorous absolute error bound.  Every kernel propagates input bounds
 conservatively and accounts for its own rounding, so for any ``b`` produced
 here ``|b.value - truth| <= b.abs_error`` holds as a theorem.
 
 A ball holds its value and its error each as a canonical integer triple
 (n, x, d) for n * 2**x / d: d odd and positive, n odd or the triple
-(0, 0, 1).  The operators combine a ball with an exact int or Fraction
-only, never with another ball: they scale, shift, divide and negate it.
-Every rounded result (each operator but the exact negation, and
-:func:`real_from_rational`) is dyadic: its value is m * 2**q with
-|m| < 2**precision_bits, and its error is an 8-bit dyadic e * 2**r with
-e < 2**8.  A ball built from other rationals carries them exactly until
-an operation rounds.  The operators use integer multiplies, shifts and at
-most one divmod.  A ball is read one way: ``value``, ``abs_error``,
-``lower()`` and ``upper()`` are Fractions in lowest terms, built without
-a gcd, which at thousands of bits would cost more than the reads do.  A
-stored triple's n and d are coprime, so its Fraction is copied from the
-pair; an end v -+ e of a dyadic ball is dyadic, and stripping its
-trailing zeros puts it in lowest terms.  Only an end of a non-dyadic
-ball, which only the constructor makes, is reduced by Fraction itself.
-``Ratio`` is the rounding's input pair only: a numerator and denominator
-in whatever terms a kernel built them, which :func:`real_from_rational`
-takes as it takes a Fraction.  No binary floating point is used; the
-rounding happens in one place, :func:`real_from_rational` (``_round`` on
-triples), whose one quantizer ``_round_sig`` rounds the value and, as
--floor(-t), the error; division by a rational multiplies by its
-reciprocal.  Precision is caller-specified per operation, with no global
-precision state.
+(0, 0, 1).  A ball has no arithmetic: each kernel computes its exact
+rational and error, and :func:`real_from_rational` rounds them into a
+ball, whose value is dyadic, m * 2**q with |m| < 2**precision_bits, and
+whose error is an 8-bit dyadic e * 2**r with e < 2**8.  Only the
+constructor carries other rationals exactly.  A ball is read one way:
+``value``, ``abs_error``, ``lower()`` and ``upper()`` are Fractions in
+lowest terms, built without a gcd, which at thousands of bits would cost
+more than the reads do.  A stored triple's n and d are coprime, so its
+Fraction is copied from the pair; an end v -+ e of a dyadic ball is
+dyadic, and stripping its trailing zeros puts it in lowest terms.  Only
+an end of a non-dyadic ball, which only the constructor makes, is
+reduced by Fraction itself.  ``Ratio`` is the rounding's input pair
+only: a numerator and denominator in whatever terms a kernel built them,
+which :func:`real_from_rational` takes as it takes a Fraction.  No binary
+floating point is used; the rounding happens in one place,
+:func:`real_from_rational` (``_round`` on triples), whose one quantizer
+``_round_sig`` rounds the value and, as -floor(-t), the error, with
+integer multiplies, shifts and one divmod.  Precision is caller-specified
+per call, with no global precision state.
 """
 
 from __future__ import annotations
@@ -167,10 +164,6 @@ def _add(a: _Triple, b: _Triple) -> _Triple:
     return (n1 * d2 << (x1 - x)) + (n2 * d1 << (x2 - x)), x, d1 * d2
 
 
-def _mul(a: _Triple, b: _Triple) -> _Triple:
-    return a[0] * b[0], a[1] + b[1], a[2] * b[2]
-
-
 def _abs(t: _Triple) -> _Triple:
     return abs(t[0]), t[1], t[2]
 
@@ -239,10 +232,9 @@ class BoundedReal:
     stands for.  Both are read out of canonical triples (module docstring),
     so equal balls have equal fields, and each read, the interval view's
     included, is a Fraction in lowest terms.  Instances are immutable and
-    hashable.  The constructor takes an int or a Fraction for each, as the
-    operators take one for the other operand; anything else, another ball
-    included, raises TypeError.  It refuses a precision below
-    MIN_PRECISION_BITS, as every rounding does.
+    hashable.  The constructor takes an int or a Fraction for each;
+    anything else, another ball included, raises TypeError.  It refuses a
+    precision below MIN_PRECISION_BITS, as every rounding does.
     """
 
     _v: _Triple
@@ -297,43 +289,10 @@ class BoundedReal:
         gap = _add(_add(self._e, other._e), _neg(_abs(_add(self._v, _neg(other._v)))))
         return gap[0] >= 0
 
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other: object) -> "BoundedReal":
-        if isinstance(other, (int, Fraction)):
-            return _round(_add(self._v, _triple(other)), self.precision_bits,
-                          self._e)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "BoundedReal":
-        return BoundedReal._make(_neg(self._v), self._e, self.precision_bits)
-
-    def __sub__(self, other: object) -> "BoundedReal":
-        if isinstance(other, (int, Fraction)):
-            return self.__add__(-other)
-        return NotImplemented
-
-    def __rsub__(self, other: object) -> "BoundedReal":
-        neg = self.__neg__()
-        return neg.__add__(other)
-
-    def __mul__(self, other: object) -> "BoundedReal":
-        if isinstance(other, (int, Fraction)):
-            r = _triple(other)
-            return _round(_mul(self._v, r), self.precision_bits,
-                          _mul(self._e, _abs(r)))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "BoundedReal":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of a BoundedReal by zero")
-            return self.__mul__(1 / Fraction(other))
-        return NotImplemented
+    # no arithmetic: every kernel rounds through real_from_rational.  The
+    # names stay bound only because bench/tracing.py wraps each by name
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = \
+        __truediv__ = __neg__ = None
 
     def __str__(self) -> str:
         return (f"{format_decimal(self.value, self.abs_error)} ± "

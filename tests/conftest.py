@@ -420,6 +420,17 @@ def _split(r) -> tuple[int, int, int]:
     return n, d >> k, k
 
 
+def scaled(ball: BoundedReal, r) -> BoundedReal:
+    """ball times an exact rational r: its value times r and its error times |r|,
+    rounded at the ball's precision by ``real_from_rational``.
+
+    The inputs the tests build at pi/2n and the like, as the cosine route
+    builds its own.
+    """
+    r = Fraction(r)
+    return real_from_rational(ball.value * r, ball.precision_bits, ball.abs_error * abs(r))
+
+
 def combine_reference(a, b, bits: int,
                       product: bool = False) -> tuple[Fraction, Fraction]:
     """a + b, or a * b with `product`, rounded to `bits` by ``round_reference``.
@@ -431,7 +442,7 @@ def combine_reference(a, b, bits: int,
     denominator, as a Fraction would reduce them by a gcd at each step; the
     powers of two in the denominators are kept as exponents and the
     numerators shifted to the largest, so that only odd parts multiply.
-    The package combines no two balls; this is the ball-by-ball rounding
+    A ball has no arithmetic of its own; this is the ball-by-ball rounding
     that the references above and a few tests step through.
     """
     (na, da, ka), (nb, db, kb) = _split(a[0]), _split(b[0])

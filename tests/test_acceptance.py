@@ -23,7 +23,7 @@ from cosprod.recurrence import (
     tangent_coefficients,
 )
 from cosprod.series import ode_residual, picard_fixed_point
-from conftest import contains, ln_bracket, sqrt_bracket
+from conftest import contains, ln_bracket, scaled, sqrt_bracket
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -87,7 +87,7 @@ def test_criterion_4_product_identity_at_desk_scale():
     within = True
     for n in (F(2), F(3), F(3, 2), F(10)):
         prod = product_trace(n, 10**5, 128)[-1]
-        x = pi_constant(144) * F(n.denominator, 2 * n.numerator)
+        x = scaled(pi_constant(144), F(n.denominator, 2 * n.numerator))
         cos = cos_approx(x, 128)
         gap = abs(prod.value.value - cos.value)
         within = within and gap <= prod.total_bound() + cos.abs_error
@@ -167,8 +167,8 @@ def test_criterion_7_bound_soundness_suite():
     for _ in range(25):
         q = F(rng.randint(1, 120), 100)
         bits = rng.choice([32, 48, 64, 96])
-        loose = cos_approx(pi_constant(bits + 16) * q, bits)
-        refined = cos_approx(pi_constant(4 * bits + 16) * q, 4 * bits)
+        loose = cos_approx(scaled(pi_constant(bits + 16), q), bits)
+        refined = cos_approx(scaled(pi_constant(4 * bits + 16), q), 4 * bits)
         if not contains(loose, refined.value):
             failures.append(("cos", q, bits))
         checked += 1

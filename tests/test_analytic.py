@@ -50,6 +50,7 @@ from conftest import (
     pi_bracket,
     product_log_tail_reference,
     row_order_reference,
+    scaled,
     sqrt_bracket,
 )
 from test_golden import README_COMMANDS
@@ -58,7 +59,7 @@ E_40 = F("2.7182818284590452353602874713526624977572")
 
 
 def pi_over(denom: int, bits: int = 192) -> BoundedReal:
-    return pi_constant(bits) * F(1, denom)
+    return scaled(pi_constant(bits), F(1, denom))
 
 
 def neg_log_cos_bracket(n: F, bits: int, width: F) -> tuple[F, F]:
@@ -70,8 +71,8 @@ def neg_log_cos_bracket(n: F, bits: int, width: F) -> tuple[F, F]:
     and ``ln_bracket``'s u is at most about 1/3; each ``ln_bracket`` gets the
     terms that leave its remainder below 2^-(P+2).
     """
-    cos = cos_full_precision(pi_constant(bits + 80) * F(n.denominator, 2 * n.numerator),
-                             bits + 64)
+    x = scaled(pi_constant(bits + 80), F(n.denominator, 2 * n.numerator))
+    cos = cos_full_precision(x, bits + 64)
     c_lo, c_hi = cos.lower(), cos.upper()
     assert c_lo > 0
     k = max(0, c_hi.denominator.bit_length() - c_hi.numerator.bit_length() - 1)
@@ -671,7 +672,7 @@ class TestCosApprox:
             zero = cos_half_pi_over(1, bits)
             assert (zero.value, zero.abs_error, zero.precision_bits) == (0, 0, bits)
             for n in (F(3), F(3, 2), F(11, 10), F(1000)):
-                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                x = scaled(pi_constant(bits + 16), F(n.denominator, 2 * n.numerator))
                 assert cos_half_pi_over(n, bits) == cos_approx(x, bits), (n, bits)
             lo, hi = sqrt_bracket(F(3, 4), bits + 64)
             res = cos_half_pi_over(3, bits)
@@ -706,7 +707,7 @@ class TestCosineHalving:
             ns.append(F(rng.randint(q + 1, 20 * q), q))
         for n in ns:
             for bits in self.BITS:
-                x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+                x = scaled(pi_constant(bits + 16), F(n.denominator, 2 * n.numerator))
                 res, ref = cos_approx(x, bits), cos_full_precision(x, bits)
                 assert res.overlaps(ref), (n, bits)
                 if n == F(3, 2):
@@ -792,7 +793,7 @@ class TestCosineHalving:
     def test_the_widest_fixed_point_against_square_roots(self):
         # 16,384 bits: h = 34 and F = 16,482
         for n, square in ((2, F(1, 2)), (3, F(3, 4))):
-            res = cos_approx(pi_constant(16400) * F(1, 2 * n), 16384)
+            res = cos_approx(scaled(pi_constant(16400), F(1, 2 * n)), 16384)
             lo, hi = sqrt_bracket(square, 16384 + 64)
             assert res.lower() <= lo and hi <= res.upper(), n
             assert res.abs_error < F(1, 2**16380), n
@@ -935,17 +936,18 @@ class TestWorkingPrecision:
         for n in self.verify_ns():
             for bits in self.BITS:
                 # pi/2n from the ball of pi whose ends the series reads at bits + 8
-                x = pi_constant(bits + 24) * F(n.denominator, 2 * n.numerator)
+                x = scaled(pi_constant(bits + 24), F(n.denominator, 2 * n.numerator))
                 for order in (5, 30, 40):
                     full = neg_log_series_full_precision(x, order, bits + 8)
                     self.assert_close(neg_log_product_series(n, order, bits + 8), full)
+                    y = BoundedReal(-full.value, full.abs_error, full.precision_bits)
                     try:
-                        full_exp = exp_full_precision(-full, bits)
+                        full_exp = exp_full_precision(y, bits)
                     except PrecisionError:
                         with pytest.raises(PrecisionError):
-                            exp_approx(-full, bits)
+                            exp_approx(y, bits)
                         continue
-                    self.assert_close(exp_approx(-full, bits), full_exp)
+                    self.assert_close(exp_approx(y, bits), full_exp)
 
     def test_exp_over_seeded_arguments_and_errors(self):
         rng = random.Random(2222)
@@ -968,7 +970,7 @@ class TestWorkingPrecision:
                 n = 1 + F(rng.randint(1, 2**20), 2**14)
             order = rng.choice((5, 30, 40))
             capped = neg_log_product_series(n, order, bits)
-            x = pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator)
+            x = scaled(pi_constant(bits + 16), F(n.denominator, 2 * n.numerator))
             full = neg_log_series_full_precision(x, order, bits)
             assert contains(capped, full.value)
             self.assert_close(capped, full)
@@ -1145,60 +1147,29 @@ class TestNoBallArithmetic:
 
     def test_the_routes_reach_no_ball_operator(self, monkeypatch):
         # every route sums in scaled integers or exact rationals and builds
-        # its balls through real_from_rational: no ball operator at all, not
-        # even a scaling or a negation.  The inputs of cos and exp are built
-        # before the operators are refused
-        inputs = {(n, bits): (pi_constant(bits + 16) * F(n.denominator, 2 * n.numerator),
-                              -neg_log_product_series(n, 30, bits + 8))
-                  for n in self.NS for bits in self.BITS}
+        # its balls through real_from_rational or the constructor: no ball
+        # operator at all, the cosine's pi/2n and exp's input included
         for name in self.OPERATORS:
             monkeypatch.setattr(BoundedReal, name, self.refuse)
         for bits in self.BITS:
             assert lambda_direct(3, 100, bits).value.value > 0
             assert product_trace(1, 100, bits)[-1].value.value == 0
             for n in self.NS:
-                x, y = inputs[n, bits]
-                assert neg_log_product_series(n, 30, bits).value > 0
+                neg_log = neg_log_product_series(n, 30, bits)
+                y = BoundedReal(-neg_log.value, neg_log.abs_error, bits)
+                assert neg_log.value > 0
                 assert product_trace(n, 100, bits)[-1].value.value > 0
-                assert cos_approx(x, bits).value > 0
+                assert cos_half_pi_over(n, bits).value > 0
                 assert exp_approx(y, bits).value > 0
+                assert verify_identity(n, 100, 30, bits).verdict
                 assert rearrangement_check(n, 50, 10, bits).overlap
 
-    def allow_only_scaling_and_negation(self, monkeypatch):
-        # a ball times an exact rational and -ball, no more
-        scale = BoundedReal.__mul__
-
-        def scale_only(ball, other):
-            if isinstance(other, BoundedReal):
-                self.refuse()
-            return scale(ball, other)
-
-        for name in self.OPERATORS:
-            if name != "__neg__":
-                monkeypatch.setattr(BoundedReal, name, self.refuse)
-        monkeypatch.setattr(BoundedReal, "__mul__", scale_only)
-
-    def test_verify_only_scales_pi_and_negates_the_series(self, monkeypatch):
-        # verify_identity scales pi to pi/2n for the cosine and negates the
-        # series for exp
-        self.allow_only_scaling_and_negation(monkeypatch)
-        for n in self.NS:
-            for bits in self.BITS:
-                assert verify_identity(n, 100, 30, bits).verdict
-
-    def test_no_command_multiplies_two_balls(self, monkeypatch, capsys):
-        # coeffs, lambda and rearrange reach no operator at all, and product
-        # and verify only scale pi to pi/2n and negate the series
+    def test_no_command_reaches_a_ball_operator(self, monkeypatch, capsys):
+        # the five README commands and every golden's
         for name in self.OPERATORS:
             monkeypatch.setattr(BoundedReal, name, self.refuse)
-        for argv in (README_COMMANDS["coeffs"], README_COMMANDS["lambda"],
-                     README_COMMANDS["rearrange"],
-                     ["coeffs", "--m-max", "40", "--precision", "300"]):
+        for argv in README_COMMANDS.values():
             assert cli.main(argv) == cli.EXIT_OK, argv
-        monkeypatch.undo()
-        self.allow_only_scaling_and_negation(monkeypatch)
-        for name in ("product", "verify"):
-            assert cli.main(README_COMMANDS[name]) == cli.EXIT_OK, name
 
 
 class TestExtremeParameters:
@@ -1232,7 +1203,7 @@ class TestExtremeParameters:
 
     def test_cos_beyond_half_pi(self):
         target = F("-0.80901699437494742410229341718281905886015458990")
-        res = cos_approx(pi_constant(80) * F(12, 10), 64)
+        res = cos_approx(scaled(pi_constant(80), F(12, 10)), 64)
         assert res.lower() - self.SLACK <= target <= res.upper() + self.SLACK
 
     def test_cos_of_large_arguments_by_periodicity(self):

@@ -14,7 +14,7 @@ from cosprod.arith import (
     real_from_rational,
 )
 from conftest import (contains, decimal_digits, pi_bracket, round_reference,
-                      sqrt_bracket)
+                      scaled, sqrt_bracket)
 
 # 50 digits of pi, a standard reference constant
 PI_50 = F("3.14159265358979323846264338327950288419716939937510")
@@ -55,42 +55,22 @@ class TestRealFromRational:
 
 
 class TestBoundedRealOps:
-    def test_soundness_random_chains(self):
-        # every op's interval must contain the exactly tracked value
-        rng = random.Random(123)
-        for _ in range(120):
-            bits = rng.choice([24, 53, 96])
-            exact = F(rng.randint(-999, 999), rng.randint(1, 999))
-            b = real_from_rational(exact, bits)
-            for _ in range(10):
-                r = F(rng.randint(-99, 99), rng.randint(1, 99))
-                op = rng.choice(["add", "sub", "mul", "neg", "div"])
-                if op == "add":
-                    b, exact = b + r, exact + r
-                elif op == "sub":
-                    b, exact = b - r, exact - r
-                elif op == "mul":
-                    b, exact = b * r, exact * r
-                elif op == "neg":
-                    b, exact = -b, -exact
-                else:
-                    if r == 0:
-                        continue
-                    b, exact = b / r, exact / r
-                assert abs(b.value - exact) <= b.abs_error
-
-    def test_two_balls_do_not_combine(self):
-        # a ball combines with an exact int or Fraction only, in either order
+    def test_a_ball_has_no_arithmetic(self):
+        # every kernel rounds through real_from_rational: a ball is neither
+        # combined with a number nor with another ball, nor negated
         a = real_from_rational(F(1, 3), 64)
         b = BoundedReal(F(2, 7), F(1, 2**70), 53)
+        for apply in (lambda: a + 1, lambda: 1 + a, lambda: a - F(1, 3), lambda: 1 - a,
+                      lambda: a * 2, lambda: 2 * a, lambda: a / 2, lambda: -a):
+            with pytest.raises(TypeError):
+                apply()
         for x, y in ((a, b), (b, a), (a, a)):
             for op in (operator.add, operator.sub, operator.mul, operator.truediv):
                 with pytest.raises(TypeError):
                     op(x, y)
 
-    def test_negation_and_interval(self):
+    def test_interval(self):
         b = real_from_rational(F(1, 3), 64)
-        assert (-b).value == -b.value
         assert b.lower() <= F(1, 3) <= b.upper()
         assert contains(b, F(1, 3))
 
@@ -104,27 +84,20 @@ class TestBoundedRealOps:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             BoundedReal(F(1), F(-1, 10), 64)
-        with pytest.raises(ZeroDivisionError):
-            real_from_rational(F(1, 3), 64) / 0
 
-    def test_a_ball_takes_the_precisions_its_operators_take(self):
+    def test_a_ball_takes_the_precisions_real_from_rational_takes(self):
         # one rule for balls: the constructor refuses a precision below 8
-        # bits with the message real_from_rational gives, and every rounding
-        # operator works on a ball it accepts
+        # bits with the message real_from_rational gives
         message = "precision_bits must be at least 8"
         for bits in (-1, 0, 1, 4, 7):
             with pytest.raises(ValueError, match=message):
                 BoundedReal(1, 0, bits)
             with pytest.raises(ValueError, match=message):
                 real_from_rational(1, bits)
-        ball = BoundedReal(F(1, 3), F(1, 2**20), 8)
-        for op in ("add", "radd", "sub", "rsub", "mul", "rmul", "div", "neg"):
-            result = APPLY[op](ball, F(5, 7))
-            assert (result.value, result.abs_error) == _reference(op, ball, F(5, 7)), op
 
     def test_str_prints_a_nonzero_bound_below_float_range(self):
         # an error near 2^-4096 underflows a float to 0; the printed bound must not
-        ball = cos_approx(pi_constant(4112) * F(1, 6), 4096)
+        ball = cos_approx(scaled(pi_constant(4112), F(1, 6)), 4096)
         value, bound = str(ball).split(" ± ")
         assert F(bound) >= ball.abs_error > 0
         lo, hi = sqrt_bracket(F(3, 4), 200)
@@ -167,56 +140,7 @@ def _random_operand(rng):
     return real_from_rational(value, bits, err, floor=rng.random() < 0.3)
 
 
-def _reference(op, a, b):
-    """(value, abs_error) of ball a combined with the exact b, from the definition alone."""
-    if op == "neg":
-        return -a.value, a.abs_error
-    r, bits = F(b), a.precision_bits
-    if op == "div":
-        return round_reference(a.value / r, bits, a.abs_error / abs(r))
-    if op in ("mul", "rmul"):
-        return round_reference(a.value * r, bits, a.abs_error * abs(r))
-    value = {"add": a.value + r, "radd": r + a.value,
-             "sub": a.value - r, "rsub": r - a.value}[op]
-    return round_reference(value, bits, a.abs_error)
-
-
-APPLY = {
-    "add": lambda a, b: a + b, "radd": lambda a, b: b + a,
-    "sub": lambda a, b: a - b, "rsub": lambda a, b: b - a,
-    "mul": lambda a, b: a * b, "rmul": lambda a, b: b * a,
-    "div": lambda a, b: a / b, "neg": lambda a, b: -a,
-}
-
-
 class TestRoundingOracle:
-    def test_random_operation_chains(self):
-        rng = random.Random(2024)
-        counts = dict.fromkeys(APPLY, 0)
-        kinds = set()
-        for _ in range(600):
-            a = _random_operand(rng)
-            if not isinstance(a, BoundedReal):
-                a = BoundedReal(a, 0, rng.choice([8, 53, 4096]))
-            for _ in range(9):
-                op = rng.choice(sorted(APPLY))
-                # a ball combines with exact rationals only: a ball drawn
-                # as the operand gives its value
-                b = _random_operand(rng)
-                if isinstance(b, BoundedReal):
-                    b = b.value
-                if op == "div" and b == 0:
-                    b = 3
-                result = APPLY[op](a, b)
-                assert (result.value, result.abs_error) == _reference(op, a, b), (op, a, b)
-                assert result.precision_bits == a.precision_bits
-                counts[op] += 1
-                kinds.add(type(b).__name__ if op != "neg" else "neg")
-                a = result
-        assert sum(counts.values()) >= 5000
-        assert min(counts.values()) >= 500
-        assert kinds == {"int", "Fraction", "neg"}
-
     def test_random_real_from_rational(self):
         rng = random.Random(2025)
         for _ in range(1000):
@@ -234,7 +158,8 @@ class TestRoundingOracle:
             b = real_from_rational(r, 8)
             assert (b.value, b.abs_error) == (nearest, F(1, 2))
             assert (b.value, b.abs_error) == round_reference(r, 8)
-            c = BoundedReal(r, 0, 8) + 0
+            # a tie in an unreduced Ratio, whose 2 rem == den is 3 times larger
+            c = real_from_rational(Ratio(3 * r.numerator, 3 * r.denominator), 8)
             assert (c.value, c.abs_error) == (nearest, F(1, 2))
 
     def test_floor_of_negative_values(self):
@@ -314,7 +239,7 @@ class TestRoundingOracle:
                 if rng.random() < 0.3:
                     value, err = value.numerator, err.numerator
                 ball = BoundedReal(value, err, bits)
-            balls += [(ball, value, err), (-ball, -value, err)]
+            balls += [(ball, value, err), (BoundedReal(-value, err, bits), -value, err)]
         for ball, value, err in balls:
             shorts, dyadic = reads(ball, value, err)
             shortened[dyadic] += sum(shorts)
@@ -359,7 +284,7 @@ class TestRoundingOracle:
     def test_a_ball_is_built_from_ints_and_fractions_only(self):
         # value and error are each an int or a Fraction, read back exactly,
         # so equal numbers build equal balls; a Ratio, a float or a ball
-        # raises TypeError, as it does as the other operand of an operator
+        # raises TypeError
         rng = random.Random(1919)
         for _ in range(200):
             value = _random_rational(rng, rng.random() < 0.5)
@@ -379,7 +304,7 @@ class TestRoundingOracle:
     def test_non_dyadic_error_is_carried_exactly(self):
         b = BoundedReal(F(1, 3), F(1, 7), 64)
         assert (b.value, b.abs_error) == (F(1, 3), F(1, 7))
-        c = b * F(-3, 5)
+        c = scaled(b, F(-3, 5))
         assert (c.value, c.abs_error) == round_reference(F(-1, 5), 64, F(3, 35))
 
     def test_immutable_and_hashable(self):
@@ -388,7 +313,7 @@ class TestRoundingOracle:
             b.precision_bits = 10
         same = BoundedReal(b.value, b.abs_error, 64)
         assert same == b and hash(same) == hash(b)
-        assert len({b, same, -b}) == 2
+        assert len({b, same, BoundedReal(-b.value, b.abs_error, 64)}) == 2
 
 
 class TestPiConstant:

@@ -20,7 +20,7 @@ from cosprod.arith import (BoundedReal, PrecisionError, WorkBudgetError, pi_cons
                            real_from_rational)
 from cosprod.recurrence import MAX_TABLE_M, lambda_coefficients
 from cosprod.output import OutputRecord, format_bound, format_decimal, render_json
-from conftest import combine_reference, cos_full_precision, pi_bracket
+from conftest import combine_reference, cos_full_precision, pi_bracket, scaled
 from test_analytic import neg_log_cos_bracket, spy_on_rounding
 from test_golden import README_COMMANDS
 
@@ -29,6 +29,23 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_at_once(argv):
+    """argv through ``python -m cosprod`` in a subprocess with a timeout, so
+    that a hang fails the test instead of stalling it: (exit, out, err, s)."""
+    src = Path(cli.__file__).parents[1]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cosprod", *argv.split()],
+        capture_output=True, text=True, timeout=20,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+
+
+def pushed(ball):
+    """ball moved up by 1, with its error and precision: a check it must fail."""
+    return BoundedReal(ball.value + 1, ball.abs_error, ball.precision_bits)
 
 
 class TestFormatting:
@@ -122,7 +139,8 @@ class TestFormatting:
         for bits in (8, 16384, *(rng.randint(8, 2 ** rng.randint(4, 14)) for _ in range(16))):
             q = rng.choice((1, 2, 3, 7, 10, 64, 1000))
             n = F(q + rng.choice((1, rng.randint(1, q), rng.randint(q, 20 * q))), q)
-            cos = cos_full_precision(pi_constant(256) * F(n.denominator, 2 * n.numerator), 192)
+            x = scaled(pi_constant(256), F(n.denominator, 2 * n.numerator))
+            cos = cos_full_precision(x, 192)
             runs = [(verify_identity, (rng.randint(1, 2000), rng.randint(1, 40)),
                      ("product", "log_series", "cosine"), (cos.lower(), cos.upper())),
                     (rearrangement_check, (rng.randint(1, 60), rng.randint(1, 16)),
@@ -188,7 +206,7 @@ class TestClosedForms:
         # the ball products as (value, error) pairs, each step rounded at
         # bits + 16 by conftest's combine_reference
         work = bits + 16
-        half_pi = pi_constant(work) * F(1, 2)
+        half_pi = scaled(pi_constant(work), F(1, 2))
         half_pi = half_pi.value, half_pi.abs_error
         step = power = combine_reference(half_pi, half_pi, work, product=True)
         forms = []
@@ -454,20 +472,12 @@ class TestRearrange:
 
     @staticmethod
     def assert_refused_at_once(n, rows, order, precision):
-        # in a subprocess with a timeout, so that a hang fails the test
-        # instead of stalling it
-        src = Path(cli.__file__).parents[1]
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "cosprod", "rearrange", "--n", n,
-             "--rows", rows, "--order", order, "--precision", precision],
-            capture_output=True, text=True, timeout=20,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        elapsed = time.perf_counter() - start
-        assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
-        assert proc.stderr.startswith("work over budget: --n, --rows and --precision "
-                                      "ask too much of the row order")
-        assert elapsed < 1
+        code, out, err, seconds = run_at_once(
+            f"rearrange --n {n} --rows {rows} --order {order} --precision {precision}")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err.startswith("work over budget: --n, --rows and --precision "
+                              "ask too much of the row order")
+        assert seconds < 1
 
     def test_n_near_one_is_refused_before_the_row_loop(self):
         # row 1 would take about 10^9 passes
@@ -494,30 +504,11 @@ class TestTableCap:
         ("rearrange --n 3 --order 100000000", "100000000"),
     ])
     def test_a_table_past_the_cap_is_refused_at_once(self, command, size):
-        # in a subprocess with a timeout, so that a hang fails the test
-        src = Path(cli.__file__).parents[1]
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "cosprod", *command.split()],
-            capture_output=True, text=True, timeout=20,
-            env={**os.environ, "PYTHONPATH": str(src)})
-        elapsed = time.perf_counter() - start
-        assert (proc.returncode, proc.stdout) == (cli.EXIT_USAGE, "")
-        assert proc.stderr == (f"work over budget: a table to m = {size} is over the "
-                               f"cap of m = {MAX_TABLE_M}; take a lower --m-max or --order\n")
-        assert elapsed < 1
-
-
-def run_at_once(argv):
-    """argv through ``python -m cosprod`` in a subprocess with a timeout, so
-    that a hang fails the test instead of stalling it: (exit, out, err, s)."""
-    src = Path(cli.__file__).parents[1]
-    start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "cosprod", *argv.split()],
-        capture_output=True, text=True, timeout=20,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    return proc.returncode, proc.stdout, proc.stderr, time.perf_counter() - start
+        code, out, err, seconds = run_at_once(command)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == (f"work over budget: a table to m = {size} is over the "
+                       f"cap of m = {MAX_TABLE_M}; take a lower --m-max or --order\n")
+        assert seconds < 1
 
 
 class TestWorkBudget:
@@ -682,11 +673,11 @@ class TestOutputContracts:
     @pytest.mark.parametrize("argv, name, breaks", [
         # one direct sum of the table, m = 2's, pushed above its closed form
         (("lambda", "--m-max", "2", "--num-terms", "50"), "lambda_direct_table",
-         lambda table: [table[0], type(table[1])(table[1].num_terms, table[1].value + 1,
+         lambda table: [table[0], type(table[1])(table[1].num_terms, pushed(table[1].value),
                                                   table[1].tail_bound)]),
         # a target the trace cannot contain
         (("product", "--n", "3", "--num-factors", "8"), "cos_half_pi_over",
-         lambda target: target + 1),
+         lambda target: pushed(target)),
         (("rearrange", "--n", "3", "--rows", "20", "--order", "4"),
          "rearrangement_check",
          lambda rep: type(rep)(**{**rep.__dict__, "overlap": False})),

@@ -11,7 +11,7 @@ from cosprod.recurrence import (
     lambda_coefficients,
     tangent_coefficients,
 )
-from conftest import combine_reference, tangent_numbers
+from conftest import combine_reference, scaled, tangent_numbers
 
 
 def zeta_over_pi_power(m: int, b4m) -> F:
@@ -47,7 +47,7 @@ class TestCoefficientTable:
         # (pi/2)^2m as a chain of ball products at 160 bits, stepped through
         # as (value, error) pairs by conftest's combine_reference
         table = lambda_coefficients(25)
-        half_pi = pi_constant(160) * F(1, 2)
+        half_pi = scaled(pi_constant(160), F(1, 2))
         half_pi = half_pi.value, half_pi.abs_error
         step = power = combine_reference(half_pi, half_pi, 160, product=True)
         previous_upper = None
