@@ -49,6 +49,7 @@ from conftest import (
     partial_products_exact,
     pi_bracket,
     product_log_tail_reference,
+    round_reference,
     row_order_reference,
     scaled,
     sqrt_bracket,
@@ -679,6 +680,23 @@ class TestCosApprox:
             assert res.lower() <= lo and hi <= res.upper()
             assert contains(cos_half_pi_over(F(3, 2), bits), F(1, 2))
 
+    def test_cos_half_pi_over_reads_pi_over_2n_at_pis_precision(self, monkeypatch):
+        # cos_approx's x is pi's value times s = qn/(2pn), rounded at pi's
+        # bits + 16, with pi's error times s carried: it encloses pi/2n
+        seen = []
+        monkeypatch.setattr(analytic, "cos_approx", lambda x, bits: seen.append(x) or x)
+        lo, hi = pi_bracket(700)
+        for bits in (8, 128, 1024):
+            pi = pi_constant(bits + 16)
+            for n in (F(3), F(3, 2), F(11, 10), F(1000)):
+                s = F(n.denominator, 2 * n.numerator)
+                cos_half_pi_over(n, bits)
+                x = seen.pop()
+                assert (x.value, x.abs_error) == round_reference(pi.value * s, bits + 16,
+                                                                 pi.abs_error * s), (n, bits)
+                assert x.precision_bits == bits + 16
+                assert x.lower() <= lo * s and hi * s <= x.upper(), (n, bits)
+
     def test_moderately_large_argument(self):
         # series still converges with a valid remainder beyond the identity range
         res = cos_approx(BoundedReal(5, 0, 128), 128)
@@ -1163,6 +1181,17 @@ class TestNoBallArithmetic:
                 assert exp_approx(y, bits).value > 0
                 assert verify_identity(n, 100, 30, bits).verdict
                 assert rearrangement_check(n, 50, 10, bits).overlap
+
+    def test_verify_hands_exp_the_series_negated(self):
+        # exp reads the series' value negated, with its error and its
+        # precision bits + 8 kept, and the cosine is cos_half_pi_over's
+        for n in self.NS:
+            for bits in self.BITS:
+                neg_log = neg_log_product_series(n, 30, bits + 8)
+                y = BoundedReal(-neg_log.value, neg_log.abs_error, bits + 8)
+                report = verify_identity(n, 100, 30, bits)
+                assert report.log_series == exp_approx(y, bits), (n, bits)
+                assert report.cosine == cos_half_pi_over(n, bits), (n, bits)
 
     def test_no_command_reaches_a_ball_operator(self, monkeypatch, capsys):
         # the five README commands and every golden's

@@ -69,6 +69,29 @@ class TestBoundedRealOps:
                 with pytest.raises(TypeError):
                     op(x, y)
 
+    def test_carried_errors_stay_sound_through_random_chains(self):
+        # a ball rebuilt through real_from_rational with its error carried,
+        # as the routes build theirs, keeps the exactly tracked value: its
+        # value scaled or shifted by an exact r, or negated by the constructor
+        rng = random.Random(123)
+        for _ in range(120):
+            bits = rng.choice([8, 24, 53, 96])
+            exact = F(rng.randint(-999, 999), rng.randint(1, 999))
+            b = real_from_rational(exact, bits)
+            for _ in range(10):
+                r = F(rng.randint(-99, 99), rng.randint(1, 99))
+                step = rng.choice(["scale", "shift", "negate"])
+                if step == "scale":
+                    b = real_from_rational(b.value * r, bits, b.abs_error * abs(r))
+                    exact *= r
+                elif step == "shift":
+                    b = real_from_rational(b.value + r, bits, b.abs_error)
+                    exact += r
+                else:
+                    b, exact = BoundedReal(-b.value, b.abs_error, bits), -exact
+                assert contains(b, exact), (step, bits)
+                assert b.precision_bits == bits
+
     def test_interval(self):
         b = real_from_rational(F(1, 3), 64)
         assert b.lower() <= F(1, 3) <= b.upper()
@@ -141,6 +164,31 @@ def _random_operand(rng):
 
 
 class TestRoundingOracle:
+    def test_random_carried_error_chains(self):
+        # each link rounds the last ball's value times, or plus, an exact int
+        # or Fraction at the ball's precision, its error carried, so every
+        # link after the first reads a ball that real_from_rational made
+        rng = random.Random(2024)
+        kinds = set()
+        for _ in range(300):
+            a = _random_operand(rng)
+            if not isinstance(a, BoundedReal):
+                a = BoundedReal(a, 0, rng.choice([8, 53, 4096]))
+            for _ in range(6):
+                r = _random_operand(rng)
+                if isinstance(r, BoundedReal):
+                    r = r.value
+                if rng.random() < 0.5:
+                    value, err = a.value * r, a.abs_error * abs(r)
+                else:
+                    value, err = a.value + r, a.abs_error
+                bits = a.precision_bits
+                a = real_from_rational(value, bits, err)
+                assert (a.value, a.abs_error) == round_reference(value, bits, err), (value, err)
+                assert a.precision_bits == bits
+                kinds.add(type(r).__name__)
+        assert kinds == {"int", "Fraction"}
+
     def test_random_real_from_rational(self):
         rng = random.Random(2025)
         for _ in range(1000):
