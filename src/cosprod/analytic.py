@@ -129,10 +129,8 @@ def _working_bits(precision_bits: int, err: Fraction) -> int:
     """
     work = precision_bits + 16
     if err:
-        num, den = err.numerator, err.denominator
-        acc = den.bit_length() - num.bit_length()  # 2^(acc-1) < 1/err < 2^(acc+1)
-        if (den < num << acc) if acc >= 0 else (den << -acc < num):
-            acc -= 1
+        # 2^acc <= 1/err < 2^(acc+1) exactly when 2^acc <= floor(1/err)
+        acc = (err.denominator // err.numerator).bit_length() - 1
         work = min(work, max(acc, 0) + _GUARD_BITS)
     return work
 
@@ -324,6 +322,7 @@ def closed_forms(m_max: int, precision_bits: int) -> list[BoundedReal]:
     work = precision_bits + 16, on one fixed point of S = precision_bits + 48
     bits.  Each result is their centre, with half their spread as its error.
     """
+    check_precision(precision_bits)
     work, shift = precision_bits + 16, precision_bits + 48
     pi = pi_constant(work)
     (lp, lq), (hp, hq) = pi.lower().as_integer_ratio(), pi.upper().as_integer_ratio()
@@ -370,7 +369,7 @@ def product_trace(n: _RationalLike, num_factors: int,
 
     if n == 1:
         # first factor is exactly zero; every partial product is exactly 0
-        zero = BoundedReal(Fraction(0), Fraction(0), precision_bits)
+        zero = real_from_rational(0, precision_bits)
         return [PartialProductResult(mark, zero, None) for mark in marks]
     return _partial_products(n, marks, precision_bits)
 
@@ -537,12 +536,9 @@ def neg_log_product_series(n: _RationalLike, order: int,
     terms = list(enumerate(_coefficient_powers(lo, hi, order, frac_bits), start=1))
     s_lo = sum(low // m for m, (low, _) in terms)
     s_hi = -sum(-high // m for m, (_, high) in terms)
-    # [s_lo, s_hi] / 2^F: centre and half width, tail over 2^(F+1)
-    den = tail.denominator << (frac_bits + 1)
-    err = Ratio((tail.numerator << (frac_bits + 1))
-                + (s_hi - s_lo) * tail.denominator, den)
-    return real_from_rational(Ratio(s_lo + s_hi, 2 << frac_bits),
-                              precision_bits, err)
+    # [s_lo, s_hi] / 2^F: its centre, and its half width plus the tail
+    return real_from_rational(Ratio(s_lo + s_hi, 2 << frac_bits), precision_bits,
+                              Fraction(s_hi - s_lo, 2 << frac_bits) + tail)
 
 
 # ----------------------------------------------------------------------
@@ -698,14 +694,16 @@ def cos_approx(x: BoundedReal, precision_bits: int) -> BoundedReal:
 def cos_half_pi_over(n: _RationalLike, precision_bits: int) -> BoundedReal:
     """cos(pi/2n), the product's limit, for a rational n > 0; exactly 0 at n = 1.
 
-    Otherwise it is ``cos_approx`` at pi_constant(precision_bits + 16)
-    times s = qn / (2 pn), n = pn/qn: pi's value times s, rounded at pi's
-    precision, with pi's error times s carried (the series scales pi's two
-    ends on integers).
+    n <= 0 raises DomainError.  Otherwise it is ``cos_approx`` at
+    pi_constant(precision_bits + 16) times s = qn / (2 pn), n = pn/qn: pi's
+    value times s, rounded at pi's precision, with pi's error times s
+    carried (the series scales pi's two ends on integers).
     """
     n = Fraction(n)
+    if n <= 0:
+        raise DomainError("the cosine requires n > 0")
     if n == 1:
-        return BoundedReal(0, 0, precision_bits)
+        return real_from_rational(0, precision_bits)
     pi = pi_constant(precision_bits + 16)
     scale = Fraction(n.denominator, 2 * n.numerator)
     x = real_from_rational(pi.value * scale, pi.precision_bits, pi.abs_error * scale)
@@ -852,9 +850,7 @@ def rearrangement_check(n: _RationalLike, num_rows: int, series_order: int,
     err = _power_sum([(est.value.abs_error + est.tail_bound) / m
                       for m, est in enumerate(columns, start=1)], r)
     tail = _coefficient_tail(r, series_order)
-    col_sum = real_from_rational(col, precision_bits, Ratio(
-        err.numerator * tail.denominator + tail.numerator * err.denominator,
-        err.denominator * tail.denominator))
+    col_sum = real_from_rational(col, precision_bits, Fraction(*err) + tail)
 
     return RearrangementReport(
         row_sum=row_sum,
@@ -902,8 +898,8 @@ def verify_identity(n: _RationalLike, num_factors: int, order: int,
         raise ValueError("num_factors must be at least 1")
     # the series route first: its refusals come before the product's work
     neg_log = neg_log_product_series(n, order, precision_bits + 8)
-    log_series = exp_approx(BoundedReal(-neg_log.value, neg_log.abs_error,
-                                        neg_log.precision_bits), precision_bits)
+    log_series = exp_approx(real_from_rational(-neg_log.value, neg_log.precision_bits,
+                                               neg_log.abs_error), precision_bits)
     bits = min(precision_bits,
                _working_bits(precision_bits, _product_log_tail(n, num_factors)))
     detail = _partial_products(n, [num_factors], bits)[0]

@@ -13,7 +13,8 @@ A ball holds its value and its error each as a canonical integer triple
 rational and error, and :func:`real_from_rational` rounds them into a
 ball, whose value is dyadic, m * 2**q with |m| < 2**precision_bits, and
 whose error is an 8-bit dyadic e * 2**r with e < 2**8.  Only the
-constructor carries other rationals exactly.  A ball is read one way:
+constructor, which no other module of the package calls, carries other
+rationals exactly.  A ball is read one way:
 ``value``, ``abs_error``, ``lower()`` and ``upper()`` are Fractions in
 lowest terms, built without a gcd, which at thousands of bits would cost
 more than the reads do.  A stored triple's n and d are coprime, so its
@@ -24,10 +25,10 @@ reduced by Fraction itself.  ``Ratio`` is the rounding's input pair
 only: a numerator and denominator in whatever terms a kernel built them,
 which :func:`real_from_rational` takes as it takes a Fraction.  No binary
 floating point is used; the rounding happens in one place,
-:func:`real_from_rational` (``_round`` on triples), whose one quantizer
-``_round_sig`` rounds the value and, as -floor(-t), the error, with
-integer multiplies, shifts and one divmod.  Precision is caller-specified
-per call, with no global precision state.
+:func:`real_from_rational`, whose one quantizer ``_round_sig`` rounds the
+value and, as -floor(-t), the error, with integer multiplies, shifts and
+one divmod.  Precision is caller-specified per call, with no global
+precision state.
 """
 
 from __future__ import annotations
@@ -155,9 +156,9 @@ def _add(a: _Triple, b: _Triple) -> _Triple:
     """a + b over the common denominator d1 d2, not canonical.
 
     n may be even, or 0 with x != 0.  No stored triple is read from a sum
-    before a rounding: ``_round`` reads it through ``_round_sig`` and
-    ``_floor_log2``, ``overlaps`` by its sign and ``_end`` through
-    ``_canon``, so equal balls still have equal triples.
+    before a rounding: ``real_from_rational`` reads it through
+    ``_round_sig`` and ``_floor_log2``, ``overlaps`` by its sign and
+    ``_end`` through ``_canon``, so equal balls still have equal triples.
     """
     (n1, x1, d1), (n2, x2, d2) = a, b
     x = min(x1, x2)
@@ -209,14 +210,6 @@ def _err_up(t: _Triple) -> _Triple:
     if t[0] < 0:
         raise ValueError("error bounds must be nonnegative")
     return _neg(_round_sig(_neg(t), 8, floor=True)[0])
-
-
-def _round(value: _Triple, bits: int, err: _Triple,
-           floor: bool = False) -> "BoundedReal":
-    """The rounding behind real_from_rational, on triples."""
-    check_precision(bits)
-    rounded, cap = _round_sig(value, bits, floor)
-    return BoundedReal._make(rounded, _err_up(_add(err, cap)), bits)
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +307,9 @@ def real_from_rational(r: Union[_RationalLike, Ratio], precision_bits: int,
     representable at that precision.  r and err may be unreduced Ratios,
     the pairs the kernels build: the rounding reads only their values.
     """
-    return _round(_triple(r), precision_bits, _triple(err), floor)
+    check_precision(precision_bits)
+    rounded, cap = _round_sig(_triple(r), precision_bits, floor)
+    return BoundedReal._make(rounded, _err_up(_add(_triple(err), cap)), precision_bits)
 
 
 # ----------------------------------------------------------------------
@@ -356,5 +351,5 @@ def pi_constant(precision_bits: int) -> BoundedReal:
     shift = precision_bits + 32
     a5, e5 = _atan_recip_scaled(5, shift)
     a239, e239 = _atan_recip_scaled(239, shift)
-    return _round((16 * a5 - 4 * a239, -shift, 1), precision_bits,
-                  (16 * e5 + 4 * e239, -shift, 1))
+    return real_from_rational(Ratio(16 * a5 - 4 * a239, 1 << shift), precision_bits,
+                              Ratio(16 * e5 + 4 * e239, 1 << shift))

@@ -21,6 +21,7 @@ from cosprod.analytic import (
     _versine_series,
     _versine_terms,
     PartialProductResult,
+    closed_forms,
     cos_approx,
     cos_half_pi_over,
     exp_approx,
@@ -697,6 +698,11 @@ class TestCosApprox:
                 assert x.precision_bits == bits + 16
                 assert x.lower() <= lo * s and hi * s <= x.upper(), (n, bits)
 
+    def test_cos_half_pi_over_refuses_n_at_or_below_zero(self):
+        for n in (0, -1, F(-1, 2), F(-3)):
+            with pytest.raises(DomainError):
+                cos_half_pi_over(n, 128)
+
     def test_moderately_large_argument(self):
         # series still converges with a valid remainder beyond the identity range
         res = cos_approx(BoundedReal(5, 0, 128), 128)
@@ -920,6 +926,39 @@ class TestWorkingPrecision:
     def verify_ns():
         rng = random.Random(1111)
         return [F(11, 10), F(3, 2), F(5)] + [F(rng.randint(21, 200), 20) for _ in range(3)]
+
+    def test_working_bits_are_the_guard_past_floor_log2_of_one_over_err(self):
+        # acc + G with acc = floor(-log2 err), the largest a with 2^a err <=
+        # 1, found here by Fraction comparison; 0 for err >= 1; capped at
+        # bits + 16
+        def largest_power(err):
+            a = err.denominator.bit_length() - err.numerator.bit_length()
+            while F(2) ** a * err > 1:
+                a -= 1
+            while F(2) ** (a + 1) * err <= 1:
+                a += 1
+            return a
+
+        rng = random.Random(4444)
+        errs = [F(1), F(3, 2), F(7), F(2**100 + 1, 3)]
+        for k in (1, 2, 7, 8, 9, 64, 1000, 4095):
+            errs += [F(1, 2**k), F(1, 2**k) + F(1, 2 ** (k + 40)),
+                     F(1, 2**k) - F(1, 2 ** (k + 40))]
+        errs += [F(rng.randrange(1, 256, 2), 2 ** rng.randint(0, 5000)) for _ in range(40)]
+        for _ in range(40):
+            den = rng.getrandbits(rng.randint(1000, 5000)) | 1
+            num = (den >> rng.randint(0, 200)) + rng.choice((-1, 0, 1))
+            errs += [F(max(num, 1), den), F(rng.getrandbits(64) | 1, den)]
+        errs += [_coefficient_tail(F(rng.randint(2, 99), rng.randint(100, 10**4)) ** 2,
+                                   rng.randint(1, 500)) for _ in range(20)]
+        assert any(err.denominator.bit_length() > 1000 and err.denominator % 2
+                   for err in errs)
+        for err in errs:
+            acc = max(largest_power(err), 0)
+            for bits in (8, 128, 1024, 16384):
+                expected = min(bits + 16, acc + analytic._GUARD_BITS)
+                assert analytic._working_bits(bits, err) == expected, (err, bits)
+        assert analytic._working_bits(128, F(0)) == 144
 
     def test_product_on_the_verify_route(self):
         # verify takes one product at the bits its log tail leaves, capped at
@@ -1312,6 +1351,7 @@ class TestVerifyIdentity:
     (lambda: lambda_direct_table(0, 10, 64), "m_max must be at least 1"),
     (lambda: lambda_direct_table(1, 0, 64), "num_terms must be at least 1"),
     (lambda: lambda_direct_table(1, 10, 7), "precision_bits must be at least 8"),
+    (lambda: closed_forms(3, 4), "precision_bits must be at least 8"),
     (lambda: product_trace(3, 0, 64), "num_factors must be at least 1"),
     (lambda: neg_log_product_series(3, 0, 64), "order must be at least 1"),
     (lambda: rearrangement_check(3, 0, 1, 64),

@@ -1,14 +1,15 @@
 """Module boundaries of the package, checked on its syntax trees.
 
-Modules share only public names, the dyadic rounding of a result
-(``_round`` with its quantizer ``_round_sig`` and the error tidy-up
-``_err_up``) is done in ``arith`` alone, behind ``real_from_rational`` and
-the ``BoundedReal`` operators, every exported name and every public
-member of a class is used by the package itself or by the benchmark, and
-no binary floating point appears anywhere: no ``float`` name and no float
-literal.  The coefficient oracles stay independent of the recurrence they
-check: ``series`` imports nothing from ``recurrence``, and neither the
-Bernoulli route nor the Picard fixed point reaches the recurrence's table.
+Modules share only public names.  The dyadic rounding of a result (the
+quantizer ``_round_sig`` and the error tidy-up ``_err_up``) is done in
+``arith`` alone, behind ``real_from_rational``, and no other module calls
+the ``BoundedReal`` constructor, so every ball a route makes comes out of
+that one rounding.  Every exported name and every public member of a
+class is used by the package itself or by the benchmark, and no binary
+floating point appears anywhere: no ``float`` name and no float literal.
+The coefficient oracles stay independent of the recurrence they check:
+``series`` imports nothing from ``recurrence``, and neither the Bernoulli
+route nor the Picard fixed point reaches the recurrence's table.
 """
 
 import ast
@@ -18,7 +19,7 @@ import cosprod
 
 SOURCES = sorted(Path(cosprod.__file__).parent.glob("*.py"))
 BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
-ROUNDING = {"_round", "_round_sig", "_err_up"}
+ROUNDING = {"_round_sig", "_err_up"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -57,6 +58,18 @@ def test_rounding_helpers_referenced_only_in_arith():
                 names.update(alias.name for alias in node.names)
             offenders += [f"{path.name}:{node.lineno} {n}"
                           for n in names & ROUNDING]
+    assert offenders == []
+
+
+def test_no_module_but_arith_calls_the_constructor():
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        if path.name != "arith.py"
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call)
+        and "BoundedReal" in {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+    ]
     assert offenders == []
 
 

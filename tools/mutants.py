@@ -66,10 +66,13 @@ FLOORS = ("tests/test_analytic.py::TestCosineHalving"
 TABLE = "tests/test_analytic.py::TestLambdaDirectTable::test_every_field_matches_lambda_direct"
 ROWS = "tests/test_analytic.py::TestRearrangement"
 ROW_ORDER = f"{ROWS}::test_row_order_matches_its_reference"
+WORKING_BITS = ("tests/test_analytic.py::TestWorkingPrecision"
+                "::test_working_bits_are_the_guard_past_floor_log2_of_one_over_err")
+SERIES_ERROR = "Fraction(s_hi - s_lo, 2 << frac_bits) + tail)"
 # verify_identity's exp of the series and its product, which exp's
 # refusal comes before
-VERIFY_EXP = ("    log_series = exp_approx(BoundedReal(-neg_log.value, neg_log.abs_error,\n"
-              "                                        neg_log.precision_bits), precision_bits)\n")
+VERIFY_EXP = ("    log_series = exp_approx(real_from_rational(-neg_log.value, neg_log.precision_bits,\n"
+              "                                               neg_log.abs_error), precision_bits)\n")
 VERIFY_PRODUCT = ("    bits = min(precision_bits,\n"
             "               _working_bits(precision_bits, _product_log_tail(n, num_factors)))\n"
             "    detail = _partial_products(n, [num_factors], bits)[0]\n")
@@ -131,6 +134,15 @@ MUTANTS = (
            "s_hi = -sum(-high // m for m, (_, high) in terms)",
            "s_hi = sum(high // m for m, (_, high) in terms)",
            (OUTWARD,)),
+    Mutant("series error without its tail", ANALYTIC,
+           SERIES_ERROR,
+           "Fraction(s_hi - s_lo, 2 << frac_bits))",
+           ("tests/test_analytic.py::TestNegLogProductSeries"
+            "::test_contains_minus_log_cos_over_seeded_n",)),
+    Mutant("series error without its half width", ANALYTIC,
+           SERIES_ERROR,
+           "tail)",
+           (OUTWARD,)),
     Mutant("series admits n = 1", ANALYTIC,
            "    if n <= 1:\n        raise DomainError(\"the series requires n > 1",
            "    if n < 1:\n        raise DomainError(\"the series requires n > 1",
@@ -170,11 +182,27 @@ MUTANTS = (
            "r ** (order + 1) / ((order + 1) * (1 - r))",
            "r ** order / ((order + 1) * (1 - r))",
            ("tests/test_analytic.py::TestCoefficientTail",)),
-    # verify's refusals, each before the product and the cosine
+    # verify's refusals, each before the product and the cosine, and exp's
+    # input, the series negated with its error
     Mutant("verify multiplies before exp", ANALYTIC,
            VERIFY_EXP + VERIFY_PRODUCT,
            VERIFY_PRODUCT + VERIFY_EXP,
            ("tests/test_cli.py::TestVerify::test_a_refusal_comes_before_the_product_and_the_cosine",)),
+    Mutant("exp's input without its error", ANALYTIC,
+           "neg_log.precision_bits,\n"
+           "                                               neg_log.abs_error), precision_bits)",
+           "neg_log.precision_bits), precision_bits)",
+           ("tests/test_analytic.py::TestNoBallArithmetic"
+            "::test_verify_hands_exp_the_series_negated",)),
+    # the working precision, acc + G with acc = floor(-log2 err)
+    Mutant("working bits one past floor(log2 1/err)", ANALYTIC,
+           "acc = (err.denominator // err.numerator).bit_length() - 1",
+           "acc = (err.denominator // err.numerator).bit_length()",
+           (WORKING_BITS,)),
+    Mutant("working bits one short", ANALYTIC,
+           "acc = (err.denominator // err.numerator).bit_length() - 1",
+           "acc = (err.denominator // err.numerator).bit_length() - 2",
+           (WORKING_BITS,)),
     # the row order: the budget of its rows, the count of its floors
     Mutant("rows past the first charged nothing", ANALYTIC,
            " + (num_rows - 1) * _row_passes(3 * n, shift)",
@@ -420,6 +448,10 @@ MUTANTS = (
     Mutant("column sum over the odd parts alone", ANALYTIC,
            "den = twos * lcm(",
            "den = lcm(",
+           (f"{ROWS}::test_column_bound_carries_every_column_rounding",)),
+    Mutant("column error without its tail", ANALYTIC,
+           "Fraction(*err) + tail)",
+           "Fraction(*err))",
            (f"{ROWS}::test_column_bound_carries_every_column_rounding",)),
 )
 

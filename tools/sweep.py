@@ -50,7 +50,7 @@ _WORKER = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import sweep; "
 
 
 def grid() -> list[list[str]]:
-    """The fixed list of argument vectors, 1,555 of them, in order.
+    """The fixed list of argument vectors, 1,575 of them, in order.
 
     verify at 16 n from 1 + 10^-8 to 10^16, 7 precisions from 8 to 1024
     bits and 6 orders from 1 to 100 (672), 600 seeded verify runs, six at
@@ -59,8 +59,10 @@ def grid() -> list[list[str]]:
     M = 250 at seven precisions; lambda at M up to 60, where the high
     levels of its one pass over k die in the first chunk of 256 odd d,
     and at 255, 256, 257 and 100,000 terms, across the chunk edges;
-    product and rearrange over their own grids; ten commands in table,
-    CSV and JSON; and the usage and domain errors of each kind.
+    product and rearrange over their own grids, and rearrange at 50 rows,
+    orders 40 and 100 and 1024 and 4096 bits, where the column error's
+    denominators are longest; ten commands in table, CSV and JSON; and the
+    usage and domain errors of each kind.
     """
     near = ["100000001/100000000", "10001/10000", "1001/1000", "101/100"]
     ns = near + ["11/10", "81/64", "5/4", "3/2", "2", "3", "5", "7", "10",
@@ -103,6 +105,10 @@ def grid() -> list[list[str]]:
               "--precision", str(bits)]
              for n in ("11/10", "81/64", "5/4", "3/2", "2", "3", "10", "1000000")
              for rows in (50, 1000) for bits in (8, 64, 128, 512)]
+    runs += [["rearrange", "--n", n, "--rows", "50", "--order", str(order),
+              "--precision", str(bits)]
+             for n in ("5/4", "3/2", "10", "1000000", "10000000000000000")
+             for order in (40, 100) for bits in (1024, 4096)]
     every_format = [["coeffs"], ["coeffs", "--m-max", "40", "--precision", "300"],
                     ["lambda", "--num-terms", "1000"], ["product", "--n", "3"],
                     ["product", "--n", "1", "--num-factors", "64"],
